@@ -50,6 +50,14 @@ def _load_problem(args):
     return graph, actionlog, dags, X, sorted(C)
 
 
+def _sigma_before(dags, X, counts):
+    """Influence of the targets before any removal: the DI denominator."""
+    before = sigma_cd_scratch(dags, X, counts)
+    if before <= 0.0:
+        raise ValueError("no target user performs any action: nothing to limit")
+    return before
+
+
 def _add_problem_flags(sub, scheme=True):
     sub.add_argument("--graph", required=True)
     sub.add_argument("--actions", required=True)
@@ -57,7 +65,8 @@ def _add_problem_flags(sub, scheme=True):
     sub.add_argument("--candidates", help="file of 'u v' edges; default: edges of any action graph")
     if scheme:
         sub.add_argument("--scheme", default="uniform", choices=["uniform", "learned", "explicit"])
-        sub.add_argument("--gamma-table", help="explicit gamma file: 'u v action gamma'")
+        sub.add_argument("--gamma-table",
+                         help="explicit gamma file: 'u v gamma' or 'u v action gamma' lines")
 
 
 def cmd_gen(args):
@@ -71,9 +80,9 @@ def cmd_gen(args):
 def cmd_bil(args, per_node_bound=None):
     graph, actionlog, dags, X, C = _load_problem(args)
     counts = actionlog.counts
+    before = _sigma_before(dags, X, counts)
     sol = greedy_bil(dags, X, args.k, C, counts=counts, use_pruning=args.prune,
                      use_lazy=args.lazy, per_node_bound=per_node_bound)
-    before = sigma_cd_scratch(dags, X, counts)
     labels = graph.labels
     rows = []
     cum = 0.0
@@ -92,6 +101,7 @@ def cmd_grr(args):
 def cmd_ilm(args):
     graph, actionlog, dags, X, C = _load_problem(args)
     counts = actionlog.counts
+    before = _sigma_before(dags, X, counts)
     config = contgreedy.CGConfig(tau=args.tau, s=args.samples, seed=args.seed)
     frac = contgreedy.continuous_greedy(dags, X, C, args.b, config, counts=counts)
     frac.check(args.b)
@@ -104,7 +114,6 @@ def cmd_ilm(args):
         rounded = rounding.randomized_round(frac.y, C, args.b, args.trials, rng,
                                             lambda B: delta_set(dags, X, B, counts=counts))
         B, delta, trial_deltas = sorted(rounded.edges), rounded.delta, rounded.trial_deltas
-    before = sigma_cd_scratch(dags, X, counts)
     labels = graph.labels
     rows = [["y", f"{labels[e[0]]}->{labels[e[1]]}", f"{frac.y[e]:.9g}", "", ""] for e in C]
     rows += [["removed", f"{labels[e[0]]}->{labels[e[1]]}", "", "", ""] for e in B]

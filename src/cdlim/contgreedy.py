@@ -7,7 +7,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .credit import counts_from_dags, delta_set, sigma_cd_scratch, _sc_map, _ucx_row
+from .credit import _edge_deltas, counts_from_dags, delta_set, sigma_cd_scratch
 
 EXACT_GUARD = 20
 CURVATURE_GUARD = 15
@@ -87,28 +87,14 @@ def multilinear_sample(dags, X, C, y, s, rng, counts=None) -> float:
 
 
 def _marginals_given(dags, X, C, counts, removed):
-    """Single-edge deltas of every surviving candidate on the modified DAGs.
-
-    Builds a per-sample SC map and the target-avoiding credit rows at
-    candidate heads, then applies the closed-form single-edge delta.
-    """
-    heads = {v for (_, v) in C}
+    """Single-edge deltas of every surviving candidate on the modified DAGs,
+    summed over the actions in DAG order."""
     out = dict.fromkeys(C, 0.0)
     for dag in dags:
-        gamma = dag.gamma
-        sc = _sc_map(dag, X, removed)
-        rows = {}
-        for e in C:
-            if e in removed or e not in gamma:
-                continue
-            u, v = e
-            sc_u = sc.get(u, 0.0)
-            if sc_u == 0.0:
-                continue
-            row = rows.get(v)
-            if row is None:
-                row = rows[v] = _ucx_row(dag, v, X, removed)
-            out[e] += sc_u * gamma[e] * sum(val / counts[w] for w, val in row.items())
+        if dag.gamma:
+            for e, delta in _edge_deltas(dag, X, counts, removed).items():
+                if e in out:
+                    out[e] += delta
     return out
 
 

@@ -1,10 +1,20 @@
-"""Credit distribution: EP/UC/SC stores, total influence, and edge deltas.
+"""Credit distribution: the SC/R kernel, the reference EP/UC/SC store,
+total influence, and edge deltas.
 
-The store holds, per action: EP (direct credit of each surviving DAG edge),
-UC rows (total credit of a source node for influencing every reachable node,
-including the self entry of value 1), and SC (credit of the target set for
-influencing each node). An independent path-enumeration oracle is provided
-for testing the recursive computation.
+The solvers run on :class:`CreditKernel`, built from two scalar maps per
+action: SC, the credit of the target set at each node (a forward pass), and
+R, the action-normalized credit a node passes on along target-free paths,
+its own share included (a backward pass). Removing edge (u, v) lowers the
+influence in action a by SC[u] * gamma * R[v]; the kernel keeps these
+per-edge deltas, and after a removal recomputes only the actions containing
+the edge, from scratch.
+
+:func:`compute_credit_store` builds the reference store the kernel is
+checked against: per action, EP (direct credit of each surviving DAG
+edge), UC rows (total credit of a source node for influencing every
+reachable node, including the self entry of value 1), UCX rows (the same
+along target-free paths) and SC, updated by subtraction in ``greedy``.
+Independent path-enumeration oracles check the recursive computations.
 """
 
 from __future__ import annotations
@@ -112,6 +122,83 @@ def _sc_map(dag: ActionDag, X, removed) -> dict[int, float]:
         if acc > 0.0:
             sc[u] = acc
     return sc
+
+
+def _r_map(dag: ActionDag, X, counts, removed) -> dict[int, float]:
+    """Backward pass: R[v] = 1/|A_v| + sum of gamma(v, w) * R[w] over
+    surviving out-edges, with R = 0 on target members.
+
+    R[v] equals the sum of UCX[v][w] / |A_w| over the target-avoiding
+    credit row of v, so it is the closed-form delta's head factor.
+    """
+    r: dict[int, float] = {}
+    gamma = dag.gamma
+    out_nbrs = dag.out_nbrs
+    for v in reversed(dag.nodes):
+        if v in X:
+            continue
+        acc = 1.0 / counts[v]
+        for w in out_nbrs[v]:
+            rw = r.get(w)
+            if rw is not None and (v, w) not in removed:
+                acc += gamma[(v, w)] * rw
+        r[v] = acc
+    return r
+
+
+def _edge_deltas(dag: ActionDag, X, counts, removed) -> dict[tuple[int, int], float]:
+    """Influence drop within one action of removing each surviving edge
+    alone: SC[u] * gamma * R[v], for the edges whose tail has target credit."""
+    sc = _sc_map(dag, X, removed)
+    r = _r_map(dag, X, counts, removed)
+    return {e: sc[e[0]] * g * r.get(e[1], 0.0)
+            for e, g in dag.gamma.items() if e[0] in sc and e not in removed}
+
+
+class CreditKernel:
+    """Per-action edge deltas from the SC and R passes, for the solvers'
+    marginals.
+
+    ``marginal(e)`` is the influence drop of removing ``e`` on top of the
+    edges removed so far: its deltas summed over the actions containing it,
+    in DAG order. Values are memoized until an action they read is
+    recomputed. Edgeless DAGs are skipped: no candidate reads them.
+    """
+
+    def __init__(self, dags, X, counts):
+        self.X = frozenset(X)
+        self.counts = counts
+        self.dags = {dag.action: dag for dag in dags if dag.gamma}
+        self.removed: set[tuple[int, int]] = set()
+        self.edge_actions: dict[tuple[int, int], list[int]] = {}
+        for a, dag in self.dags.items():
+            for e in dag.gamma:
+                self.edge_actions.setdefault(e, []).append(a)
+        self.deltas = {a: _edge_deltas(dag, self.X, counts, self.removed)
+                       for a, dag in self.dags.items()}
+        self._memo: dict[tuple[int, int], float] = {}
+
+    def marginal(self, e) -> float:
+        mc = self._memo.get(e)
+        if mc is None:
+            mc = 0.0
+            for a in self.edge_actions.get(e, ()):
+                delta = self.deltas[a].get(e)
+                if delta is not None:
+                    mc += delta
+            self._memo[e] = mc
+        return mc
+
+    def remove(self, e) -> None:
+        """Delete ``e`` and recompute the actions containing it from scratch."""
+        if e in self.removed:
+            return
+        self.removed.add(e)
+        for a in self.edge_actions.get(e, ()):
+            dag = self.dags[a]
+            self.deltas[a] = _edge_deltas(dag, self.X, self.counts, self.removed)
+            for edge in dag.gamma:
+                self._memo.pop(edge, None)
 
 
 def compute_credit_store(dags, X, counts=None, sources=None,

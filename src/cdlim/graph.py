@@ -43,7 +43,10 @@ class SocialGraph:
         self._id_of = {lab: i for i, lab in enumerate(self.labels)}
 
     def id_of(self, label: int) -> int:
-        return self._id_of[label]
+        try:
+            return self._id_of[label]
+        except KeyError:
+            raise ValueError(f"unknown node id {label}") from None
 
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self.edges
@@ -281,19 +284,27 @@ def _is_per_action(table) -> bool:
 
 
 def load_gamma_table(path, graph: SocialGraph):
-    """Read an explicit gamma table, one "u v action gamma" per line."""
+    """Read an explicit gamma table: one "u v gamma" line per edge, shared by
+    every action, or one "u v action gamma" line per edge and action.
+
+    All lines of a file must use the same form.
+    """
     table = {}
+    width = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 'u v action gamma'")
-            u, v, a = int(parts[0]), int(parts[1]), int(parts[2])
-            g = float(parts[3])
-            table[(graph.id_of(u), graph.id_of(v), a)] = g
+            if len(parts) not in (3, 4):
+                raise ValueError(f"{path}:{lineno}: expected 'u v gamma' or 'u v action gamma'")
+            if width is not None and len(parts) != width:
+                raise ValueError(f"{path}:{lineno}: {len(parts)}-column line in a "
+                                 f"{width}-column table")
+            width = len(parts)
+            ids = [int(tok) for tok in parts[:-1]]
+            table[(graph.id_of(ids[0]), graph.id_of(ids[1]), *ids[2:])] = float(parts[-1])
     return table
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .credit import (PRUNE_EPS, CreditStore, compute_credit_store,
+from .credit import (PRUNE_EPS, CreditKernel, CreditStore, compute_credit_store,
                      counts_from_dags)
 
 DOMINANCE_EPS = 1e-12
@@ -99,8 +99,8 @@ def update_sc(store: CreditStore, e) -> None:
                     sc_a.pop(w, None)
                 else:
                     sc_a[w] = newval
-    for ep_a in store.ep.values():
-        ep_a.pop(e, None)
+    for a in store.edge_actions.get(e, ()):
+        store.ep[a].pop(e, None)
 
 
 def remove_edge(store: CreditStore, e) -> None:
@@ -155,8 +155,9 @@ def greedy_bil(dags, X, k, C=None, *, counts=None, use_pruning=False, use_lazy=F
     """Greedy edge removal maximizing the influence drop of the target set.
 
     Picks, k times, the remaining candidate with the largest marginal
-    contribution (ties broken by smallest (u, v) pair) and applies the
-    incremental UC/SC updates. ``per_node_bound`` adds a per-head-node
+    contribution (ties broken by smallest (u, v) pair) from a
+    :class:`CreditKernel`, which recomputes only the actions containing the
+    picked edge. ``per_node_bound`` adds a per-head-node
     feasibility filter (the restricted-greedy ILM baseline); lazy evaluation
     uses stale upper bounds, valid by submodularity, and returns the same
     edge sequence as the eager scan.
@@ -177,8 +178,8 @@ def greedy_bil(dags, X, k, C=None, *, counts=None, use_pruning=False, use_lazy=F
         candidates, pairs = prune_dominated(dags, X, C, counts=counts)
         deferred = [e for e, _ in pairs]
 
-    heads = {v for (_, v) in C} | set(X)
-    store = compute_credit_store(dags, X, counts=counts, sources=heads)
+    kernel = CreditKernel(dags, X, counts)
+    mc_of = kernel.marginal
 
     picked: list[tuple[int, int]] = []
     gains: list[float] = []
@@ -190,7 +191,7 @@ def greedy_bil(dags, X, k, C=None, *, counts=None, use_pruning=False, use_lazy=F
 
     if use_lazy:
         fresh_round = {e: 0 for e in pool}
-        heap = [(-compute_mc(store, e), e) for e in pool]
+        heap = [(-mc_of(e), e) for e in pool]
         heapq.heapify(heap)
         rnd = 0
         while len(picked) < k:
@@ -202,12 +203,12 @@ def greedy_bil(dags, X, k, C=None, *, counts=None, use_pruning=False, use_lazy=F
                 if fresh_round[e] == rnd:
                     best = (e, -negmc)
                     break
-                mc = compute_mc(store, e)
+                mc = mc_of(e)
                 fresh_round[e] = rnd
                 heapq.heappush(heap, (-mc, e))
             if best is None:
                 if deferred:
-                    heap = [(-compute_mc(store, e), e) for e in deferred if feasible(e)]
+                    heap = [(-mc_of(e), e) for e in deferred if feasible(e)]
                     fresh_round.update({e: rnd for e in deferred})
                     heapq.heapify(heap)
                     deferred = []
@@ -217,7 +218,7 @@ def greedy_bil(dags, X, k, C=None, *, counts=None, use_pruning=False, use_lazy=F
             picked.append(e)
             gains.append(mc)
             head_load[e[1]] = head_load.get(e[1], 0) + 1
-            remove_edge(store, e)
+            kernel.remove(e)
             rnd += 1
     else:
         while len(picked) < k:
@@ -230,12 +231,12 @@ def greedy_bil(dags, X, k, C=None, *, counts=None, use_pruning=False, use_lazy=F
                 break
             best_e, best_mc = None, -1.0
             for e in scan:
-                mc = compute_mc(store, e)
+                mc = mc_of(e)
                 if mc > best_mc:
                     best_e, best_mc = e, mc
             picked.append(best_e)
             gains.append(best_mc)
             head_load[best_e[1]] = head_load.get(best_e[1], 0) + 1
             pool.remove(best_e)
-            remove_edge(store, best_e)
+            kernel.remove(best_e)
     return Solution(edges=picked, gain_per_step=gains)

@@ -1,10 +1,12 @@
 """Command-line front end, exercised end to end through main()."""
 
 import csv
+import shlex
+from pathlib import Path
 
 import pytest
 
-from cdlim.cli import main
+from cdlim.cli import build_parser, main
 from cdlim.harness import CSV_SCHEMA
 
 
@@ -64,6 +66,28 @@ class TestBil:
         assert rc == 0
         _, rows = _read_csv(out)
         assert rows[1][1] == "0->2"
+
+    def test_target_that_never_acts(self, f1_files, capsys):
+        (f1_files / "graph.txt").write_text("0 1\n1 2\n0 2\n3 0\n", encoding="utf-8")
+        args = _base_args(f1_files)
+        args[args.index("--targets") + 1] = "3"
+        assert main(["bil", *args, "-k", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert main(["grr", *args, "-k", "1", "-b", "1"]) == 1
+
+    def test_unknown_target_label(self, f1_files, capsys):
+        args = _base_args(f1_files)
+        args[args.index("--targets") + 1] = "0,9"
+        assert main(["bil", *args, "-k", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: unknown node id 9\n"
+
+    def test_three_column_gamma_table(self, f1_files, capsys):
+        (f1_files / "gamma.txt").write_text("0 1 0.5\n1 2 0.4\n0 2 0.3\n",
+                                            encoding="utf-8")
+        assert main(["bil", *_base_args(f1_files), "-k", "2"]) == 0
+        assert "delta=1 " in capsys.readouterr().out
 
     def test_targets_file(self, f1_files):
         tfile = f1_files / "targets.txt"
@@ -163,3 +187,24 @@ class TestReport:
                        encoding="utf-8")
         assert main(["report", "--config", str(cfg)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+def _readme_commands():
+    """Every `cdlim` command in the README's shell blocks, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands, in_sh = [], False
+    for line in text.replace("\\\n", " ").splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("cdlim "):
+            commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_examples_parse():
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {"gen", "bil", "grr", "ilm", "baseline",
+                                              "report", "verify"}
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]

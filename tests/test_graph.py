@@ -262,6 +262,27 @@ def test_load_gamma_table(tmp_path):
     assert table == {(0, 1, 0): 0.5, (1, 2, 0): 0.25}
 
 
+def test_load_gamma_table_three_columns(tmp_path):
+    g = SocialGraph(3, [(0, 1), (1, 2)])
+    path = tmp_path / "gamma.txt"
+    path.write_text("# shared by every action\n0 1 0.5\n1 2 0.25\n", encoding="utf-8")
+    assert load_gamma_table(str(path), g) == {(0, 1): 0.5, (1, 2): 0.25}
+
+
+def test_load_gamma_table_rejects_mixed_forms(tmp_path):
+    g = SocialGraph(3, [(0, 1), (1, 2)])
+    path = tmp_path / "gamma.txt"
+    path.write_text("0 1 0.5\n1 2 0 0.25\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=":2: 4-column line in a 3-column table"):
+        load_gamma_table(str(path), g)
+
+
+def test_unknown_label_is_value_error():
+    g = SocialGraph(2, [(0, 1)], labels=[10, 20])
+    with pytest.raises(ValueError, match="unknown node id 30"):
+        g.id_of(30)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 2), st.integers(0, 5)),
                 min_size=1, max_size=30))

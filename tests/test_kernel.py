@@ -1,0 +1,144 @@
+"""The SC/R credit kernel against the reference store and from-scratch
+deltas, and greedy_bil against a greedy loop written on the reference."""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cdlim.credit import (CreditKernel, compute_credit_store, counts_from_dags,
+                          delta_set)
+from cdlim.graph import ActionLog, SocialGraph, build_all_dags
+from cdlim.greedy import compute_mc, greedy_bil, remove_edge
+from conftest import make_f1, random_instance
+from test_acceptance import _ic_benchmark
+
+REL = 1e-12
+
+
+def _close(got, want, rel=REL):
+    return abs(got - want) <= rel * max(1.0, abs(want))
+
+
+@st.composite
+def instances(draw):
+    """A small random instance with uniform or explicit credits."""
+    n = draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=18, unique=True))
+    tuples = []
+    for a in range(draw(st.integers(1, 3))):
+        times = draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, 4), min_size=1))
+        tuples += [(u, a, t) for u, t in times.items()]
+    graph, log = SocialGraph(n, edges), ActionLog(tuples)
+    if draw(st.booleans()):
+        dags = build_all_dags(graph, log, "uniform")
+    else:
+        # Credits of 0 or at least 0.2 / (n - 1): no true credit falls under
+        # the reference store's pruning threshold.
+        gamma = st.one_of(st.just(0.0), st.floats(0.2, 1.0))
+        table = {e: draw(gamma) / (n - 1) for e in sorted(graph.edges)}
+        dags = build_all_dags(graph, log, "explicit", table=table)
+    C = sorted({e for dag in dags for e in dag.gamma})
+    active = sorted(log.counts)
+    X = draw(st.sets(st.sampled_from(active), min_size=1, max_size=max(1, len(active) // 2)))
+    return dags, X, C
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), st.data())
+def test_kernel_marginal_matches_reference(inst, data):
+    dags, X, C = inst
+    removed = data.draw(st.lists(st.sampled_from(C), unique=True, max_size=len(C))) if C else []
+    counts = counts_from_dags(dags)
+    store = compute_credit_store(dags, X, counts=counts)
+    kernel = CreditKernel(dags, X, counts)
+    for e in removed:
+        remove_edge(store, e)
+        kernel.remove(e)
+    # The same removals as zero credits, for the from-scratch single-edge delta.
+    cut = [d.with_gamma({e: 0.0 if e in removed else g for e, g in d.gamma.items()})
+           for d in dags]
+    for e in C:
+        if e in removed:
+            assert kernel.marginal(e) == 0.0
+            continue
+        got = kernel.marginal(e)
+        assert _close(got, compute_mc(store, e)), e
+        assert _close(got, delta_set(cut, X, {e}, counts=counts)), e
+
+
+def reference_greedy(dags, X, k, C, counts, per_node_bound=None):
+    """Eager greedy on the reference store with subtraction updates; ties go
+    to the smallest (u, v) pair."""
+    heads = {v for (_, v) in C} | set(X)
+    store = compute_credit_store(dags, X, counts=counts, sources=heads)
+    pool = sorted(C)
+    edges, gains, load = [], [], {}
+    while len(edges) < k:
+        scan = [e for e in pool if per_node_bound is None or load.get(e[1], 0) < per_node_bound]
+        if not scan:
+            break
+        best = max(scan, key=lambda e: (compute_mc(store, e), (-e[0], -e[1])))
+        edges.append(best)
+        gains.append(compute_mc(store, best))
+        load[best[1]] = load.get(best[1], 0) + 1
+        pool.remove(best)
+        remove_edge(store, best)
+    return edges, gains
+
+
+def _assert_matches_reference(dags, X, k, C, counts, per_node_bound=None):
+    want_edges, want_gains = reference_greedy(dags, X, k, C, counts, per_node_bound)
+    for lazy in (False, True):
+        sol = greedy_bil(dags, X, k, C, counts=counts, use_lazy=lazy,
+                         per_node_bound=per_node_bound)
+        assert sol.edges == want_edges, (lazy, per_node_bound)
+        for got, want in zip(sol.gain_per_step, want_gains):
+            assert _close(got, want, 1e-9), (lazy, per_node_bound, got, want)
+
+
+def test_greedy_matches_reference_criterion_05_instances():
+    # The instance stream of criterion 05, plus per-node bounds of 1 and 2.
+    rng = random.Random(105)
+    done = 0
+    while done < 50:
+        inst = random_instance(rng, max_nodes=7, max_actions=2)
+        if len(inst.C) > 12 or len(inst.C) < 3:
+            continue
+        counts = counts_from_dags(inst.dags)
+        k = rng.randint(1, min(4, len(inst.C) - 1))
+        for bound in (None, 1, 2):
+            _assert_matches_reference(inst.dags, inst.X, k, inst.C, counts, bound)
+        done += 1
+
+
+def test_greedy_matches_reference_criterion_06_instance():
+    f1 = make_f1()
+    counts = counts_from_dags(f1.dags)
+    for k in (1, 2):
+        _assert_matches_reference(f1.dags, f1.X, k, f1.C, counts)
+    _assert_matches_reference(f1.dags, f1.X, 3, f1.C, counts, per_node_bound=1)
+
+
+def test_greedy_matches_reference_criterion_12_instance():
+    _, dags, counts, X, C = _ic_benchmark(1200)
+    _assert_matches_reference(dags, X, 50, C, counts)
+    _assert_matches_reference(dags, X, 50, C, counts, per_node_bound=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(), st.sampled_from([None, 1, 2]), st.data())
+def test_lazy_and_plain_reach_equal_prefix_values(inst, bound, data):
+    dags, X, C = inst
+    if len(C) < 2:
+        return
+    k = data.draw(st.integers(1, len(C) - 1))
+    counts = counts_from_dags(dags)
+    plain = greedy_bil(dags, X, k, C, counts=counts, per_node_bound=bound)
+    lazy = greedy_bil(dags, X, k, C, counts=counts, use_lazy=True, per_node_bound=bound)
+    assert len(plain.edges) == len(lazy.edges)
+    for i in range(1, len(plain.edges) + 1):
+        want = delta_set(dags, X, plain.edges[:i], counts=counts)
+        got = delta_set(dags, X, lazy.edges[:i], counts=counts)
+        assert abs(got - want) <= 1e-9 * max(1.0, want)

@@ -194,7 +194,9 @@ def build_parser():
     ilm.add_argument("--samples", type=int, default=20)
     ilm.add_argument("--seed", type=int, default=0)
     ilm.add_argument("--rounding", choices=["randomized", "swap"], default="randomized")
-    ilm.add_argument("--trials", type=int, default=50)
+    ilm.add_argument("--trials", type=int, default=50,
+                     help="trials of best-of-trials rounding; applies to --rounding "
+                          "randomized only (swap rounding draws one set)")
     ilm.add_argument("--verbose", action="store_true")
     ilm.add_argument("--out")
     ilm.set_defaults(func=cmd_ilm)

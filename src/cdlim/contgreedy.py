@@ -86,15 +86,32 @@ def multilinear_sample(dags, X, C, y, s, rng, counts=None) -> float:
     return acc / s
 
 
-def _marginals_given(dags, X, C, counts, removed):
+def _marginals_given(dags, X, C, counts, removed, cache=None):
     """Single-edge deltas of every surviving candidate on the modified DAGs,
-    summed over the actions in DAG order."""
+    summed over the actions in DAG order.
+
+    ``removed`` is a set. ``cache`` maps a DAG's position in ``dags`` to its
+    deltas with no edge removed, filled on first use; it must only be
+    shared by calls on the same DAGs, targets and counts. An action holding
+    none of the removed edges reads its cached deltas, which are exactly
+    the ones the removal would give, so only the actions containing a
+    removed edge are recomputed.
+    """
+    if cache is None:
+        cache = {}
     out = dict.fromkeys(C, 0.0)
-    for dag in dags:
-        if dag.gamma:
-            for e, delta in _edge_deltas(dag, X, counts, removed).items():
-                if e in out:
-                    out[e] += delta
+    for i, dag in enumerate(dags):
+        if not dag.gamma:
+            continue
+        if removed.isdisjoint(dag.gamma):
+            deltas = cache.get(i)
+            if deltas is None:
+                deltas = cache[i] = _edge_deltas(dag, X, counts, frozenset())
+        else:
+            deltas = _edge_deltas(dag, X, counts, removed)
+        for e, delta in deltas.items():
+            if e in out:
+                out[e] += delta
     return out
 
 
@@ -106,13 +123,18 @@ def cg_weights(dags, X, C, y, s, rng, counts=None) -> dict:
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    C = sorted(C)
     if counts is None:
         counts = counts_from_dags(dags)
+    return _cg_weights(dags, X, sorted(C), y, s, rng, counts, {})
+
+
+def _cg_weights(dags, X, C, y, s, rng, counts, cache) -> dict:
+    """:func:`cg_weights` on sorted ``C``, with the removal-free delta cache
+    of :func:`_marginals_given` shared across calls."""
     acc = dict.fromkeys(C, 0.0)
     for _ in range(s):
         B = sample_set(C, y, rng)
-        marg = _marginals_given(dags, X, C, counts, B)
+        marg = _marginals_given(dags, X, C, counts, B, cache)
         for e in C:
             if e not in B:
                 acc[e] += marg[e]
@@ -151,10 +173,11 @@ def continuous_greedy(dags, X, C, b, config: CGConfig, counts=None) -> Fractiona
     if counts is None:
         counts = counts_from_dags(dags)
     rng = random.Random(config.seed)
+    cache: dict[int, dict] = {}
     y = dict.fromkeys(C, 0.0)
     step = 1.0 / config.tau
     for _ in range(config.tau):
-        weights = cg_weights(dags, X, C, y, config.s, rng, counts=counts)
+        weights = _cg_weights(dags, X, C, y, config.s, rng, counts, cache)
         for e in max_weight_independent(weights, b, y=y):
             y[e] = min(y[e] + step, 1.0)
     return FractionalSolution(y=y)

@@ -1,11 +1,16 @@
 """Rounding of fractional edge-removal solutions: feasibility-guarded
-randomized rounding and partition-matroid swap rounding."""
+randomized rounding and partition-matroid swap rounding.
+
+Repeated swap rounding of one fractional solution decomposes it once: the
+last decomposition is kept, keyed by the bound and the above-threshold
+entries of ``y`` that :func:`decompose` reads."""
 
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 DECOMP_EPS = 1e-9
 
@@ -101,22 +106,38 @@ def decompose(y, C, b):
     return parts
 
 
+@lru_cache(maxsize=1)
+def _decomposition(b, entries):
+    """:func:`decompose` of the ``(edge, y)`` pairs in ``entries``."""
+    return tuple(decompose(dict(entries), [e for e, _ in entries], b))
+
+
 def _merge(I, lam_i, J, lam_j, rng):
     """Probabilistically merge two independent sets, partition by partition."""
     groups: dict[int, tuple[set, set]] = {}
+    get = groups.get
     for e in I:
-        groups.setdefault(e[1], (set(), set()))[0].add(e)
+        g = get(e[1])
+        if g is None:
+            groups[e[1]] = ({e}, set())
+        else:
+            g[0].add(e)
     for e in J:
-        groups.setdefault(e[1], (set(), set()))[1].add(e)
+        g = get(e[1])
+        if g is None:
+            groups[e[1]] = (set(), {e})
+        else:
+            g[1].add(e)
     merged = set()
     p_keep_i = lam_i / (lam_i + lam_j)
-    for v, (a, bset) in groups.items():
+    draw = rng.random
+    for a, bset in groups.values():
         while a != bset:
             only_a = a - bset
             only_b = bset - a
             i = min(only_a) if only_a else None
             j = min(only_b) if only_b else None
-            if rng.random() < p_keep_i:
+            if draw() < p_keep_i:
                 # adopt I's choice for this pair
                 if i is not None:
                     bset.add(i)
@@ -137,9 +158,10 @@ def swap_round(y, C, b, rng) -> frozenset:
     Decomposes y into a convex combination of independent sets, then folds
     the sets pairwise with probabilistic element swaps per head-node
     partition. Marginals are preserved: Pr[e in output] equals y[e]. The
-    output is always feasible.
+    output is always feasible. The decomposition is reused while ``b`` and
+    the entries of ``y`` above ``DECOMP_EPS`` stay the same.
     """
-    parts = decompose(y, C, b)
+    parts = _decomposition(b, tuple((e, y[e]) for e in C if y[e] > DECOMP_EPS))
     cur, lam = parts[0]
     cur = set(cur)
     for nxt, lam_n in parts[1:]:

@@ -10,13 +10,18 @@ from cdlim.cli import build_parser, main
 from cdlim.harness import CSV_SCHEMA
 
 
+def _write_f1(d):
+    """The anchor instance's graph, action log and gamma table, in ``d``."""
+    d.mkdir(exist_ok=True)
+    (d / "graph.txt").write_text("0 1\n1 2\n0 2\n", encoding="utf-8")
+    (d / "actions.txt").write_text("0 0 1\n1 0 2\n2 0 3\n", encoding="utf-8")
+    (d / "gamma.txt").write_text("0 1 0 0.5\n1 2 0 0.4\n0 2 0 0.3\n", encoding="utf-8")
+    return d
+
+
 @pytest.fixture
 def f1_files(tmp_path):
-    (tmp_path / "graph.txt").write_text("0 1\n1 2\n0 2\n", encoding="utf-8")
-    (tmp_path / "actions.txt").write_text("0 0 1\n1 0 2\n2 0 3\n", encoding="utf-8")
-    (tmp_path / "gamma.txt").write_text("0 1 0 0.5\n1 2 0 0.4\n0 2 0 0.3\n",
-                                        encoding="utf-8")
-    return tmp_path
+    return _write_f1(tmp_path)
 
 
 def _read_csv(path):
@@ -208,3 +213,16 @@ def test_readme_examples_parse():
     parser = build_parser()
     for argv in commands:
         assert parser.parse_args(argv).command == argv[0]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    # Each example runs in its own copy of the f1 files, under the names the
+    # README uses, so that gen's output does not feed the later examples.
+    for i, argv in enumerate(_readme_commands()):
+        d = _write_f1(tmp_path / str(i))
+        (d / "experiment.cfg").write_text(
+            "graph=graph.txt\nactions=actions.txt\nmethods=greedy,high-degree\n"
+            "k=1,2\ntargets=0\n", encoding="utf-8")
+        monkeypatch.chdir(d)
+        rc = main(argv)
+        assert rc == 0, (argv, capsys.readouterr().err)

@@ -1,17 +1,20 @@
 """The SC/R credit kernel against the reference store and from-scratch
-deltas, and greedy_bil against a greedy loop written on the reference."""
+deltas, greedy_bil against a greedy loop written on the reference, and the
+continuous greedy's cached per-sample marginals against a from-scratch sum."""
 
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdlim.credit import (CreditKernel, compute_credit_store, counts_from_dags,
-                          delta_set)
+from cdlim.contgreedy import (CGConfig, _marginals_given, continuous_greedy,
+                              max_weight_independent, sample_set)
+from cdlim.credit import (CreditKernel, _edge_deltas, compute_credit_store,
+                          counts_from_dags, delta_set)
 from cdlim.graph import ActionLog, SocialGraph, build_all_dags
 from cdlim.greedy import compute_mc, greedy_bil, remove_edge
 from conftest import make_f1, random_instance
-from test_acceptance import _ic_benchmark
+from test_acceptance import _best_feasible, _ic_benchmark
 
 REL = 1e-12
 
@@ -142,3 +145,86 @@ def test_lazy_and_plain_reach_equal_prefix_values(inst, bound, data):
         want = delta_set(dags, X, plain.edges[:i], counts=counts)
         got = delta_set(dags, X, lazy.edges[:i], counts=counts)
         assert abs(got - want) <= 1e-9 * max(1.0, want)
+
+
+def reference_marginals(dags, X, C, counts, removed):
+    """Every DAG with edges recomputed from scratch, summed in DAG order."""
+    out = dict.fromkeys(C, 0.0)
+    for dag in dags:
+        if dag.gamma:
+            for e, delta in _edge_deltas(dag, X, counts, removed).items():
+                if e in out:
+                    out[e] += delta
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), st.data())
+def test_cached_marginals_equal_from_scratch_sum(inst, data):
+    dags, X, C = inst
+    counts = counts_from_dags(dags)
+    subsets = st.frozensets(st.sampled_from(C)) if C else st.just(frozenset())
+    samples = data.draw(st.lists(subsets, min_size=1, max_size=6))
+    cache = {}
+    for B in samples:
+        got = _marginals_given(dags, X, C, counts, B, cache)
+        assert got == reference_marginals(dags, X, C, counts, B), sorted(B)
+
+
+def reference_continuous_greedy(dags, X, C, b, config, counts):
+    """Continuous greedy with every sample's marginals from scratch."""
+    C = sorted(set(C))
+    rng = random.Random(config.seed)
+    y = dict.fromkeys(C, 0.0)
+    step = 1.0 / config.tau
+    for _ in range(config.tau):
+        acc = dict.fromkeys(C, 0.0)
+        for _ in range(config.s):
+            B = sample_set(C, y, rng)
+            marg = reference_marginals(dags, X, C, counts, B)
+            for e in C:
+                if e not in B:
+                    acc[e] += marg[e]
+        weights = {e: max(acc[e] / config.s, 0.0) for e in C}
+        for e in max_weight_independent(weights, b, y=y):
+            y[e] = min(y[e] + step, 1.0)
+    return y
+
+
+def _assert_cg_matches_reference(dags, X, C, b, config, counts):
+    frac = continuous_greedy(dags, X, C, b, config, counts=counts)
+    assert repr(frac.y) == repr(reference_continuous_greedy(dags, X, C, b, config, counts))
+
+
+def test_continuous_greedy_matches_reference_criterion_08_instances():
+    # The instance stream of criterion 08, at its tau and s, first seed.
+    rng = random.Random(108)
+    done = 0
+    while done < 20:
+        inst = random_instance(rng, max_nodes=6, max_actions=1)
+        if not 2 <= len(inst.C) <= 6:
+            continue
+        b = 1 + done % 2
+        counts = counts_from_dags(inst.dags)
+        if _best_feasible(inst, b, counts)[0] < 0.05:
+            continue
+        _assert_cg_matches_reference(inst.dags, inst.X, inst.C, b,
+                                     CGConfig(tau=100, s=50, seed=0), counts)
+        done += 1
+
+
+def test_continuous_greedy_matches_reference_multi_action_instances():
+    # Up to eight actions per instance: most samples leave some action
+    # untouched, and many edges sit in three or more actions, where the
+    # order of the per-action sum shows in the last bits.
+    rng = random.Random(308)
+    for i in range(15):
+        inst = random_instance(rng, max_nodes=8, max_actions=8)
+        counts = counts_from_dags(inst.dags)
+        cache = {}
+        for _ in range(10):
+            B = frozenset(e for e in inst.C if rng.random() < 0.2)
+            got = _marginals_given(inst.dags, inst.X, inst.C, counts, B, cache)
+            assert got == reference_marginals(inst.dags, inst.X, inst.C, counts, B)
+        _assert_cg_matches_reference(inst.dags, inst.X, inst.C, 1 + i % 2,
+                                     CGConfig(tau=20, s=10, seed=i), counts)

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from cdlim.credit import delta_set
-from cdlim.rounding import (chernoff_epsilon, decompose, feasible,
+from cdlim.rounding import (_merge, chernoff_epsilon, decompose, feasible,
                             randomized_round, swap_round)
 
 TOL = 1e-9
@@ -149,6 +149,72 @@ class TestSwapRound:
         y = {(0, 1): 0.9, (2, 1): 0.9}
         with pytest.raises(ValueError, match="decomposition failure"):
             decompose(y, sorted(y), 1)
+
+
+def reference_swap_round(y, C, b, rng):
+    """Swap rounding with a fresh decomposition on every call."""
+    parts = decompose(y, C, b)
+    cur, lam = parts[0]
+    cur = set(cur)
+    for nxt, lam_n in parts[1:]:
+        cur = _merge(cur, lam, set(nxt), lam_n, rng)
+        lam += lam_n
+    return frozenset(cur)
+
+
+class TestSwapRoundReuse:
+    def test_sequence_matches_fresh_decompositions(self):
+        for seed in range(5):
+            rng = random.Random(seed)
+            edges = sorted({(rng.randrange(6), rng.randrange(4) + 6)
+                            for _ in range(14)})
+            b = 1 + seed % 2
+            y = _random_feasible_y(edges, b, rng)
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            got = [swap_round(y, edges, b, got_rng) for _ in range(40)]
+            want = [reference_swap_round(y, edges, b, want_rng) for _ in range(40)]
+            assert got == want, seed
+            assert got_rng.getstate() == want_rng.getstate()
+
+    def test_pinned_sequence(self):
+        # Outputs and the RNG state after them, as produced before the
+        # decomposition was reused: the draw sequence must not change.
+        y = {(0, 4): 0.6, (1, 4): 0.9, (2, 4): 0.5, (0, 5): 0.3, (3, 5): 0.7,
+             (1, 6): 0.25, (2, 6): 0.25, (3, 6): 0.5}
+        rng = random.Random(11)
+        got = [sorted(swap_round(y, sorted(y), 2, rng)) for _ in range(6)]
+        assert got == [[(0, 5), (1, 4), (2, 4), (3, 5)],
+                       [(0, 5), (1, 4), (2, 4), (3, 6)],
+                       [(1, 4), (2, 4)],
+                       [(1, 4), (2, 4), (3, 5), (3, 6)],
+                       [(0, 5), (1, 4), (2, 4)],
+                       [(0, 4), (0, 5), (1, 4), (3, 5)]]
+        assert rng.random() == 0.8665256678022223
+
+    def test_in_place_mutation_is_seen(self):
+        edges = [(0, 2), (1, 2)]
+        y = {(0, 2): 1.0, (1, 2): 0.0}
+        rng = random.Random(0)
+        assert swap_round(y, edges, 1, rng) == frozenset({(0, 2)})
+        y[(0, 2)], y[(1, 2)] = 0.0, 1.0
+        assert swap_round(y, edges, 1, rng) == frozenset({(1, 2)})
+        got_rng, want_rng = random.Random(1), random.Random(1)
+        for share in (0.5, 0.5, 0.25, 0.75, 0.75, 0.1):
+            y[(0, 2)], y[(1, 2)] = share, 1.0 - share
+            got = swap_round(y, edges, 1, got_rng)
+            assert got == reference_swap_round(y, edges, 1, want_rng), share
+
+    def test_changed_bound_is_seen(self):
+        edges = [(0, 2), (1, 2)]
+        y = dict.fromkeys(edges, 1.0)
+        assert swap_round(y, edges, 2, random.Random(0)) == frozenset(edges)
+        with pytest.raises(ValueError, match="decomposition failure"):
+            swap_round(y, edges, 1, random.Random(0))
+
+    def test_changed_candidates_are_seen(self):
+        y = {(0, 2): 1.0, (1, 3): 1.0}
+        assert swap_round(y, [(0, 2), (1, 3)], 1, random.Random(0)) == frozenset(y)
+        assert swap_round(y, [(0, 2)], 1, random.Random(0)) == frozenset({(0, 2)})
 
 
 class TestChernoffEpsilon:

@@ -18,6 +18,10 @@ from .graph import (build_all_dags, generate_ic_actions, load_action_log,
 from .greedy import greedy_bil
 
 
+LAZY_HELP = ("accepted for compatibility; changes nothing, greedy always evaluates "
+             "lazily and returns the same edges as an eager scan")
+
+
 def _parse_targets(raw, graph):
     if os.path.exists(raw):
         with open(raw, "r", encoding="utf-8") as fh:
@@ -130,7 +134,8 @@ def cmd_baseline(args):
     rep = harness.run_method(args.method, graph, dags, counts, X, C, args.k, None, args.seed)
     _emit_csv(args.out, harness.CSV_COLUMNS,
               [[rep.method, rep.k, "", args.seed, f"{rep.delta:.9g}",
-                f"{rep.di_percent:.6f}", f"{rep.top3_share:.3f}", f"{rep.wall_ms:.1f}"]])
+                f"{rep.di_percent:.6f}", f"{rep.top3_share:.3f}", f"{rep.wall_ms:.1f}",
+                f"{rep.eval_ms:.1f}"]])
     print(f"{args.method}: delta={rep.delta:.9g} di={rep.di_percent:.4f}%")
 
 
@@ -138,7 +143,7 @@ def cmd_report(args, verify=False):
     reports = harness.run_experiment(args.config, out_path=args.out, verify=verify)
     for r in reports:
         print(f"{r.method} k={r.k} delta={r.delta:.6g} di={r.di_percent:.3f}% "
-              f"top3={r.top3_share:.1f}% wall={r.wall_ms:.0f}ms")
+              f"top3={r.top3_share:.1f}% wall={r.wall_ms:.0f}ms eval={r.eval_ms:.0f}ms")
 
 
 def cmd_verify(args):
@@ -173,8 +178,9 @@ def build_parser():
     bil = subs.add_parser("bil", help="budgeted greedy edge removal")
     _add_problem_flags(bil)
     bil.add_argument("-k", type=int, required=True)
-    bil.add_argument("--prune", action="store_true")
-    bil.add_argument("--lazy", action="store_true")
+    bil.add_argument("--prune", action="store_true",
+                     help="defer dominated candidates until the others run out")
+    bil.add_argument("--lazy", action="store_true", help=LAZY_HELP)
     bil.add_argument("--out")
     bil.set_defaults(func=cmd_bil)
 
@@ -182,8 +188,9 @@ def build_parser():
     _add_problem_flags(grr)
     grr.add_argument("-k", type=int, required=True)
     grr.add_argument("-b", type=int, required=True)
-    grr.add_argument("--prune", action="store_true")
-    grr.add_argument("--lazy", action="store_true")
+    grr.add_argument("--prune", action="store_true",
+                     help="rejected: pruning is not valid under a per-node bound")
+    grr.add_argument("--lazy", action="store_true", help=LAZY_HELP)
     grr.add_argument("--out")
     grr.set_defaults(func=cmd_grr)
 

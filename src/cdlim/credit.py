@@ -266,17 +266,36 @@ def sigma_cd_scratch(dags, X, counts=None, removed=frozenset()) -> float:
     return total
 
 
+def _influence(dag: ActionDag, X, counts, removed) -> float:
+    """Action-normalized set credit summed over one DAG's nodes."""
+    total = 0.0
+    for u, val in _sc_map(dag, X, removed).items():
+        total += val / counts[u]
+    return total
+
+
 def delta_set(dags, X, B, counts=None) -> float:
     """Influence drop of removing edge set B, computed from scratch.
 
-    This is the reference implementation of the objective, used by oracles
-    and cross-checks; it never touches an incremental store.
+    Visits, in DAG order, only the DAGs holding an edge of B, and adds each
+    one's influence before the removal minus its influence after, both from
+    :func:`_sc_map`. Every other DAG contributes exactly zero, because
+    ``_sc_map`` consults the removed set only for the DAG's own edges.
+    Summing per-DAG differences also avoids subtracting two totals of the
+    size of sigma. This is the reference implementation of the objective,
+    used by oracles and cross-checks; it never touches the kernel or an
+    incremental store.
     """
+    X = frozenset(X)
+    B = frozenset(B)
     if counts is None:
         counts = counts_from_dags(dags)
-    before = sigma_cd_scratch(dags, X, counts)
-    after = sigma_cd_scratch(dags, X, counts, removed=frozenset(B))
-    return before - after
+    total = 0.0
+    for dag in dags:
+        if B.isdisjoint(dag.gamma):
+            continue
+        total += _influence(dag, X, counts, frozenset()) - _influence(dag, X, counts, B)
+    return total
 
 
 def delta_single(store: CreditStore, e) -> float:

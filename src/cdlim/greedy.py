@@ -157,11 +157,28 @@ def greedy_bil(dags, X, k, C=None, *, counts=None, use_pruning=False, use_lazy=F
     Picks, k times, the remaining candidate with the largest marginal
     contribution (ties broken by smallest (u, v) pair) from a
     :class:`CreditKernel`, which recomputes only the actions containing the
-    picked edge. ``per_node_bound`` adds a per-head-node
-    feasibility filter (the restricted-greedy ILM baseline); lazy evaluation
-    uses stale upper bounds, valid by submodularity, and returns the same
-    edge sequence as the eager scan.
+    picked edge. ``per_node_bound`` adds a per-head-node feasibility filter
+    (the restricted-greedy ILM baseline). ``use_pruning`` defers dominated
+    candidates until the others run out; it is rejected together with
+    ``per_node_bound``, because a deferred edge's dominator can become
+    infeasible while the dominated edge still has a positive marginal.
+    ``use_lazy`` is accepted for compatibility and changes nothing: every
+    call evaluates lazily.
+
+    Lazy evaluation (Minoux 1978; CELF, Leskovec et al. 2007) returns the
+    eager scan's picks and gains bit for bit, not just within rounding.
+    Every SC and R value is a left-to-right sum of non-negative products
+    over a fixed neighbour order, and a removal drops one term. Round-to-
+    nearest addition and multiplication are monotone, so after a removal
+    every SC and R value, every per-edge delta SC[u] * gamma * R[v], and
+    every marginal (a sum of deltas over actions in DAG order) is at most
+    its previous float value. A stale heap key is therefore an upper bound
+    on the current marginal, and with ``(-marginal, edge)`` heap order the
+    first fresh entry popped is the largest current marginal, ties going to
+    the smallest edge, with the same gain the eager scan would report.
     """
+    if use_pruning and per_node_bound is not None:
+        raise ValueError("pruning cannot be combined with a per-node bound")
     if counts is None:
         counts = counts_from_dags(dags)
     if C is None:
@@ -184,59 +201,38 @@ def greedy_bil(dags, X, k, C=None, *, counts=None, use_pruning=False, use_lazy=F
     picked: list[tuple[int, int]] = []
     gains: list[float] = []
     head_load: dict[int, int] = {}
-    pool = list(candidates)
 
     def feasible(e):
         return per_node_bound is None or head_load.get(e[1], 0) < per_node_bound
 
-    if use_lazy:
-        fresh_round = {e: 0 for e in pool}
-        heap = [(-mc_of(e), e) for e in pool]
-        heapq.heapify(heap)
-        rnd = 0
-        while len(picked) < k:
-            best = None
-            while heap:
-                negmc, e = heapq.heappop(heap)
-                if not feasible(e):
-                    continue
-                if fresh_round[e] == rnd:
-                    best = (e, -negmc)
-                    break
-                mc = mc_of(e)
-                fresh_round[e] = rnd
-                heapq.heappush(heap, (-mc, e))
-            if best is None:
-                if deferred:
-                    heap = [(-mc_of(e), e) for e in deferred if feasible(e)]
-                    fresh_round.update({e: rnd for e in deferred})
-                    heapq.heapify(heap)
-                    deferred = []
-                    continue
+    fresh_round = {e: 0 for e in candidates}
+    heap = [(-mc_of(e), e) for e in candidates]
+    heapq.heapify(heap)
+    rnd = 0
+    while len(picked) < k:
+        best = None
+        while heap:
+            negmc, e = heapq.heappop(heap)
+            if not feasible(e):
+                continue
+            if fresh_round[e] == rnd:
+                best = (e, -negmc)
                 break
-            e, mc = best
-            picked.append(e)
-            gains.append(mc)
-            head_load[e[1]] = head_load.get(e[1], 0) + 1
-            kernel.remove(e)
-            rnd += 1
-    else:
-        while len(picked) < k:
-            scan = [e for e in pool if feasible(e)]
-            if not scan:
-                if deferred:
-                    pool = deferred
-                    deferred = []
-                    continue
-                break
-            best_e, best_mc = None, -1.0
-            for e in scan:
-                mc = mc_of(e)
-                if mc > best_mc:
-                    best_e, best_mc = e, mc
-            picked.append(best_e)
-            gains.append(best_mc)
-            head_load[best_e[1]] = head_load.get(best_e[1], 0) + 1
-            pool.remove(best_e)
-            kernel.remove(best_e)
+            mc = mc_of(e)
+            fresh_round[e] = rnd
+            heapq.heappush(heap, (-mc, e))
+        if best is None:
+            if deferred:
+                heap = [(-mc_of(e), e) for e in deferred]
+                fresh_round.update({e: rnd for e in deferred})
+                heapq.heapify(heap)
+                deferred = []
+                continue
+            break
+        e, mc = best
+        picked.append(e)
+        gains.append(mc)
+        head_load[e[1]] = head_load.get(e[1], 0) + 1
+        kernel.remove(e)
+        rnd += 1
     return Solution(edges=picked, gain_per_step=gains)

@@ -112,6 +112,13 @@ class TestGrr:
         heads = [row[1].split("->")[1] for row in rows[1:]]
         assert len(heads) == len(set(heads))
 
+    def test_prune_rejected(self, f1_files, capsys):
+        rc = main(["grr", *_base_args(f1_files), "-k", "2", "-b", "1", "--prune"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "per-node bound" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestIlm:
     def test_randomized(self, f1_files, capsys):

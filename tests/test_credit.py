@@ -146,6 +146,30 @@ class TestDeltas:
                 want = delta_set(inst.dags, inst.X, {e})
                 assert abs(delta_single(store, e) - want) < TOL
 
+    def test_set_matches_whole_graph_difference(self):
+        # delta_set visits only the DAGs holding an edge of B; the two
+        # whole-graph totals it used to subtract give the same drop.
+        rng = random.Random(14)
+        for _ in range(60):
+            inst = random_instance(rng, max_actions=6)
+            counts = counts_from_dags(inst.dags)
+            B = rng.sample(inst.C, rng.randint(1, len(inst.C)))
+            want = (sigma_cd_scratch(inst.dags, inst.X, counts)
+                    - sigma_cd_scratch(inst.dags, inst.X, counts, removed=frozenset(B)))
+            got = delta_set(inst.dags, inst.X, B, counts=counts)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_set_without_dag_edges_is_zero(self, f1):
+        assert delta_set(f1.dags, f1.X, []) == 0.0
+        assert delta_set(f1.dags, f1.X, {(2, 0), (1, 0)}) == 0.0  # in no DAG
+
+    def test_set_ignores_duplicates(self):
+        rng = random.Random(15)
+        for _ in range(20):
+            inst = random_instance(rng, max_actions=4)
+            B = rng.sample(inst.C, rng.randint(1, len(inst.C)))
+            assert delta_set(inst.dags, inst.X, B + B[:2]) == delta_set(inst.dags, inst.X, B)
+
     def test_single_with_downstream_target(self):
         # chain 0 -> 1 -> 2 -> 3 -> 4 with targets {0, 3}: the closed form
         # must not count credit continuing past the second target

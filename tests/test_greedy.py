@@ -133,6 +133,12 @@ class TestPruning:
             pruned = greedy_bil(inst.dags, inst.X, k, use_pruning=True)
             assert abs(plain.total_delta - pruned.total_delta) < TOL
 
+    def test_rejected_with_per_node_bound(self, f1):
+        # A dominated edge would stay deferred after its dominator's head
+        # fills up, so pruned greedy could return a worse prefix.
+        with pytest.raises(ValueError, match="per-node bound"):
+            greedy_bil(f1.dags, f1.X, 2, use_pruning=True, per_node_bound=1)
+
 
 class TestGreedy:
     def test_f1_k1(self, f1):

@@ -1,6 +1,7 @@
 """The SC/R credit kernel against the reference store and from-scratch
-deltas, greedy_bil against a greedy loop written on the reference, and the
-continuous greedy's cached per-sample marginals against a from-scratch sum."""
+deltas, greedy_bil against a greedy loop written on the reference and
+against the eager scan on the kernel, and the continuous greedy's cached
+per-sample marginals against a from-scratch sum."""
 
 import random
 
@@ -12,7 +13,7 @@ from cdlim.contgreedy import (CGConfig, _marginals_given, continuous_greedy,
 from cdlim.credit import (CreditKernel, _edge_deltas, compute_credit_store,
                           counts_from_dags, delta_set)
 from cdlim.graph import ActionLog, SocialGraph, build_all_dags
-from cdlim.greedy import compute_mc, greedy_bil, remove_edge
+from cdlim.greedy import compute_mc, greedy_bil, prune_dominated, remove_edge
 from conftest import make_f1, random_instance
 from test_acceptance import _best_feasible, _ic_benchmark
 
@@ -69,6 +70,93 @@ def test_kernel_marginal_matches_reference(inst, data):
         got = kernel.marginal(e)
         assert _close(got, compute_mc(store, e)), e
         assert _close(got, delta_set(cut, X, {e}, counts=counts)), e
+
+
+@st.composite
+def dense_instances(draw):
+    """conftest's random instance from a drawn seed: denser than
+    :func:`instances`, so most draws have several positive marginals. Half
+    get tie-heavy credits, drawn from {0.25, 0.5, 1} / in-degree."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    inst = random_instance(rng, max_nodes=8, max_actions=4)
+    if draw(st.booleans()):
+        inst.dags = [d.with_gamma({e: rng.choice((0.25, 0.5, 1.0)) / d.d_in(e[1])
+                                   for e in d.gamma}) for d in inst.dags]
+    return inst.dags, inst.X, inst.C
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_instances(), st.data())
+def test_kernel_marginals_never_rise(inst, data):
+    # The argument that makes lazy greedy exact: a removal never raises a
+    # marginal, compared as floats, not within a tolerance.
+    dags, X, C = inst
+    counts = counts_from_dags(dags)
+    kernel = CreditKernel(dags, X, counts)
+    prev = {e: kernel.marginal(e) for e in C}
+    for e in data.draw(st.permutations(C)):
+        kernel.remove(e)
+        now = {f: kernel.marginal(f) for f in C}
+        for f in C:
+            assert now[f] <= prev[f], (e, f, now[f], prev[f])
+        prev = now
+
+
+def eager_greedy(dags, X, k, C, counts, per_node_bound=None, use_pruning=False):
+    """Eager greedy on the kernel, the plain algorithm the lazy loop must
+    match: every feasible candidate's marginal on every pick, ties to the
+    smallest edge, deferred (dominated) candidates only once the others run
+    out."""
+    pool, deferred = sorted(set(C)), []
+    if use_pruning:
+        pool, pairs = prune_dominated(dags, X, pool, counts=counts)
+        deferred = [e for e, _ in pairs]
+    kernel = CreditKernel(dags, X, counts)
+    edges, gains, load = [], [], {}
+    while len(edges) < k:
+        scan = [e for e in pool if per_node_bound is None or load.get(e[1], 0) < per_node_bound]
+        if not scan:
+            if deferred:
+                pool, deferred = deferred, []
+                continue
+            break
+        best_e, best_mc = None, -1.0
+        for e in scan:
+            mc = kernel.marginal(e)
+            if mc > best_mc:
+                best_e, best_mc = e, mc
+        edges.append(best_e)
+        gains.append(best_mc)
+        load[best_e[1]] = load.get(best_e[1], 0) + 1
+        pool.remove(best_e)
+        kernel.remove(best_e)
+    return edges, gains
+
+
+def _assert_equals_eager(dags, X, k, C, counts, per_node_bound=None, use_pruning=False):
+    sol = greedy_bil(dags, X, k, C, counts=counts, per_node_bound=per_node_bound,
+                     use_pruning=use_pruning)
+    want = eager_greedy(dags, X, k, C, counts, per_node_bound, use_pruning)
+    assert (sol.edges, sol.gain_per_step) == want, (per_node_bound, use_pruning)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_instances(),
+       st.sampled_from([(None, False), (None, True), (1, False), (2, False)]), st.data())
+def test_greedy_equals_eager_scan(inst, option, data):
+    dags, X, C = inst
+    bound, prune = option
+    top = len(C) if bound is not None else len(C) - 1
+    if top < 1:
+        return
+    k = data.draw(st.one_of(st.just(top), st.integers(1, top)))
+    _assert_equals_eager(dags, X, k, C, counts_from_dags(dags), bound, prune)
+
+
+def test_greedy_equals_eager_scan_criterion_12_instance():
+    _, dags, counts, X, C = _ic_benchmark(1200)
+    _assert_equals_eager(dags, X, 50, C, counts)
+    _assert_equals_eager(dags, X, 50, C, counts, per_node_bound=2)
 
 
 def reference_greedy(dags, X, k, C, counts, per_node_bound=None):

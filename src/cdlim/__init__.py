@@ -14,8 +14,7 @@ from .credit import (CreditStore, compute_credit_store, delta_set, delta_single,
 from .graph import (ActionDag, ActionLog, SocialGraph, assign_direct_credits,
                     build_action_dag, build_all_dags, generate_ic_actions,
                     load_action_log, load_graph)
-from .greedy import (Solution, compute_mc, greedy_bil, prune_dominated, remove_edge,
-                     update_sc, update_uc)
+from .greedy import Solution, compute_mc, greedy_bil, remove_edge, update_sc, update_uc
 from .harness import (ExperimentReport, baseline_high_degree, baseline_random,
                       concentration_report, default_candidates, di_metric,
                       run_experiment)

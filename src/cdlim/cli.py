@@ -12,14 +12,10 @@ import random
 import sys
 
 from . import contgreedy, harness, rounding
-from .credit import counts_from_dags, delta_set, sigma_cd_scratch
+from .credit import delta_set, sigma_cd_scratch
 from .graph import (build_all_dags, generate_ic_actions, load_action_log,
                     load_gamma_table, load_graph, write_action_log)
 from .greedy import greedy_bil
-
-
-LAZY_HELP = ("accepted for compatibility; changes nothing, greedy always evaluates "
-             "lazily and returns the same edges as an eager scan")
 
 
 def _parse_targets(raw, graph):
@@ -85,8 +81,7 @@ def cmd_bil(args, per_node_bound=None):
     graph, actionlog, dags, X, C = _load_problem(args)
     counts = actionlog.counts
     before = _sigma_before(dags, X, counts)
-    sol = greedy_bil(dags, X, args.k, C, counts=counts, use_pruning=args.prune,
-                     use_lazy=args.lazy, per_node_bound=per_node_bound)
+    sol = greedy_bil(dags, X, args.k, C, counts=counts, per_node_bound=per_node_bound)
     labels = graph.labels
     rows = []
     cum = 0.0
@@ -178,9 +173,6 @@ def build_parser():
     bil = subs.add_parser("bil", help="budgeted greedy edge removal")
     _add_problem_flags(bil)
     bil.add_argument("-k", type=int, required=True)
-    bil.add_argument("--prune", action="store_true",
-                     help="defer dominated candidates until the others run out")
-    bil.add_argument("--lazy", action="store_true", help=LAZY_HELP)
     bil.add_argument("--out")
     bil.set_defaults(func=cmd_bil)
 
@@ -188,9 +180,6 @@ def build_parser():
     _add_problem_flags(grr)
     grr.add_argument("-k", type=int, required=True)
     grr.add_argument("-b", type=int, required=True)
-    grr.add_argument("--prune", action="store_true",
-                     help="rejected: pruning is not valid under a per-node bound")
-    grr.add_argument("--lazy", action="store_true", help=LAZY_HELP)
     grr.add_argument("--out")
     grr.set_defaults(func=cmd_grr)
 

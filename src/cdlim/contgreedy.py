@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .credit import _edge_deltas, counts_from_dags, delta_set, sigma_cd_scratch
 

@@ -19,7 +19,7 @@ Independent path-enumeration oracles check the recursive computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import ActionDag
 
@@ -37,7 +37,6 @@ class CreditStore:
     ucx: dict[int, dict[int, dict[int, float]]]             # like uc, but paths avoid X
     sc: dict[int, dict[int, float]]                         # action -> {node: credit}
     edge_actions: dict[tuple[int, int], list[int]]          # edge -> actions containing it
-    sources: frozenset | None = None                        # None = all rows kept
 
 
 def counts_from_dags(dags) -> dict[int, int]:
@@ -56,34 +55,15 @@ def actions_of_from_dags(dags) -> dict[int, list[int]]:
     return actions
 
 
-def _uc_row(dag: ActionDag, source: int, removed) -> dict[int, float]:
-    """Forward DP for one source: credit of ``source`` at every node."""
-    row = {source: 1.0}
-    gamma = dag.gamma
-    started = False
-    for u in dag.nodes:
-        if u == source:
-            started = True
-            continue
-        if not started:
-            continue
-        acc = 0.0
-        for w in dag.in_nbrs[u]:
-            c = row.get(w)
-            if c is not None and (w, u) not in removed:
-                acc += c * gamma[(w, u)]
-        if acc > 0.0:
-            row[u] = acc
-    return row
+def _credit_row(dag: ActionDag, source: int, X, removed) -> dict[int, float]:
+    """Forward DP for one source: credit of ``source`` at every node, along
+    paths containing no X member.
 
-
-def _ucx_row(dag: ActionDag, source: int, X, removed) -> dict[int, float]:
-    """Like :func:`_uc_row`, but only along paths containing no X member.
-
-    Set credit flows along minimal paths that stop at the first target
-    member, so the credit drop caused by an edge removal propagates only
-    through X-free continuations. The row is empty when the source itself
-    is in X (removing an edge into a target member changes nothing).
+    With an empty X this is the all-paths UC row. Set credit flows along
+    minimal paths that stop at the first target member, so the credit drop
+    caused by an edge removal propagates only through X-free continuations
+    (the UCX row). The row is empty when the source itself is in X
+    (removing an edge into a target member changes nothing).
     """
     if source in X:
         return {}
@@ -205,9 +185,10 @@ def compute_credit_store(dags, X, counts=None, sources=None,
                          removed=frozenset()) -> CreditStore:
     """Build the EP/UC/SC store for a list of credit-assigned DAGs.
 
-    ``sources`` optionally restricts which UC rows are materialized; it must
-    cover every row later read (the heads of all removable edges). ``removed``
-    edges are treated as absent without rebuilding the DAGs.
+    ``sources`` optionally restricts which UC and UCX rows are materialized;
+    it must cover every row later read (the heads of all removable edges).
+    No solver passes it: it is kept only because the benchmark's store probe
+    does. ``removed`` edges are treated as absent without rebuilding the DAGs.
     """
     X = frozenset(X)
     if counts is None:
@@ -226,14 +207,13 @@ def compute_credit_store(dags, X, counts=None, sources=None,
         rows_x: dict[int, dict[int, float]] = {}
         row_sources = dag.nodes if sources is None else [u for u in dag.nodes if u in sources]
         for v in row_sources:
-            rows[v] = _uc_row(dag, v, removed)
-            rows_x[v] = _ucx_row(dag, v, X, removed)
+            rows[v] = _credit_row(dag, v, frozenset(), removed)
+            rows_x[v] = _credit_row(dag, v, X, removed)
         uc[a] = rows
         ucx[a] = rows_x
         sc[a] = _sc_map(dag, X, removed)
     return CreditStore(X=X, counts=counts, actions_of=actions_of_from_dags(dags),
-                       ep=ep, uc=uc, ucx=ucx, sc=sc, edge_actions=edge_actions,
-                       sources=None if sources is None else frozenset(sources))
+                       ep=ep, uc=uc, ucx=ucx, sc=sc, edge_actions=edge_actions)
 
 
 def kappa(store: CreditStore, u: int) -> float:
@@ -381,15 +361,3 @@ def oracle_total_credit(dag: ActionDag, v: int, u: int, removed=frozenset()) -> 
                 stack.append((w, p))
     return total
 
-
-def dump_store(store: CreditStore) -> str:
-    """Debug dump of SC/UC as "u v action value" lines for cross-diffing."""
-    lines = []
-    for a in sorted(store.sc):
-        for u in sorted(store.sc[a]):
-            lines.append(f"SC {u} {a} {store.sc[a][u]:.12g}")
-    for a in sorted(store.uc):
-        for v in sorted(store.uc[a]):
-            for w in sorted(store.uc[a][v]):
-                lines.append(f"UC {v} {w} {a} {store.uc[a][v][w]:.12g}")
-    return "\n".join(lines)

@@ -233,7 +233,7 @@ def assign_direct_credits(dag: ActionDag, scheme: str = "uniform", *, table=None
     if scheme == "uniform":
         for (v, u) in dag.edges:
             gamma[(v, u)] = 1.0 / dag.d_in(u)
-    elif scheme in ("learned", "normalized-learned"):
+    elif scheme == "learned":
         if actionlog is None:
             raise ValueError("learned scheme needs the action log")
         if prop_counts is None:
@@ -266,7 +266,7 @@ def build_all_dags(graph: SocialGraph, actionlog: ActionLog, scheme: str = "unif
                    table=None) -> list[ActionDag]:
     """Build and credit-assign the DAG of every action in the log."""
     prop_counts = None
-    if scheme in ("learned", "normalized-learned"):
+    if scheme == "learned":
         prop_counts = propagation_counts(graph, actionlog)
     dags = []
     for a in actionlog.actions():

@@ -3,12 +3,9 @@
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .credit import (PRUNE_EPS, CreditKernel, CreditStore, compute_credit_store,
-                     counts_from_dags)
-
-DOMINANCE_EPS = 1e-12
+from .credit import PRUNE_EPS, CreditKernel, CreditStore, counts_from_dags
 
 
 @dataclass
@@ -109,48 +106,7 @@ def remove_edge(store: CreditStore, e) -> None:
     update_sc(store, e)
 
 
-def prune_dominated(dags, X, C, counts=None):
-    """Split candidates into (kept, dominance pairs).
-
-    An edge e' = (w, x) is dominated by e* = (u, v) when, in every action
-    containing e', e* is present and the target credit at w equals exactly
-    the credit routed through e*: SC[u] * gamma * UC[v][w]. A dominated
-    edge's marginal is zero once its dominator is removed.
-    """
-    C = sorted(C)
-    store = compute_credit_store(dags, X, counts=counts)
-    actions_with = {e: [d.action for d in dags if e in d.gamma] for e in C}
-    pairs = []
-    dominated = set()
-    for eprime in C:
-        w = eprime[0]
-        acts = actions_with[eprime]
-        if not acts:
-            continue
-        for estar in C:
-            if estar == eprime or estar in dominated:
-                continue
-            u, v = estar
-            ok = True
-            for a in acts:
-                g = store.ep[a].get(estar)
-                if g is None:
-                    ok = False
-                    break
-                lhs = store.sc[a].get(w, 0.0)
-                rhs = store.sc[a].get(u, 0.0) * g * store.ucx[a][v].get(w, 0.0)
-                if abs(lhs - rhs) > DOMINANCE_EPS:
-                    ok = False
-                    break
-            if ok:
-                dominated.add(eprime)
-                pairs.append((eprime, estar))
-                break
-    kept = [e for e in C if e not in dominated]
-    return kept, pairs
-
-
-def greedy_bil(dags, X, k, C=None, *, counts=None, use_pruning=False, use_lazy=False,
+def greedy_bil(dags, X, k, C=None, *, counts=None, use_lazy=False,
                per_node_bound=None) -> Solution:
     """Greedy edge removal maximizing the influence drop of the target set.
 
@@ -158,12 +114,8 @@ def greedy_bil(dags, X, k, C=None, *, counts=None, use_pruning=False, use_lazy=F
     contribution (ties broken by smallest (u, v) pair) from a
     :class:`CreditKernel`, which recomputes only the actions containing the
     picked edge. ``per_node_bound`` adds a per-head-node feasibility filter
-    (the restricted-greedy ILM baseline). ``use_pruning`` defers dominated
-    candidates until the others run out; it is rejected together with
-    ``per_node_bound``, because a deferred edge's dominator can become
-    infeasible while the dominated edge still has a positive marginal.
-    ``use_lazy`` is accepted for compatibility and changes nothing: every
-    call evaluates lazily.
+    (the restricted-greedy ILM baseline). ``use_lazy`` changes nothing; it
+    is kept only because the benchmark's chain-long workload passes it.
 
     Lazy evaluation (Minoux 1978; CELF, Leskovec et al. 2007) returns the
     eager scan's picks and gains bit for bit, not just within rounding.
@@ -172,13 +124,16 @@ def greedy_bil(dags, X, k, C=None, *, counts=None, use_pruning=False, use_lazy=F
     nearest addition and multiplication are monotone, so after a removal
     every SC and R value, every per-edge delta SC[u] * gamma * R[v], and
     every marginal (a sum of deltas over actions in DAG order) is at most
-    its previous float value. A stale heap key is therefore an upper bound
-    on the current marginal, and with ``(-marginal, edge)`` heap order the
-    first fresh entry popped is the largest current marginal, ties going to
-    the smallest edge, with the same gain the eager scan would report.
+    its previous float value. A heap key is therefore an upper bound on the
+    current marginal, and with ``(-marginal, edge)`` heap order the first
+    popped entry whose key equals its current marginal is the largest
+    current marginal, ties going to the smallest edge, with the same gain
+    the eager scan would report.
     """
-    if use_pruning and per_node_bound is not None:
-        raise ValueError("pruning cannot be combined with a per-node bound")
+    if k < 1:
+        raise ValueError(f"budget k={k} must be at least 1")
+    if per_node_bound is not None and per_node_bound < 1:
+        raise ValueError(f"per-node bound b={per_node_bound} must be at least 1")
     if counts is None:
         counts = counts_from_dags(dags)
     if C is None:
@@ -189,50 +144,23 @@ def greedy_bil(dags, X, k, C=None, *, counts=None, use_pruning=False, use_lazy=F
     if per_node_bound is None and k >= len(C):
         raise ValueError(f"budget k={k} must be smaller than |C|={len(C)}")
 
-    candidates = C
-    deferred: list = []
-    if use_pruning:
-        candidates, pairs = prune_dominated(dags, X, C, counts=counts)
-        deferred = [e for e, _ in pairs]
-
     kernel = CreditKernel(dags, X, counts)
     mc_of = kernel.marginal
-
     picked: list[tuple[int, int]] = []
     gains: list[float] = []
     head_load: dict[int, int] = {}
-
-    def feasible(e):
-        return per_node_bound is None or head_load.get(e[1], 0) < per_node_bound
-
-    fresh_round = {e: 0 for e in candidates}
-    heap = [(-mc_of(e), e) for e in candidates]
+    heap = [(-mc_of(e), e) for e in C]
     heapq.heapify(heap)
-    rnd = 0
-    while len(picked) < k:
-        best = None
-        while heap:
-            negmc, e = heapq.heappop(heap)
-            if not feasible(e):
-                continue
-            if fresh_round[e] == rnd:
-                best = (e, -negmc)
-                break
-            mc = mc_of(e)
-            fresh_round[e] = rnd
+    while heap and len(picked) < k:
+        negmc, e = heapq.heappop(heap)
+        if per_node_bound is not None and head_load.get(e[1], 0) >= per_node_bound:
+            continue
+        mc = mc_of(e)
+        if mc != -negmc:
             heapq.heappush(heap, (-mc, e))
-        if best is None:
-            if deferred:
-                heap = [(-mc_of(e), e) for e in deferred]
-                fresh_round.update({e: rnd for e in deferred})
-                heapq.heapify(heap)
-                deferred = []
-                continue
-            break
-        e, mc = best
+            continue
         picked.append(e)
         gains.append(mc)
         head_load[e[1]] = head_load.get(e[1], 0) + 1
         kernel.remove(e)
-        rnd += 1
     return Solution(edges=picked, gain_per_step=gains)

@@ -9,8 +9,8 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .credit import counts_from_dags, delta_set, sigma_cd_scratch
-from .graph import ActionLog, SocialGraph, build_all_dags
+from .credit import delta_set, sigma_cd_scratch
+from .graph import SocialGraph, build_all_dags
 from .greedy import greedy_bil
 
 log = logging.getLogger(__name__)
@@ -135,6 +135,8 @@ def run_method(method: str, graph, dags, counts, X, C, k: int, b, seed) -> Exper
         sol = greedy_bil(dags, X, k, C, counts=counts)
         B, per_step = sol.edges, list(zip(sol.edges, sol.gain_per_step))
     elif method == "grr":
+        if b is None:
+            raise ValueError("method 'grr' needs a per-node bound b")
         sol = greedy_bil(dags, X, k, C, counts=counts, per_node_bound=b)
         B, per_step = sol.edges, list(zip(sol.edges, sol.gain_per_step))
     elif method == "high-degree":

@@ -49,13 +49,20 @@ class TestBil:
         assert rows[1][1] == "0->1" and rows[2][1] == "0->2"
         assert float(rows[2][4]) == pytest.approx(50.0)
 
-    def test_lazy_and_prune_flags(self, f1_files):
-        out = f1_files / "bil2.csv"
-        rc = main(["bil", *_base_args(f1_files), "-k", "2", "--lazy", "--prune",
-                   "--out", str(out)])
-        assert rc == 0
-        _, rows = _read_csv(out)
-        assert rows[1][1] == "0->1"
+    def test_lazy_and_prune_flags(self, f1_files, capsys):
+        # Greedy is always lazy and never prunes: both flags are gone.
+        for flag in ("--lazy", "--prune"):
+            with pytest.raises(SystemExit) as exc:
+                main(["bil", *_base_args(f1_files), "-k", "2", flag])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_budget_below_one(self, f1_files, capsys, k):
+        assert main(["bil", *_base_args(f1_files), "-k", k]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "at least 1" in err
+        assert len(err.splitlines()) == 1
 
     def test_budget_error(self, f1_files, capsys):
         rc = main(["bil", *_base_args(f1_files), "-k", "5"])
@@ -113,11 +120,18 @@ class TestGrr:
         assert len(heads) == len(set(heads))
 
     def test_prune_rejected(self, f1_files, capsys):
-        rc = main(["grr", *_base_args(f1_files), "-k", "2", "-b", "1", "--prune"])
-        assert rc == 1
+        for flag in ("--prune", "--lazy"):
+            with pytest.raises(SystemExit) as exc:
+                main(["grr", *_base_args(f1_files), "-k", "2", "-b", "1", flag])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("b", ["0", "-1"])
+    def test_bound_below_one(self, f1_files, capsys, b):
+        assert main(["grr", *_base_args(f1_files), "-k", "1", "-b", b]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "per-node bound" in err
-        assert len(err.strip().splitlines()) == 1
+        assert len(err.splitlines()) == 1
 
 
 class TestIlm:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from cdlim.credit import (compute_credit_store, counts_from_dags, delta_set,
-                          delta_single, dump_store, kappa, oracle_set_credit,
+                          delta_single, kappa, oracle_set_credit,
                           oracle_total_credit, sigma_cd, sigma_cd_scratch)
 from cdlim.graph import ActionLog, SocialGraph, build_action_dag
 from conftest import make_branch7, make_f1, random_instance
@@ -207,10 +207,3 @@ class TestDeltas:
             base = delta_set(inst.dags, inst.X, S, counts=counts)
             grown = delta_set(inst.dags, inst.X, S | {e}, counts=counts)
             assert grown >= base - TOL
-
-
-def test_dump_store_format(f1):
-    store = compute_credit_store(f1.dags, f1.X)
-    lines = dump_store(store).splitlines()
-    assert "SC 0 0 1" in lines
-    assert any(line.startswith("UC 0 2 0 ") for line in lines)

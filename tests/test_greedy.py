@@ -1,5 +1,5 @@
-"""Greedy edge removal: marginal contributions, incremental updates,
-dominance pruning, and lazy evaluation."""
+"""Greedy edge removal: marginal contributions, incremental updates, and
+lazy evaluation."""
 
 import random
 
@@ -8,8 +8,7 @@ import pytest
 from cdlim.credit import (compute_credit_store, counts_from_dags, delta_set,
                           sigma_cd, sigma_cd_scratch)
 from cdlim.graph import ActionLog, SocialGraph, build_action_dag
-from cdlim.greedy import (compute_mc, greedy_bil, prune_dominated,
-                          remove_edge, update_sc, update_uc)
+from cdlim.greedy import compute_mc, greedy_bil, remove_edge, update_sc, update_uc
 from conftest import random_instance
 
 TOL = 1e-9
@@ -103,43 +102,6 @@ class TestUpdates:
                                        - store.uc[a][v].get(w, 0.0)) < TOL
 
 
-class TestPruning:
-    def test_f1_chain_dominated(self, f1):
-        kept, pairs = prune_dominated(f1.dags, f1.X, [(0, 1), (1, 2)])
-        assert kept == [(0, 1)]
-        assert pairs == [((1, 2), (0, 1))]
-
-    def test_single_candidate(self, f1):
-        kept, pairs = prune_dominated(f1.dags, f1.X, [(0, 2)])
-        assert kept == [(0, 2)] and pairs == []
-
-    def test_parallel_routes_not_dominated(self):
-        # two routes from the target to node 2 break the equality
-        g = SocialGraph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-        log = ActionLog([(0, 0, 1), (1, 0, 2), (2, 0, 3), (3, 0, 4)])
-        gamma = {(0, 1): 0.5, (0, 2): 0.3, (1, 2): 0.4, (2, 3): 0.9}
-        dag = build_action_dag(g, log, 0).with_gamma(gamma)
-        kept, pairs = prune_dominated([dag], {0}, [(0, 2), (2, 3)])
-        assert (2, 3) in kept
-
-    def test_pruning_invariance(self):
-        rng = random.Random(23)
-        for _ in range(15):
-            inst = random_instance(rng)
-            if len(inst.C) < 3:
-                continue
-            k = rng.randint(1, min(3, len(inst.C) - 1))
-            plain = greedy_bil(inst.dags, inst.X, k)
-            pruned = greedy_bil(inst.dags, inst.X, k, use_pruning=True)
-            assert abs(plain.total_delta - pruned.total_delta) < TOL
-
-    def test_rejected_with_per_node_bound(self, f1):
-        # A dominated edge would stay deferred after its dominator's head
-        # fills up, so pruned greedy could return a worse prefix.
-        with pytest.raises(ValueError, match="per-node bound"):
-            greedy_bil(f1.dags, f1.X, 2, use_pruning=True, per_node_bound=1)
-
-
 class TestGreedy:
     def test_f1_k1(self, f1):
         sol = greedy_bil(f1.dags, f1.X, 1)
@@ -154,6 +116,18 @@ class TestGreedy:
     def test_budget_too_large(self, f1):
         with pytest.raises(ValueError, match="budget"):
             greedy_bil(f1.dags, f1.X, 3)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_budget_below_one(self, f1, k):
+        with pytest.raises(ValueError, match="at least 1"):
+            greedy_bil(f1.dags, f1.X, k)
+        with pytest.raises(ValueError, match="at least 1"):
+            greedy_bil(f1.dags, f1.X, k, per_node_bound=1)
+
+    @pytest.mark.parametrize("b", [0, -2])
+    def test_per_node_bound_below_one(self, f1, b):
+        with pytest.raises(ValueError, match="per-node bound"):
+            greedy_bil(f1.dags, f1.X, 1, per_node_bound=b)
 
     def test_empty_candidates(self, f1):
         with pytest.raises(ValueError, match="empty candidate"):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from cdlim.cli import main
 from cdlim.graph import (ActionLog, SocialGraph, build_all_dags,
                          generate_ic_actions, write_action_log)
 from cdlim.harness import (CSV_COLUMNS, CSV_SCHEMA, baseline_high_degree,
@@ -168,6 +169,28 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="unknown method"):
             run_method("bogus", f1.graph, f1.dags, {0: 1, 1: 1, 2: 1},
                        f1.X, f1.C, 1, None, 0)
+
+    def test_grr_needs_bound(self, f1, tmp_path, capsys):
+        with pytest.raises(ValueError, match="per-node bound b"):
+            run_method("grr", f1.graph, f1.dags, {0: 1, 1: 1, 2: 1},
+                       f1.X, f1.C, 1, None, 0)
+        gpath, apath, _, _ = _bench_files(tmp_path)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"graph={gpath}\nactions={apath}\nmethods=grr\nk=2\n",
+                       encoding="utf-8")
+        for command in ("report", "verify"):
+            assert main([command, "--config", str(cfg)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "per-node bound b" in err
+            assert len(err.splitlines()) == 1
+
+    def test_unknown_scheme(self, tmp_path, capsys):
+        gpath, apath, _, _ = _bench_files(tmp_path)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"graph={gpath}\nactions={apath}\nmethods=greedy\n"
+                       "scheme=normalized-learned\n", encoding="utf-8")
+        assert main(["report", "--config", str(cfg)]) == 1
+        assert "unknown credit scheme 'normalized-learned'" in capsys.readouterr().err
 
     def test_grr_respects_bound(self, tmp_path):
         gpath, apath, graph, log = _bench_files(tmp_path)

@@ -95,13 +95,14 @@ def _marginals_given(dags, X, C, counts, removed, cache=None):
     shared by calls on the same DAGs, targets and counts. An action holding
     none of the removed edges reads its cached deltas, which are exactly
     the ones the removal would give, so only the actions containing a
-    removed edge are recomputed.
+    removed edge are recomputed. Actions without an edge or a target member
+    are skipped: their deltas are empty.
     """
     if cache is None:
         cache = {}
     out = dict.fromkeys(C, 0.0)
     for i, dag in enumerate(dags):
-        if not dag.gamma:
+        if not dag.gamma or X.isdisjoint(dag.times):
             continue
         if removed.isdisjoint(dag.gamma):
             deltas = cache.get(i)
@@ -125,7 +126,7 @@ def cg_weights(dags, X, C, y, s, rng, counts=None) -> dict:
         raise ValueError("s must be >= 1")
     if counts is None:
         counts = counts_from_dags(dags)
-    return _cg_weights(dags, X, sorted(C), y, s, rng, counts, {})
+    return _cg_weights(dags, frozenset(X), sorted(C), y, s, rng, counts, {})
 
 
 def _cg_weights(dags, X, C, y, s, rng, counts, cache) -> dict:
@@ -172,6 +173,7 @@ def continuous_greedy(dags, X, C, b, config: CGConfig, counts=None) -> Fractiona
         raise ValueError("per-node bound must be >= 1")
     if counts is None:
         counts = counts_from_dags(dags)
+    X = frozenset(X)
     rng = random.Random(config.seed)
     cache: dict[int, dict] = {}
     y = dict.fromkeys(C, 0.0)

@@ -5,9 +5,11 @@ The solvers run on :class:`CreditKernel`, built from two scalar maps per
 action: SC, the credit of the target set at each node (a forward pass), and
 R, the action-normalized credit a node passes on along target-free paths,
 its own share included (a backward pass). Removing edge (u, v) lowers the
-influence in action a by SC[u] * gamma * R[v]; the kernel keeps these
-per-edge deltas, and after a removal recomputes only the actions containing
-the edge, from scratch.
+influence in action a by SC[u] * gamma * R[v]; the kernel sums these terms
+on demand, and after a removal recomputes only the actions containing the
+edge, from scratch. An action with no target member has SC empty, so it
+adds no influence and no term: the kernel, :func:`sigma_cd_scratch` and
+:func:`delta_set` skip it, and their sums are unchanged to the bit.
 
 :func:`compute_credit_store` builds the reference store the kernel is
 checked against: per action, EP (direct credit of each surviving DAG
@@ -136,49 +138,47 @@ def _edge_deltas(dag: ActionDag, X, counts, removed) -> dict[tuple[int, int], fl
 
 
 class CreditKernel:
-    """Per-action edge deltas from the SC and R passes, for the solvers'
-    marginals.
+    """SC and R maps per target-holding action, for the solvers' marginals.
 
     ``marginal(e)`` is the influence drop of removing ``e`` on top of the
-    edges removed so far: its deltas summed over the actions containing it,
-    in DAG order. Values are memoized until an action they read is
-    recomputed. Edgeless DAGs are skipped: no candidate reads them.
+    edges removed so far: SC[u] * gamma * R[v] summed over the stored
+    actions containing it, in DAG order, computed on each call. Only actions
+    holding an edge and a target member are stored. In any other action SC
+    is empty, so it adds no term to any marginal.
     """
 
     def __init__(self, dags, X, counts):
         self.X = frozenset(X)
         self.counts = counts
-        self.dags = {dag.action: dag for dag in dags if dag.gamma}
         self.removed: set[tuple[int, int]] = set()
-        self.edge_actions: dict[tuple[int, int], list[int]] = {}
-        for a, dag in self.dags.items():
-            for e in dag.gamma:
-                self.edge_actions.setdefault(e, []).append(a)
-        self.deltas = {a: _edge_deltas(dag, self.X, counts, self.removed)
-                       for a, dag in self.dags.items()}
-        self._memo: dict[tuple[int, int], float] = {}
+        self.edge_actions: dict[tuple[int, int], list[list]] = {}
+        for dag in dags:
+            if dag.gamma and not self.X.isdisjoint(dag.times):
+                entry = [dag, _sc_map(dag, self.X, self.removed),
+                         _r_map(dag, self.X, counts, self.removed)]
+                for e in dag.gamma:
+                    self.edge_actions.setdefault(e, []).append(entry)
 
     def marginal(self, e) -> float:
-        mc = self._memo.get(e)
-        if mc is None:
-            mc = 0.0
-            for a in self.edge_actions.get(e, ()):
-                delta = self.deltas[a].get(e)
-                if delta is not None:
-                    mc += delta
-            self._memo[e] = mc
+        if e in self.removed:
+            return 0.0
+        u, v = e
+        mc = 0.0
+        for dag, sc, r in self.edge_actions.get(e, ()):
+            c = sc.get(u)
+            if c is not None:
+                mc += c * dag.gamma[e] * r.get(v, 0.0)
         return mc
 
     def remove(self, e) -> None:
-        """Delete ``e`` and recompute the actions containing it from scratch."""
+        """Delete ``e`` and recompute SC and R of the actions containing it."""
         if e in self.removed:
             return
         self.removed.add(e)
-        for a in self.edge_actions.get(e, ()):
-            dag = self.dags[a]
-            self.deltas[a] = _edge_deltas(dag, self.X, self.counts, self.removed)
-            for edge in dag.gamma:
-                self._memo.pop(edge, None)
+        for entry in self.edge_actions.get(e, ()):
+            dag = entry[0]
+            entry[1] = _sc_map(dag, self.X, self.removed)
+            entry[2] = _r_map(dag, self.X, self.counts, self.removed)
 
 
 def compute_credit_store(dags, X, counts=None, sources=None,
@@ -235,12 +235,15 @@ def sigma_cd(store: CreditStore) -> float:
 
 
 def sigma_cd_scratch(dags, X, counts=None, removed=frozenset()) -> float:
-    """From-scratch total influence on the DAGs with ``removed`` edges absent."""
+    """From-scratch total influence on the DAGs with ``removed`` edges absent,
+    skipping the DAGs without a target member: their SC map is empty."""
     X = frozenset(X)
     if counts is None:
         counts = counts_from_dags(dags)
     total = 0.0
     for dag in dags:
+        if X.isdisjoint(dag.times):
+            continue
         for u, val in _sc_map(dag, X, removed).items():
             total += val / counts[u]
     return total
@@ -257,10 +260,11 @@ def _influence(dag: ActionDag, X, counts, removed) -> float:
 def delta_set(dags, X, B, counts=None) -> float:
     """Influence drop of removing edge set B, computed from scratch.
 
-    Visits, in DAG order, only the DAGs holding an edge of B, and adds each
-    one's influence before the removal minus its influence after, both from
-    :func:`_sc_map`. Every other DAG contributes exactly zero, because
-    ``_sc_map`` consults the removed set only for the DAG's own edges.
+    Visits, in DAG order, only the DAGs holding an edge of B and a target
+    member, and adds each one's influence before the removal minus its
+    influence after, both from :func:`_sc_map`. Every other DAG contributes
+    exactly zero, because ``_sc_map`` consults the removed set only for the
+    DAG's own edges, and is empty in a DAG without a target member.
     Summing per-DAG differences also avoids subtracting two totals of the
     size of sigma. This is the reference implementation of the objective,
     used by oracles and cross-checks; it never touches the kernel or an
@@ -272,7 +276,7 @@ def delta_set(dags, X, B, counts=None) -> float:
         counts = counts_from_dags(dags)
     total = 0.0
     for dag in dags:
-        if B.isdisjoint(dag.gamma):
+        if B.isdisjoint(dag.gamma) or X.isdisjoint(dag.times):
             continue
         total += _influence(dag, X, counts, frozenset()) - _influence(dag, X, counts, B)
     return total

@@ -122,9 +122,9 @@ def greedy_bil(dags, X, k, C=None, *, counts=None, use_lazy=False,
     Every SC and R value is a left-to-right sum of non-negative products
     over a fixed neighbour order, and a removal drops one term. Round-to-
     nearest addition and multiplication are monotone, so after a removal
-    every SC and R value, every per-edge delta SC[u] * gamma * R[v], and
-    every marginal (a sum of deltas over actions in DAG order) is at most
-    its previous float value. A heap key is therefore an upper bound on the
+    every SC and R value, every term SC[u] * gamma * R[v], and every
+    marginal (a sum of such terms over actions in DAG order) is at most its
+    previous float value. A heap key is therefore an upper bound on the
     current marginal, and with ``(-marginal, edge)`` heap order the first
     popped entry whose key equals its current marginal is the largest
     current marginal, ties going to the smallest edge, with the same gain

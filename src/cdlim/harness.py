@@ -58,6 +58,8 @@ def baseline_high_degree(graph: SocialGraph, X, k: int) -> list:
 
 def baseline_random(C, k: int, rng: random.Random) -> list:
     """Uniform k-subset of the candidate set."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     C = sorted(C)
     if k > len(C):
         raise ValueError(f"k={k} exceeds |C|={len(C)}")

@@ -170,6 +170,12 @@ class TestBaselineCmd:
                    "-k", "1", "--seed", "5"])
         assert rc == 0
 
+    def test_zero_k_is_an_error(self, f1_files, capsys):
+        for method in ("high-degree", "random"):
+            rc = main(["baseline", *_base_args(f1_files), "--method", method, "-k", "0"])
+            assert rc == 1, method
+            assert capsys.readouterr().err == "error: k must be >= 1\n", method
+
 
 class TestGen:
     def test_gen_then_bil(self, tmp_path, capsys):

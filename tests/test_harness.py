@@ -64,8 +64,10 @@ class TestBaselines:
     def test_random_full(self, f1):
         assert sorted(baseline_random(f1.C, 3, random.Random(0))) == f1.C
 
-    def test_random_empty(self, f1):
-        assert baseline_random(f1.C, 0, random.Random(0)) == []
+    def test_random_rejects_k_below_one(self, f1):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                baseline_random(f1.C, k, random.Random(0))
 
     def test_random_reproducible(self, f1):
         a = baseline_random(f1.C, 2, random.Random(9))

@@ -1,8 +1,11 @@
-"""The SC/R credit kernel against the reference store and from-scratch
-deltas, greedy_bil against a greedy loop written on the reference and
-against the eager scan on the kernel, and the continuous greedy's cached
-per-sample marginals against a from-scratch sum."""
+"""The SC/R credit kernel against the reference store, from-scratch
+deltas and the per-action delta-dict kernel it replaced, greedy_bil against
+a greedy loop written on the reference, against the eager scan on the
+kernel and against the lazy loop on the delta-dict kernel, and the
+continuous greedy's cached per-sample marginals against a from-scratch
+sum."""
 
+import heapq
 import random
 
 from hypothesis import given, settings
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 from cdlim.contgreedy import (CGConfig, _marginals_given, continuous_greedy,
                               max_weight_independent, sample_set)
 from cdlim.credit import (CreditKernel, _edge_deltas, compute_credit_store,
-                          counts_from_dags, delta_set)
+                          counts_from_dags, delta_set, sigma_cd, sigma_cd_scratch)
 from cdlim.greedy import compute_mc, greedy_bil, remove_edge
 from conftest import make_f1, random_instance
 from test_acceptance import _best_feasible, _ic_benchmark
@@ -34,6 +37,116 @@ def dense_instances(draw):
         inst.dags = [d.with_gamma({e: rng.choice((0.25, 0.5, 1.0)) / d.d_in(e[1])
                                    for e in d.gamma}) for d in inst.dags]
     return inst.dags, inst.X, inst.C
+
+
+@st.composite
+def target_free_instances(draw):
+    """Instances with at least three actions and one or two targets drawn
+    from the two nodes of a single action that take part in the fewest
+    actions, so other actions often hold no target. Half get tie-heavy
+    credits, as in :func:`dense_instances`."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    inst = random_instance(rng, max_nodes=8, max_actions=6)
+    while len(inst.dags) < 3:
+        inst = random_instance(rng, max_nodes=8, max_actions=6)
+    counts = counts_from_dags(inst.dags)
+    rare = sorted(rng.choice(inst.dags).nodes, key=lambda u: (counts[u], u))[:2]
+    X = set(rng.sample(rare, rng.randint(1, len(rare))))
+    dags = inst.dags
+    if draw(st.booleans()):
+        dags = [d.with_gamma({e: rng.choice((0.25, 0.5, 1.0)) / d.d_in(e[1])
+                              for e in d.gamma}) for d in dags]
+    return dags, X, inst.C
+
+
+class DeltaKernel:
+    """The kernel before it computed marginals on demand: per-action delta
+    dicts from :func:`_edge_deltas` for every DAG with an edge, target-free
+    or not, and a memo of marginals cleared for the edges of each
+    recomputed action. It is the reference that CreditKernel must equal
+    bit for bit."""
+
+    def __init__(self, dags, X, counts):
+        self.X = frozenset(X)
+        self.counts = counts
+        self.dags = {dag.action: dag for dag in dags if dag.gamma}
+        self.removed = set()
+        self.edge_actions = {}
+        for a, dag in self.dags.items():
+            for e in dag.gamma:
+                self.edge_actions.setdefault(e, []).append(a)
+        self.deltas = {a: _edge_deltas(dag, self.X, counts, self.removed)
+                       for a, dag in self.dags.items()}
+        self._memo = {}
+
+    def marginal(self, e):
+        mc = self._memo.get(e)
+        if mc is None:
+            mc = 0.0
+            for a in self.edge_actions.get(e, ()):
+                delta = self.deltas[a].get(e)
+                if delta is not None:
+                    mc += delta
+            self._memo[e] = mc
+        return mc
+
+    def remove(self, e):
+        if e in self.removed:
+            return
+        self.removed.add(e)
+        for a in self.edge_actions.get(e, ()):
+            dag = self.dags[a]
+            self.deltas[a] = _edge_deltas(dag, self.X, self.counts, self.removed)
+            for edge in dag.gamma:
+                self._memo.pop(edge, None)
+
+
+def _assert_kernel_equals_delta_kernel(inst, data):
+    dags, X, C = inst
+    removed = data.draw(st.lists(st.sampled_from(C), unique=True, max_size=len(C))) if C else []
+    counts = counts_from_dags(dags)
+    kernel = CreditKernel(dags, X, counts)
+    ref = DeltaKernel(dags, X, counts)
+    for i in range(len(removed) + 1):
+        for e in C:
+            assert kernel.marginal(e) == ref.marginal(e), (removed[:i], e)
+        if i < len(removed):
+            kernel.remove(removed[i])
+            ref.remove(removed[i])
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_instances(), st.data())
+def test_kernel_equals_delta_kernel(inst, data):
+    _assert_kernel_equals_delta_kernel(inst, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(target_free_instances(), st.data())
+def test_kernel_equals_delta_kernel_target_free(inst, data):
+    _assert_kernel_equals_delta_kernel(inst, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(target_free_instances(), st.data())
+def test_scratch_skips_target_free_actions_exactly(inst, data):
+    # Both sums run over the DAGs in order; the store visits every DAG, the
+    # scratch pass and delta_set skip the ones without a target member.
+    dags, X, C = inst
+    counts = counts_from_dags(dags)
+    sigma = sigma_cd_scratch(dags, X, counts)
+    assert sigma == sigma_cd(compute_credit_store(dags, X, counts=counts))
+    B = data.draw(st.frozensets(st.sampled_from(C)))
+    want = sigma - sigma_cd_scratch(dags, X, counts, removed=B)
+    assert _close(delta_set(dags, X, B, counts=counts), want), sorted(B)
+
+
+@settings(max_examples=40, deadline=None)
+@given(target_free_instances(), st.integers(1, 2), st.integers(0, 2 ** 16))
+def test_continuous_greedy_matches_reference_target_free(inst, b, seed):
+    dags, X, C = inst
+    _assert_cg_matches_reference(dags, X, C, b, CGConfig(tau=10, s=5, seed=seed),
+                                 counts_from_dags(dags))
 
 
 @settings(max_examples=150, deadline=None)
@@ -121,6 +234,38 @@ def test_greedy_equals_eager_scan_criterion_12_instance():
     _, dags, counts, X, C = _ic_benchmark(1200)
     _assert_equals_eager(dags, X, 50, C, counts)
     _assert_equals_eager(dags, X, 50, C, counts, per_node_bound=2)
+
+
+def delta_kernel_greedy(dags, X, k, C, counts, per_node_bound=None):
+    """greedy_bil's lazy loop on :class:`DeltaKernel`. The eager scan above
+    runs on CreditKernel too, so only this loop catches a kernel whose
+    marginals drift from the delta-dict sums."""
+    kernel = DeltaKernel(dags, X, counts)
+    edges, gains, load = [], [], {}
+    heap = [(-kernel.marginal(e), e) for e in sorted(set(C))]
+    heapq.heapify(heap)
+    while heap and len(edges) < k:
+        negmc, e = heapq.heappop(heap)
+        if per_node_bound is not None and load.get(e[1], 0) >= per_node_bound:
+            continue
+        mc = kernel.marginal(e)
+        if mc != -negmc:
+            heapq.heappush(heap, (-mc, e))
+            continue
+        edges.append(e)
+        gains.append(mc)
+        load[e[1]] = load.get(e[1], 0) + 1
+        kernel.remove(e)
+    return edges, gains
+
+
+def test_greedy_equals_delta_kernel_criterion_12_instances():
+    for seed in (1200, 1201, 1202):
+        _, dags, counts, X, C = _ic_benchmark(seed)
+        for bound in (None, 2):
+            sol = greedy_bil(dags, X, 50, C, counts=counts, per_node_bound=bound)
+            want = delta_kernel_greedy(dags, X, 50, C, counts, bound)
+            assert repr((sol.edges, sol.gain_per_step)) == repr(want), (seed, bound)
 
 
 def reference_greedy(dags, X, k, C, counts, per_node_bound=None):

@@ -18,24 +18,34 @@ from .graph import (build_all_dags, generate_ic_actions, load_action_log,
 from .greedy import greedy_bil
 
 
+def _int_token(tok, where):
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError(f"{where}: non-integer token {tok!r}") from None
+
+
 def _parse_targets(raw, graph):
     if os.path.exists(raw):
         with open(raw, "r", encoding="utf-8") as fh:
-            labels = [int(tok) for tok in fh.read().split()]
+            labels = [_int_token(tok, raw) for tok in fh.read().split()]
     else:
-        labels = [int(tok) for tok in raw.split(",")]
+        labels = [_int_token(tok, "--targets") for tok in raw.split(",")]
     return {graph.id_of(t) for t in labels}
 
 
 def _parse_candidates(raw, graph):
     edges = set()
     with open(raw, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            u, v = line.split()
-            edges.add((graph.id_of(int(u)), graph.id_of(int(v))))
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValueError(f"{raw}:{lineno}: expected 'u v', got {line!r}")
+            u, v = (_int_token(tok, f"{raw}:{lineno}") for tok in parts)
+            edges.add((graph.id_of(u), graph.id_of(v)))
     return edges
 
 

@@ -6,10 +6,15 @@ action: SC, the credit of the target set at each node (a forward pass), and
 R, the action-normalized credit a node passes on along target-free paths,
 its own share included (a backward pass). Removing edge (u, v) lowers the
 influence in action a by SC[u] * gamma * R[v]; the kernel sums these terms
-on demand, and after a removal recomputes only the actions containing the
-edge, from scratch. An action with no target member has SC empty, so it
-adds no influence and no term: the kernel, :func:`sigma_cd_scratch` and
-:func:`delta_set` skip it, and their sums are unchanged to the bit.
+on demand. It keeps each map only from the action's first target member
+on, since no earlier node carries set credit, and after a removal updates
+the maps of the actions containing the edge in place: SC from v to the
+end, R from u back to the first target member. An action with no target
+member has SC empty, so it adds no influence and no term: the kernel,
+:func:`sigma_cd_scratch` and :func:`delta_set` skip it, and their sums are
+unchanged to the bit. The from-scratch passes :func:`_sc_map`,
+:func:`_r_map` and :func:`_edge_deltas` always run over the whole DAG; they
+are the references the kernel is tested against.
 
 :func:`compute_credit_store` builds the reference store the kernel is
 checked against: per action, EP (direct credit of each surviving DAG
@@ -145,17 +150,29 @@ class CreditKernel:
     actions containing it, in DAG order, computed on each call. Only actions
     holding an edge and a target member are stored. In any other action SC
     is empty, so it adds no term to any marginal.
+
+    Each stored action keeps ``f``, the position in ``dag.nodes`` of its
+    first target member. No node before ``f`` has set credit, so SC is
+    computed forward from ``f`` and R backward only down to ``f``: a
+    marginal reads R only at the head of an edge whose tail has SC, and such
+    a head comes after ``f``. Each value is the same sum, in the same order,
+    as in :func:`_sc_map` and :func:`_r_map`, so the maps equal theirs (R on
+    the nodes from ``f`` on) bit for bit.
     """
 
     def __init__(self, dags, X, counts):
         self.X = frozenset(X)
         self.counts = counts
         self.removed: set[tuple[int, int]] = set()
-        self.edge_actions: dict[tuple[int, int], list[list]] = {}
+        self.edge_actions: dict[tuple[int, int], list[tuple]] = {}
         for dag in dags:
             if dag.gamma and not self.X.isdisjoint(dag.times):
-                entry = [dag, _sc_map(dag, self.X, self.removed),
-                         _r_map(dag, self.X, counts, self.removed)]
+                f = next(i for i, u in enumerate(dag.nodes) if u in self.X)
+                sc: dict[int, float] = {}
+                r: dict[int, float] = {}
+                self._sc_pass(dag, sc, f)
+                self._r_pass(dag, r, len(dag.nodes) - 1, f)
+                entry = (dag, sc, r, f)
                 for e in dag.gamma:
                     self.edge_actions.setdefault(e, []).append(entry)
 
@@ -164,21 +181,76 @@ class CreditKernel:
             return 0.0
         u, v = e
         mc = 0.0
-        for dag, sc, r in self.edge_actions.get(e, ()):
+        for dag, sc, r, _ in self.edge_actions.get(e, ()):
             c = sc.get(u)
             if c is not None:
                 mc += c * dag.gamma[e] * r.get(v, 0.0)
         return mc
 
     def remove(self, e) -> None:
-        """Delete ``e`` and recompute SC and R of the actions containing it."""
+        """Delete ``e`` and update, in place, SC and R of the actions
+        containing it.
+
+        Removing (u, v) can change SC only at v and its descendants, and R
+        only at u and its ancestors. So SC is recomputed in topological
+        order from v to the end, and R in reverse from u down to ``f``;
+        every other node in these windows gets the same inputs and the same
+        value. The SC pass is skipped when u has no SC or v is a target
+        member (its SC stays 1), and the R pass when v is a target member
+        (it has no R) or u comes before ``f`` (R is not kept there).
+        """
         if e in self.removed:
             return
         self.removed.add(e)
-        for entry in self.edge_actions.get(e, ()):
-            dag = entry[0]
-            entry[1] = _sc_map(dag, self.X, self.removed)
-            entry[2] = _r_map(dag, self.X, self.counts, self.removed)
+        u, v = e
+        X = self.X
+        for dag, sc, r, f in self.edge_actions.get(e, ()):
+            if v in X:
+                continue
+            if u in sc:
+                self._sc_pass(dag, sc, dag.nodes.index(v))
+            i = dag.nodes.index(u)
+            if i >= f:
+                self._r_pass(dag, r, i, f)
+
+    def _sc_pass(self, dag, sc, start) -> None:
+        """Recompute SC in place at ``dag.nodes[start:]``, in topological
+        order, dropping nodes whose credit falls to zero."""
+        X = self.X
+        removed = self.removed
+        gamma = dag.gamma
+        in_nbrs = dag.in_nbrs
+        for u in dag.nodes[start:]:
+            if u in X:
+                sc[u] = 1.0
+                continue
+            acc = 0.0
+            for w in in_nbrs[u]:
+                c = sc.get(w)
+                if c is not None and (w, u) not in removed:
+                    acc += c * gamma[(w, u)]
+            if acc > 0.0:
+                sc[u] = acc
+            else:
+                sc.pop(u, None)
+
+    def _r_pass(self, dag, r, stop, f) -> None:
+        """Recompute R in place at ``dag.nodes[f:stop + 1]``, in reverse
+        topological order."""
+        X = self.X
+        removed = self.removed
+        counts = self.counts
+        gamma = dag.gamma
+        out_nbrs = dag.out_nbrs
+        for v in reversed(dag.nodes[f:stop + 1]):
+            if v in X:
+                continue
+            acc = 1.0 / counts[v]
+            for w in out_nbrs[v]:
+                rw = r.get(w)
+                if rw is not None and (v, w) not in removed:
+                    acc += gamma[(v, w)] * rw
+            r[v] = acc
 
 
 def compute_credit_store(dags, X, counts=None, sources=None,

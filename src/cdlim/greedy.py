@@ -112,8 +112,9 @@ def greedy_bil(dags, X, k, C=None, *, counts=None, use_lazy=False,
 
     Picks, k times, the remaining candidate with the largest marginal
     contribution (ties broken by smallest (u, v) pair) from a
-    :class:`CreditKernel`, which recomputes only the actions containing the
-    picked edge. ``per_node_bound`` adds a per-head-node feasibility filter
+    :class:`CreditKernel`, which updates only the actions containing the
+    picked edge, and in each only the window of nodes the removal can
+    reach. ``per_node_bound`` adds a per-head-node feasibility filter
     (the restricted-greedy ILM baseline). ``use_lazy`` changes nothing; it
     is kept only because the benchmark's chain-long workload passes it.
 
@@ -124,11 +125,14 @@ def greedy_bil(dags, X, k, C=None, *, counts=None, use_lazy=False,
     nearest addition and multiplication are monotone, so after a removal
     every SC and R value, every term SC[u] * gamma * R[v], and every
     marginal (a sum of such terms over actions in DAG order) is at most its
-    previous float value. A heap key is therefore an upper bound on the
-    current marginal, and with ``(-marginal, edge)`` heap order the first
-    popped entry whose key equals its current marginal is the largest
-    current marginal, ties going to the smallest edge, with the same gain
-    the eager scan would report.
+    previous float value. The kernel recomputes values only inside the
+    window of nodes a removal can reach. Every value outside it keeps its
+    old bits, which are what a whole-DAG pass would give, since none of its
+    inputs changed; so no value, and no marginal, rises there either. A
+    heap key is therefore an upper bound on the current marginal, and with
+    ``(-marginal, edge)`` heap order the first popped entry whose key
+    equals its current marginal is the largest current marginal, ties going
+    to the smallest edge, with the same gain the eager scan would report.
     """
     if k < 1:
         raise ValueError(f"budget k={k} must be at least 1")

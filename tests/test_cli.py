@@ -79,6 +79,27 @@ class TestBil:
         _, rows = _read_csv(out)
         assert rows[1][1] == "0->2"
 
+    @pytest.mark.parametrize("text, message", [
+        ("0 2\n0 1 2\n", "{}:2: expected 'u v', got '0 1 2'"),
+        ("# edges\n0 x\n", "{}:2: non-integer token 'x'"),
+    ])
+    def test_bad_candidates_line(self, f1_files, capsys, text, message):
+        cand = f1_files / "cand.txt"
+        cand.write_text(text, encoding="utf-8")
+        assert main(["bil", *_base_args(f1_files), "-k", "1", "--candidates", str(cand)]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(cand)}\n"
+
+    def test_non_integer_target(self, f1_files, capsys):
+        args = _base_args(f1_files)
+        args[args.index("--targets") + 1] = "0,a"
+        assert main(["bil", *args, "-k", "1"]) == 1
+        assert capsys.readouterr().err == "error: --targets: non-integer token 'a'\n"
+        tfile = f1_files / "targets.txt"
+        tfile.write_text("0\n1.5\n", encoding="utf-8")
+        args[args.index("--targets") + 1] = str(tfile)
+        assert main(["bil", *args, "-k", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {tfile}: non-integer token '1.5'\n"
+
     def test_target_that_never_acts(self, f1_files, capsys):
         (f1_files / "graph.txt").write_text("0 1\n1 2\n0 2\n3 0\n", encoding="utf-8")
         args = _base_args(f1_files)

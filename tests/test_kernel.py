@@ -1,9 +1,9 @@
 """The SC/R credit kernel against the reference store, from-scratch
-deltas and the per-action delta-dict kernel it replaced, greedy_bil against
-a greedy loop written on the reference, against the eager scan on the
-kernel and against the lazy loop on the delta-dict kernel, and the
-continuous greedy's cached per-sample marginals against a from-scratch
-sum."""
+deltas and SC/R maps and the per-action delta-dict kernel it replaced,
+greedy_bil against a greedy loop written on the reference, against the
+eager scan on the kernel and against the lazy loop on the delta-dict
+kernel, and the continuous greedy's cached per-sample marginals against a
+from-scratch sum."""
 
 import heapq
 import random
@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from cdlim.contgreedy import (CGConfig, _marginals_given, continuous_greedy,
                               max_weight_independent, sample_set)
-from cdlim.credit import (CreditKernel, _edge_deltas, compute_credit_store,
-                          counts_from_dags, delta_set, sigma_cd, sigma_cd_scratch)
+from cdlim.credit import (CreditKernel, _edge_deltas, _r_map, _sc_map,
+                          compute_credit_store, counts_from_dags, delta_set, sigma_cd,
+                          sigma_cd_scratch)
+from cdlim.graph import ActionLog, SocialGraph, build_all_dags
 from cdlim.greedy import compute_mc, greedy_bil, remove_edge
 from conftest import make_f1, random_instance
 from test_acceptance import _best_feasible, _ic_benchmark
@@ -125,6 +127,90 @@ def test_kernel_equals_delta_kernel(inst, data):
 @given(target_free_instances(), st.data())
 def test_kernel_equals_delta_kernel_target_free(inst, data):
     _assert_kernel_equals_delta_kernel(inst, data)
+
+
+def _stored_actions(kernel):
+    """The kernel's distinct ``(dag, sc, r, f)`` entries, by action id."""
+    return {entry[0].action: entry
+            for entries in kernel.edge_actions.values() for entry in entries}
+
+
+def _assert_state_matches_scratch(kernel, dags, X):
+    # SC everywhere, R from the action's first target member on.
+    X = frozenset(X)
+    stored = _stored_actions(kernel)
+    assert sorted(stored) == [d.action for d in dags if d.gamma and not X.isdisjoint(d.times)]
+    for dag, sc, r, f in stored.values():
+        assert dag.nodes[f] in X and X.isdisjoint(dag.nodes[:f]), dag.action
+        assert sc == _sc_map(dag, X, kernel.removed), (dag.action, sorted(kernel.removed))
+        after_f = set(dag.nodes[f:])
+        want_r = {n: val for n, val in _r_map(dag, X, kernel.counts, kernel.removed).items()
+                  if n in after_f}
+        assert r == want_r, (dag.action, sorted(kernel.removed))
+
+
+def _assert_kernel_state_after_every_prefix(inst, data):
+    dags, X, C = inst
+    removed = data.draw(st.lists(st.sampled_from(C), unique=True, max_size=len(C))) if C else []
+    kernel = CreditKernel(dags, X, counts_from_dags(dags))
+    _assert_state_matches_scratch(kernel, dags, X)
+    for e in removed:
+        kernel.remove(e)
+        _assert_state_matches_scratch(kernel, dags, X)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_instances(), st.data())
+def test_kernel_state_equals_scratch_maps(inst, data):
+    _assert_kernel_state_after_every_prefix(inst, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(target_free_instances(), st.data())
+def test_kernel_state_equals_scratch_maps_target_free(inst, data):
+    _assert_kernel_state_after_every_prefix(inst, data)
+
+
+def _skip_instance():
+    """One action over nodes 0-6 in id order with uniform credits and
+    targets {2, 5}, so the first target sits at position 2. Node 3 comes
+    after it but has no set credit, since its only in-neighbour is 1."""
+    edges = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 5), (4, 5),
+             (4, 6), (5, 6)]
+    log = ActionLog([(u, 0, u) for u in range(7)])
+    dags = build_all_dags(SocialGraph(7, edges), log)
+    return dags, {2, 5}, log.counts
+
+
+def _remove_and_diff(e, times=1):
+    """Remove ``e`` and return which of the action's SC and R maps changed;
+    both must equal the from-scratch maps afterwards."""
+    dags, X, counts = _skip_instance()
+    kernel = CreditKernel(dags, X, counts)
+    (_, sc, r, f), = _stored_actions(kernel).values()
+    assert f == 2
+    before = dict(sc), dict(r)
+    for _ in range(times):
+        kernel.remove(e)
+    _assert_state_matches_scratch(kernel, dags, X)
+    return sc != before[0], r != before[1]
+
+
+def test_remove_tail_without_set_credit_keeps_sc():
+    assert _remove_and_diff((3, 4)) == (False, True)
+
+
+def test_remove_into_target_changes_nothing():
+    assert _remove_and_diff((4, 5)) == (False, False)
+    assert _remove_and_diff((1, 2)) == (False, False)
+
+
+def test_remove_tail_before_first_target_changes_nothing():
+    assert _remove_and_diff((0, 1)) == (False, False)
+
+
+def test_repeated_removal_is_a_no_op():
+    assert _remove_and_diff((4, 6), times=2) == (True, True)
 
 
 @settings(max_examples=150, deadline=None)
@@ -266,6 +352,33 @@ def test_greedy_equals_delta_kernel_criterion_12_instances():
             sol = greedy_bil(dags, X, 50, C, counts=counts, per_node_bound=bound)
             want = delta_kernel_greedy(dags, X, 50, C, counts, bound)
             assert repr((sol.edges, sol.gain_per_step)) == repr(want), (seed, bound)
+
+
+def _chain_instance():
+    """A criterion-13-style chain u -> u+1..3 with learned credits: 12
+    actions over 60-node windows at stride 7, and targets at the middle of
+    the windows of actions 2, 6 and 9. Most edges lie in several actions,
+    before the first target in some and after it in others."""
+    window, stride, num_actions = 60, 7, 12
+    n = stride * (num_actions - 1) + window
+    graph = SocialGraph(n, [(u, u + d) for u in range(n) for d in (1, 2, 3) if u + d < n])
+    log = ActionLog([(a * stride + i, a, i) for a in range(num_actions) for i in range(window)])
+    dags = build_all_dags(graph, log, "learned")
+    X = {a * stride + window // 2 for a in (2, 6, 9)}
+    return dags, X, log.counts, sorted({e for d in dags for e in d.gamma})
+
+
+def test_greedy_equals_delta_kernel_chain_instance():
+    dags, X, counts, C = _chain_instance()
+    for bound in (None, 2):
+        sol = greedy_bil(dags, X, 40, C, counts=counts, per_node_bound=bound)
+        want = delta_kernel_greedy(dags, X, 40, C, counts, bound)
+        assert repr((sol.edges, sol.gain_per_step)) == repr(want), bound
+        # The picks hit stored actions on both sides of their first target.
+        kernel = CreditKernel(dags, X, counts)
+        sides = {dag.nodes.index(e[0]) >= f
+                 for e in sol.edges for dag, _, _, f in kernel.edge_actions.get(e, ())}
+        assert sides == {False, True}, bound
 
 
 def reference_greedy(dags, X, k, C, counts, per_node_bound=None):

@@ -6,23 +6,15 @@ Subcommands: gen, bil, grr, ilm, baseline, report, verify.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import random
 import sys
 
 from . import contgreedy, harness, rounding
 from .credit import delta_set, sigma_cd_scratch
-from .graph import (build_all_dags, generate_ic_actions, load_action_log,
+from .graph import (_int_token, build_all_dags, generate_ic_actions, load_action_log,
                     load_gamma_table, load_graph, write_action_log)
 from .greedy import greedy_bil
-
-
-def _int_token(tok, where):
-    try:
-        return int(tok)
-    except ValueError:
-        raise ValueError(f"{where}: non-integer token {tok!r}") from None
 
 
 def _parse_targets(raw, graph):
@@ -99,7 +91,9 @@ def cmd_bil(args, per_node_bound=None):
         cum += gain
         rows.append([step, f"{labels[e[0]]}->{labels[e[1]]}", f"{gain:.9g}",
                      f"{cum:.9g}", f"{100.0 * cum / before:.6f}"])
-    _emit_csv(args.out, ["step", "edge", "marginal", "cumulativeDelta", "DIpercent"], rows)
+    if args.out:
+        harness.write_csv(args.out, ["step", "edge", "marginal", "cumulativeDelta", "DIpercent"],
+                          rows)
     print(f"delta={sol.total_delta:.9g} di={100.0 * sol.total_delta / before:.4f}%")
 
 
@@ -129,7 +123,8 @@ def cmd_ilm(args):
     rows.append(["solution", "", f"{delta:.9g}", "", f"{100.0 * delta / before:.6f}"])
     if args.verbose:
         rows += [["trial", str(i), f"{d:.9g}", "", ""] for i, d in enumerate(trial_deltas)]
-    _emit_csv(args.out, ["kind", "edge", "value", "cumulativeDelta", "DIpercent"], rows)
+    if args.out:
+        harness.write_csv(args.out, ["kind", "edge", "value", "cumulativeDelta", "DIpercent"], rows)
     print(f"removed {len(B)} edges, delta={delta:.9g}, di={100.0 * delta / before:.4f}%")
 
 
@@ -137,10 +132,8 @@ def cmd_baseline(args):
     graph, actionlog, dags, X, C = _load_problem(args)
     counts = actionlog.counts
     rep = harness.run_method(args.method, graph, dags, counts, X, C, args.k, None, args.seed)
-    _emit_csv(args.out, harness.CSV_COLUMNS,
-              [[rep.method, rep.k, "", args.seed, f"{rep.delta:.9g}",
-                f"{rep.di_percent:.6f}", f"{rep.top3_share:.3f}", f"{rep.wall_ms:.1f}",
-                f"{rep.eval_ms:.1f}"]])
+    if args.out:
+        harness.write_reports_csv([rep], args.out)
     print(f"{args.method}: delta={rep.delta:.9g} di={rep.di_percent:.4f}%")
 
 
@@ -153,16 +146,6 @@ def cmd_report(args, verify=False):
 
 def cmd_verify(args):
     cmd_report(args, verify=True)
-
-
-def _emit_csv(path, header, rows):
-    if not path:
-        return
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# schema={harness.CSV_SCHEMA}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def build_parser():

@@ -7,7 +7,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .credit import _edge_deltas, counts_from_dags, delta_set, sigma_cd_scratch
+from .credit import CreditKernel, counts_from_dags, delta_set, sigma_cd_scratch
 
 EXACT_GUARD = 20
 CURVATURE_GUARD = 15
@@ -86,38 +86,9 @@ def multilinear_sample(dags, X, C, y, s, rng, counts=None) -> float:
     return acc / s
 
 
-def _marginals_given(dags, X, C, counts, removed, cache=None):
-    """Single-edge deltas of every surviving candidate on the modified DAGs,
-    summed over the actions in DAG order.
-
-    ``removed`` is a set. ``cache`` maps a DAG's position in ``dags`` to its
-    deltas with no edge removed, filled on first use; it must only be
-    shared by calls on the same DAGs, targets and counts. An action holding
-    none of the removed edges reads its cached deltas, which are exactly
-    the ones the removal would give, so only the actions containing a
-    removed edge are recomputed. Actions without an edge or a target member
-    are skipped: their deltas are empty.
-    """
-    if cache is None:
-        cache = {}
-    out = dict.fromkeys(C, 0.0)
-    for i, dag in enumerate(dags):
-        if not dag.gamma or X.isdisjoint(dag.times):
-            continue
-        if removed.isdisjoint(dag.gamma):
-            deltas = cache.get(i)
-            if deltas is None:
-                deltas = cache[i] = _edge_deltas(dag, X, counts, frozenset())
-        else:
-            deltas = _edge_deltas(dag, X, counts, removed)
-        for e, delta in deltas.items():
-            if e in out:
-                out[e] += delta
-    return out
-
-
 def cg_weights(dags, X, C, y, s, rng, counts=None) -> dict:
-    """Mean marginal gain of each candidate over s shared samples from y.
+    """Mean marginal gain of each candidate over s shared samples from y,
+    scored on one :class:`CreditKernel` built for the call.
 
     Samples are shared across candidates for variance reduction; negative
     means are clamped to zero (the true expectations are non-negative).
@@ -126,16 +97,16 @@ def cg_weights(dags, X, C, y, s, rng, counts=None) -> dict:
         raise ValueError("s must be >= 1")
     if counts is None:
         counts = counts_from_dags(dags)
-    return _cg_weights(dags, frozenset(X), sorted(C), y, s, rng, counts, {})
+    return _cg_weights(CreditKernel(dags, X, counts), sorted(C), y, s, rng)
 
 
-def _cg_weights(dags, X, C, y, s, rng, counts, cache) -> dict:
-    """:func:`cg_weights` on sorted ``C``, with the removal-free delta cache
-    of :func:`_marginals_given` shared across calls."""
+def _cg_weights(kernel, C, y, s, rng) -> dict:
+    """:func:`cg_weights` on sorted ``C`` and a kernel with no removals,
+    shared across calls; each sample B is scored by ``marginals_without``."""
     acc = dict.fromkeys(C, 0.0)
     for _ in range(s):
         B = sample_set(C, y, rng)
-        marg = _marginals_given(dags, X, C, counts, B, cache)
+        marg = kernel.marginals_without(C, B)
         for e in C:
             if e not in B:
                 acc[e] += marg[e]
@@ -173,13 +144,12 @@ def continuous_greedy(dags, X, C, b, config: CGConfig, counts=None) -> Fractiona
         raise ValueError("per-node bound must be >= 1")
     if counts is None:
         counts = counts_from_dags(dags)
-    X = frozenset(X)
+    kernel = CreditKernel(dags, X, counts)
     rng = random.Random(config.seed)
-    cache: dict[int, dict] = {}
     y = dict.fromkeys(C, 0.0)
     step = 1.0 / config.tau
     for _ in range(config.tau):
-        weights = _cg_weights(dags, X, C, y, config.s, rng, counts, cache)
+        weights = _cg_weights(kernel, C, y, config.s, rng)
         for e in max_weight_independent(weights, b, y=y):
             y[e] = min(y[e] + step, 1.0)
     return FractionalSolution(y=y)

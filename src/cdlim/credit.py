@@ -1,20 +1,20 @@
 """Credit distribution: the SC/R kernel, the reference EP/UC/SC store,
 total influence, and edge deltas.
 
-The solvers run on :class:`CreditKernel`, built from two scalar maps per
+Both solvers run on :class:`CreditKernel`, built from two scalar maps per
 action: SC, the credit of the target set at each node (a forward pass), and
 R, the action-normalized credit a node passes on along target-free paths,
 its own share included (a backward pass). Removing edge (u, v) lowers the
 influence in action a by SC[u] * gamma * R[v]; the kernel sums these terms
-on demand. It keeps each map only from the action's first target member
-on, since no earlier node carries set credit, and after a removal updates
-the maps of the actions containing the edge in place: SC from v to the
-end, R from u back to the first target member. An action with no target
-member has SC empty, so it adds no influence and no term: the kernel,
-:func:`sigma_cd_scratch` and :func:`delta_set` skip it, and their sums are
-unchanged to the bit. The from-scratch passes :func:`_sc_map`,
-:func:`_r_map` and :func:`_edge_deltas` always run over the whole DAG; they
-are the references the kernel is tested against.
+on demand. It keeps each map only from the action's first target member on,
+since no earlier node carries set credit. A removal updates the maps of the
+actions holding the edge in place: SC from v on, R from u back. A
+continuous-greedy sample gives those actions fresh maps for one call. An
+action with no target member has SC empty, so it adds no influence and no
+term: the kernel, :func:`sigma_cd_scratch` and :func:`delta_set` skip it,
+and their sums are unchanged to the bit. The whole-DAG passes
+:func:`_sc_map`, :func:`_r_map` and :func:`_edge_deltas` are references for
+the kernel; no solver calls them.
 
 :func:`compute_credit_store` builds the reference store the kernel is
 checked against: per action, EP (direct credit of each surviving DAG
@@ -134,8 +134,8 @@ def _r_map(dag: ActionDag, X, counts, removed) -> dict[int, float]:
 
 
 def _edge_deltas(dag: ActionDag, X, counts, removed) -> dict[tuple[int, int], float]:
-    """Influence drop within one action of removing each surviving edge
-    alone: SC[u] * gamma * R[v], for the edges whose tail has target credit."""
+    """Reference influence drop within one action of removing each surviving
+    edge alone: SC[u] * gamma * R[v], for the edges whose tail has target credit."""
     sc = _sc_map(dag, X, removed)
     r = _r_map(dag, X, counts, removed)
     return {e: sc[e[0]] * g * r.get(e[1], 0.0)
@@ -143,7 +143,8 @@ def _edge_deltas(dag: ActionDag, X, counts, removed) -> dict[tuple[int, int], fl
 
 
 class CreditKernel:
-    """SC and R maps per target-holding action, for the solvers' marginals.
+    """SC and R maps per target-holding action, for the marginals of greedy
+    (:meth:`remove` per pick) and continuous greedy (:meth:`marginals_without`).
 
     ``marginal(e)`` is the influence drop of removing ``e`` on top of the
     edges removed so far: SC[u] * gamma * R[v] summed over the stored
@@ -151,28 +152,24 @@ class CreditKernel:
     holding an edge and a target member are stored. In any other action SC
     is empty, so it adds no term to any marginal.
 
-    Each stored action keeps ``f``, the position in ``dag.nodes`` of its
-    first target member. No node before ``f`` has set credit, so SC is
-    computed forward from ``f`` and R backward only down to ``f``: a
-    marginal reads R only at the head of an edge whose tail has SC, and such
-    a head comes after ``f``. Each value is the same sum, in the same order,
-    as in :func:`_sc_map` and :func:`_r_map`, so the maps equal theirs (R on
-    the nodes from ``f`` on) bit for bit.
+    Each stored action is a list ``[dag, sc, r, f]``, where ``f`` is the
+    position in ``dag.nodes`` of its first target member. No node before
+    ``f`` has set credit, so SC is computed forward from ``f`` and R backward
+    only down to ``f``: a marginal reads R only at the head of an edge whose
+    tail has SC, and such a head comes after ``f``. Each value is the same
+    sum, in the same order, as in :func:`_sc_map` and :func:`_r_map`, so the
+    maps equal theirs (R on the nodes from ``f`` on) bit for bit.
     """
 
     def __init__(self, dags, X, counts):
         self.X = frozenset(X)
         self.counts = counts
         self.removed: set[tuple[int, int]] = set()
-        self.edge_actions: dict[tuple[int, int], list[tuple]] = {}
+        self.edge_actions: dict[tuple[int, int], list[list]] = {}
         for dag in dags:
             if dag.gamma and not self.X.isdisjoint(dag.times):
                 f = next(i for i, u in enumerate(dag.nodes) if u in self.X)
-                sc: dict[int, float] = {}
-                r: dict[int, float] = {}
-                self._sc_pass(dag, sc, f)
-                self._r_pass(dag, r, len(dag.nodes) - 1, f)
-                entry = (dag, sc, r, f)
+                entry = [dag, *self._maps(dag, f), f]
                 for e in dag.gamma:
                     self.edge_actions.setdefault(e, []).append(entry)
 
@@ -186,6 +183,22 @@ class CreditKernel:
             if c is not None:
                 mc += c * dag.gamma[e] * r.get(v, 0.0)
         return mc
+
+    def marginals_without(self, C, B) -> dict:
+        """Marginal of each candidate in ``C`` with the edge set ``B`` removed
+        on top of the kernel's removals; the kernel is left as it was. Only
+        the actions holding an edge of ``B`` get fresh maps for the call."""
+        saved = {id(entry): (entry, entry[1], entry[2])
+                 for e in B for entry in self.edge_actions.get(e, ())}
+        removed = self.removed
+        self.removed = removed | B
+        for entry, _, _ in saved.values():
+            entry[1], entry[2] = self._maps(entry[0], entry[3])
+        marg = {e: self.marginal(e) for e in C}
+        for entry, sc, r in saved.values():
+            entry[1], entry[2] = sc, r
+        self.removed = removed
+        return marg
 
     def remove(self, e) -> None:
         """Delete ``e`` and update, in place, SC and R of the actions
@@ -212,6 +225,13 @@ class CreditKernel:
             i = dag.nodes.index(u)
             if i >= f:
                 self._r_pass(dag, r, i, f)
+
+    def _maps(self, dag, f) -> tuple[dict, dict]:
+        """Fresh SC and R maps of ``dag`` from position ``f`` on."""
+        sc, r = {}, {}
+        self._sc_pass(dag, sc, f)
+        self._r_pass(dag, r, len(dag.nodes) - 1, f)
+        return sc, r
 
     def _sc_pass(self, dag, sc, start) -> None:
         """Recompute SC in place at ``dag.nodes[start:]``, in topological

@@ -58,6 +58,14 @@ class SocialGraph:
         return f"SocialGraph(n={self.n}, m={len(self.edges)})"
 
 
+def _int_token(tok, where) -> int:
+    """``int(tok)``; a non-integer token is an error naming ``where``."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError(f"{where}: non-integer token {tok!r}") from None
+
+
 def load_graph(path) -> SocialGraph:
     """Read a graph from a text file with one "u v" edge per line.
 
@@ -287,7 +295,8 @@ def load_gamma_table(path, graph: SocialGraph):
     """Read an explicit gamma table: one "u v gamma" line per edge, shared by
     every action, or one "u v action gamma" line per edge and action.
 
-    All lines of a file must use the same form.
+    All lines of a file must use the same form, and every gamma must lie in
+    [0, 1]. Errors name the file and line.
     """
     table = {}
     width = None
@@ -296,15 +305,24 @@ def load_gamma_table(path, graph: SocialGraph):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            where = f"{path}:{lineno}"
             parts = line.split()
             if len(parts) not in (3, 4):
-                raise ValueError(f"{path}:{lineno}: expected 'u v gamma' or 'u v action gamma'")
+                raise ValueError(f"{where}: expected 'u v gamma' or 'u v action gamma'")
             if width is not None and len(parts) != width:
-                raise ValueError(f"{path}:{lineno}: {len(parts)}-column line in a "
-                                 f"{width}-column table")
+                raise ValueError(f"{where}: {len(parts)}-column line in a {width}-column table")
             width = len(parts)
-            ids = [int(tok) for tok in parts[:-1]]
-            table[(graph.id_of(ids[0]), graph.id_of(ids[1]), *ids[2:])] = float(parts[-1])
+            ids = [_int_token(tok, where) for tok in parts[:-1]]
+            for label in ids[:2]:
+                if label not in graph._id_of:
+                    raise ValueError(f"{where}: unknown node id {label}")
+            try:
+                g = float(parts[-1])
+            except ValueError:
+                raise ValueError(f"{where}: non-numeric gamma {parts[-1]!r}") from None
+            if not 0.0 <= g <= 1.0:
+                raise ValueError(f"{where}: gamma {g} outside [0, 1]")
+            table[(graph.id_of(ids[0]), graph.id_of(ids[1]), *ids[2:])] = g
     return table
 
 

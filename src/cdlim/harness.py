@@ -10,7 +10,7 @@ import time
 from dataclasses import dataclass, field
 
 from .credit import delta_set, sigma_cd_scratch
-from .graph import SocialGraph, build_all_dags
+from .graph import SocialGraph, _int_token, build_all_dags, load_action_log, load_graph
 from .greedy import greedy_bil
 
 log = logging.getLogger(__name__)
@@ -93,17 +93,20 @@ class ExperimentReport:
     per_step: list = field(default_factory=list)
 
 
-def write_reports_csv(reports, path) -> None:
+def write_csv(path, header, rows) -> None:
+    """Write a results CSV: the schema line, then ``header`` and ``rows``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# schema={CSV_SCHEMA}\n")
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for r in reports:
-            writer.writerow([r.method, r.k, "" if r.b is None else r.b,
-                             "" if r.seed is None else r.seed,
-                             f"{r.delta:.9g}", f"{r.di_percent:.6f}",
-                             f"{r.top3_share:.3f}", f"{r.wall_ms:.1f}",
-                             f"{r.eval_ms:.1f}"])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_reports_csv(reports, path) -> None:
+    write_csv(path, CSV_COLUMNS,
+              [[r.method, r.k, "" if r.b is None else r.b, "" if r.seed is None else r.seed,
+                f"{r.delta:.9g}", f"{r.di_percent:.6f}", f"{r.top3_share:.3f}",
+                f"{r.wall_ms:.1f}", f"{r.eval_ms:.1f}"] for r in reports])
 
 
 def parse_config(path) -> dict:
@@ -121,8 +124,15 @@ def parse_config(path) -> dict:
     return cfg
 
 
-def _int_list(raw) -> list[int]:
-    return [int(tok) for tok in str(raw).split(",") if tok.strip()]
+def _int_list(path, cfg, key) -> list[int]:
+    """The comma-separated integers of ``key``; errors name file and key."""
+    where = f"{path}: key {key!r}"
+    return [_int_token(tok.strip(), where) for tok in cfg[key].split(",") if tok.strip()]
+
+
+def _int_value(path, cfg, key, default):
+    """The integer of ``key``, or ``default`` when the key is absent."""
+    return _int_token(cfg[key], f"{path}: key {key!r}") if key in cfg else default
 
 
 def run_method(method: str, graph, dags, counts, X, C, k: int, b, seed) -> ExperimentReport:
@@ -182,8 +192,6 @@ def run_experiment(config_path, out_path=None, verify=False):
     Raises on verification mismatch: each reported delta is cross-checked
     against a from-scratch recomputation when ``verify`` is set.
     """
-    from .graph import load_action_log, load_graph
-
     cfg = parse_config(config_path)
     for key in ("graph", "actions", "methods"):
         if key not in cfg:
@@ -193,18 +201,18 @@ def run_experiment(config_path, out_path=None, verify=False):
     scheme = cfg.get("scheme", "uniform")
     dags = build_all_dags(graph, actionlog, scheme)
     counts = actionlog.counts
-    seed = int(cfg.get("seed", 0))
+    seed = _int_value(config_path, cfg, "seed", 0)
     rng = random.Random(seed)
     if "targets" in cfg:
-        X = set(graph.id_of(t) for t in _int_list(cfg["targets"]))
+        X = set(graph.id_of(t) for t in _int_list(config_path, cfg, "targets"))
     else:
-        X = pick_targets(counts, int(cfg.get("target_size", 10)), rng,
-                         pool_size=int(cfg.get("target_pool", 150)),
+        X = pick_targets(counts, _int_value(config_path, cfg, "target_size", 10), rng,
+                         pool_size=_int_value(config_path, cfg, "target_pool", 150),
                          sampler=cfg.get("target_sampler", "top-actions"))
     C = sorted(default_candidates(dags))
     methods = [m.strip() for m in cfg["methods"].split(",")]
-    ks = _int_list(cfg.get("k", "10"))
-    b = int(cfg["b"]) if "b" in cfg else None
+    ks = _int_list(config_path, cfg, "k") if "k" in cfg else [10]
+    b = _int_value(config_path, cfg, "b", None)
     reports = []
     for method in methods:
         for k in ks:

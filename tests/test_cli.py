@@ -3,9 +3,11 @@
 import csv
 import shlex
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from cdlim import harness
 from cdlim.cli import build_parser, main
 from cdlim.harness import CSV_SCHEMA
 
@@ -88,6 +90,24 @@ class TestBil:
         cand.write_text(text, encoding="utf-8")
         assert main(["bil", *_base_args(f1_files), "-k", "1", "--candidates", str(cand)]) == 1
         assert capsys.readouterr().err == f"error: {message.format(cand)}\n"
+
+    @pytest.mark.parametrize("line, message", [
+        ("20 30 1.5", "gamma 1.5 outside [0, 1]"),
+        ("20 30 x", "non-numeric gamma 'x'"),
+        ("20 3o 0.5", "non-integer token '3o'"),
+        ("20 40 0.5", "unknown node id 40"),
+    ])
+    def test_bad_gamma_table_line(self, f1_files, capsys, line, message):
+        # Labels 10, 20, 30 are dense ids 0, 1, 2: the error names the file
+        # line, not an edge in dense ids.
+        (f1_files / "graph.txt").write_text("10 20\n20 30\n10 30\n", encoding="utf-8")
+        (f1_files / "actions.txt").write_text("10 0 1\n20 0 2\n30 0 3\n", encoding="utf-8")
+        gamma = f1_files / "gamma.txt"
+        gamma.write_text(f"10 20 0.5\n{line}\n10 30 0.3\n", encoding="utf-8")
+        args = _base_args(f1_files)
+        args[args.index("--targets") + 1] = "10"
+        assert main(["bil", *args, "-k", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {gamma}:2: {message}\n"
 
     def test_non_integer_target(self, f1_files, capsys):
         args = _base_args(f1_files)
@@ -185,6 +205,19 @@ class TestBaselineCmd:
                    "-k", "2", "--out", str(f1_files / "hd.csv")])
         assert rc == 0
         assert "high-degree" in capsys.readouterr().out
+
+    def test_high_degree_csv_text(self, f1_files, monkeypatch):
+        # A fixed clock makes wall_ms 12.5 and eval_ms 25.0, so the whole
+        # file is pinned, down to the blank b column and the seed.
+        ticks = iter([1.0, 1.0125, 2.0, 2.025])
+        monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+        out = f1_files / "hd.csv"
+        assert main(["baseline", *_base_args(f1_files), "--method", "high-degree",
+                     "-k", "2", "--seed", "7", "--out", str(out)]) == 0
+        assert out.read_bytes() == (
+            b"# schema=cdlim-results-v2\n"
+            b"method,k,b,seed,delta,di_percent,top3_share,wall_ms,eval_ms\r\n"
+            b"high-degree,2,,7,1,50.000000,100.000,12.5,25.0\r\n")
 
     def test_random(self, f1_files):
         rc = main(["baseline", *_base_args(f1_files), "--method", "random",

@@ -277,6 +277,38 @@ def test_load_gamma_table_rejects_mixed_forms(tmp_path):
         load_gamma_table(str(path), g)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("x 1 0.5", "non-integer token 'x'"),
+    ("0 1 7.5 0.5", "non-integer token '7.5'"),
+    ("0 1 half", "non-numeric gamma 'half'"),
+    ("0 9 0.5", "unknown node id 9"),
+    ("0 1 1.5", "gamma 1.5 outside [0, 1]"),
+    ("0 1 -0.25", "gamma -0.25 outside [0, 1]"),
+    ("0 1 nan", "gamma nan outside [0, 1]"),
+])
+def test_load_gamma_table_errors_name_the_line(tmp_path, line, message):
+    g = SocialGraph(3, [(0, 1), (1, 2)])
+    path = tmp_path / "gamma.txt"
+    width = len(line.split())
+    first = "1 2 0.25" if width == 3 else "1 2 0 0.25"
+    path.write_text(f"# table\n{first}\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_gamma_table(str(path), g)
+    assert str(exc.value) == f"{path}:3: {message}"
+
+
+@pytest.mark.parametrize("loader, text", [
+    ("graph", "0 1\n1 b\n"),
+    ("actions", "0 7 1\n1 7 b\n"),
+])
+def test_non_integer_token_names_the_line(tmp_path, loader, text):
+    g = SocialGraph(2, [(0, 1)])
+    path = _write(tmp_path / "in.txt", text)
+    with pytest.raises(ValueError) as exc:
+        load_graph(path) if loader == "graph" else load_action_log(path, g)
+    assert str(exc.value) == f"{path}:2: non-integer token in {text.splitlines()[1]!r}"
+
+
 def test_unknown_label_is_value_error():
     g = SocialGraph(2, [(0, 1)], labels=[10, 20])
     with pytest.raises(ValueError, match="unknown node id 30"):

@@ -186,6 +186,27 @@ class TestRunExperiment:
             assert err.startswith("error:") and "per-node bound b" in err
             assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("line, key, token", [
+        ("k=2,abc", "k", "abc"),
+        ("seed=x", "seed", "x"),
+        ("b=two", "b", "two"),
+        ("target_size=3.5", "target_size", "3.5"),
+        ("target_pool=many", "target_pool", "many"),
+        ("targets=0, a", "targets", "a"),
+    ])
+    def test_non_integer_value_names_file_and_key(self, tmp_path, capsys, line, key, token):
+        gpath, apath, _, _ = _bench_files(tmp_path)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"graph={gpath}\nactions={apath}\nmethods=grr\n{line}\n",
+                       encoding="utf-8")
+        want = f"{cfg}: key {key!r}: non-integer token {token!r}"
+        with pytest.raises(ValueError) as exc:
+            run_experiment(str(cfg))
+        assert str(exc.value) == want
+        for command in ("report", "verify"):
+            assert main([command, "--config", str(cfg)]) == 1
+            assert capsys.readouterr().err == f"error: {want}\n"
+
     def test_unknown_scheme(self, tmp_path, capsys):
         gpath, apath, _, _ = _bench_files(tmp_path)
         cfg = tmp_path / "cfg.txt"

@@ -2,8 +2,8 @@
 deltas and SC/R maps and the per-action delta-dict kernel it replaced,
 greedy_bil against a greedy loop written on the reference, against the
 eager scan on the kernel and against the lazy loop on the delta-dict
-kernel, and the continuous greedy's cached per-sample marginals against a
-from-scratch sum."""
+kernel, and the continuous greedy's per-sample marginals from
+``CreditKernel.marginals_without`` against a from-scratch sum."""
 
 import heapq
 import random
@@ -11,8 +11,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdlim.contgreedy import (CGConfig, _marginals_given, continuous_greedy,
-                              max_weight_independent, sample_set)
+from cdlim.contgreedy import CGConfig, continuous_greedy, max_weight_independent, sample_set
 from cdlim.credit import (CreditKernel, _edge_deltas, _r_map, _sc_map,
                           compute_credit_store, counts_from_dags, delta_set, sigma_cd,
                           sigma_cd_scratch)
@@ -472,10 +471,42 @@ def test_cached_marginals_equal_from_scratch_sum(inst, data):
     counts = counts_from_dags(dags)
     subsets = st.frozensets(st.sampled_from(C)) if C else st.just(frozenset())
     samples = data.draw(st.lists(subsets, min_size=1, max_size=6))
-    cache = {}
+    kernel = CreditKernel(dags, X, counts)
     for B in samples:
-        got = _marginals_given(dags, X, C, counts, B, cache)
+        got = kernel.marginals_without(C, B)
         assert got == reference_marginals(dags, X, C, counts, B), sorted(B)
+
+
+def _assert_marginals_without_match_scratch(inst, data):
+    # Several samples B on one kernel after a removal prefix P: each call
+    # equals the from-scratch sum with P | B removed and leaves the kernel's
+    # removed set and every stored map as they were.
+    dags, X, C = inst
+    edges = st.sampled_from(C) if C else st.nothing()
+    prefix = data.draw(st.lists(edges, unique=True, max_size=len(C)))
+    samples = data.draw(st.lists(st.frozensets(edges), min_size=1, max_size=5))
+    counts = counts_from_dags(dags)
+    kernel = CreditKernel(dags, X, counts)
+    for e in prefix:
+        kernel.remove(e)
+    P = set(prefix)
+    for B in samples:
+        got = kernel.marginals_without(C, B)
+        assert got == reference_marginals(dags, X, C, counts, P | B), (prefix, sorted(B))
+        assert kernel.removed == P
+        _assert_state_matches_scratch(kernel, dags, X)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_instances(), st.data())
+def test_marginals_without_equal_scratch_and_restore_kernel(inst, data):
+    _assert_marginals_without_match_scratch(inst, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(target_free_instances(), st.data())
+def test_marginals_without_equal_scratch_and_restore_kernel_target_free(inst, data):
+    _assert_marginals_without_match_scratch(inst, data)
 
 
 def reference_continuous_greedy(dags, X, C, b, config, counts):
@@ -528,10 +559,10 @@ def test_continuous_greedy_matches_reference_multi_action_instances():
     for i in range(15):
         inst = random_instance(rng, max_nodes=8, max_actions=8)
         counts = counts_from_dags(inst.dags)
-        cache = {}
+        kernel = CreditKernel(inst.dags, inst.X, counts)
         for _ in range(10):
             B = frozenset(e for e in inst.C if rng.random() < 0.2)
-            got = _marginals_given(inst.dags, inst.X, inst.C, counts, B, cache)
+            got = kernel.marginals_without(inst.C, B)
             assert got == reference_marginals(inst.dags, inst.X, inst.C, counts, B)
         _assert_cg_matches_reference(inst.dags, inst.X, inst.C, 1 + i % 2,
                                      CGConfig(tau=20, s=10, seed=i), counts)

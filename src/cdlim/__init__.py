@@ -8,13 +8,13 @@ set's influence under a global budget or a per-node bound.
 from .contgreedy import (CGConfig, FractionalSolution, cg_weights, continuous_greedy,
                          empirical_total_curvature, max_weight_independent,
                          multilinear_exact, multilinear_sample)
-from .credit import (CreditStore, compute_credit_store, delta_set, delta_single,
-                     kappa, oracle_set_credit, oracle_total_credit, sigma_cd,
-                     sigma_cd_scratch)
+from .credit import (CreditStore, compute_credit_store, compute_mc, delta_set,
+                     kappa, oracle_set_credit, oracle_total_credit, remove_edge,
+                     sigma_cd, sigma_cd_scratch)
 from .graph import (ActionDag, ActionLog, SocialGraph, assign_direct_credits,
                     build_action_dag, build_all_dags, generate_ic_actions,
                     load_action_log, load_graph)
-from .greedy import Solution, compute_mc, greedy_bil, remove_edge, update_sc, update_uc
+from .greedy import Solution, greedy_bil
 from .harness import (ExperimentReport, baseline_high_degree, baseline_random,
                       concentration_report, default_candidates, di_metric,
                       run_experiment)

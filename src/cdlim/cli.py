@@ -17,13 +17,22 @@ from .graph import (_int_token, build_all_dags, generate_ic_actions, load_action
 from .greedy import greedy_bil
 
 
+def _node_id(graph, tok, where) -> int:
+    """Dense id of the node labelled ``tok``; errors name ``where``."""
+    label = _int_token(tok, where)
+    try:
+        return graph.id_of(label)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def _parse_targets(raw, graph):
     if os.path.exists(raw):
         with open(raw, "r", encoding="utf-8") as fh:
-            labels = [_int_token(tok, raw) for tok in fh.read().split()]
+            where, tokens = raw, fh.read().split()
     else:
-        labels = [_int_token(tok, "--targets") for tok in raw.split(",")]
-    return {graph.id_of(t) for t in labels}
+        where, tokens = "--targets", raw.split(",")
+    return {_node_id(graph, tok, where) for tok in tokens}
 
 
 def _parse_candidates(raw, graph):
@@ -36,8 +45,7 @@ def _parse_candidates(raw, graph):
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"{raw}:{lineno}: expected 'u v', got {line!r}")
-            u, v = (_int_token(tok, f"{raw}:{lineno}") for tok in parts)
-            edges.add((graph.id_of(u), graph.id_of(v)))
+            edges.add(tuple(_node_id(graph, tok, f"{raw}:{lineno}") for tok in parts))
     return edges
 
 

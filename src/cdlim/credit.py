@@ -20,8 +20,10 @@ the kernel; no solver calls them.
 checked against: per action, EP (direct credit of each surviving DAG
 edge), UC rows (total credit of a source node for influencing every
 reachable node, including the self entry of value 1), UCX rows (the same
-along target-free paths) and SC, updated by subtraction in ``greedy``.
-Independent path-enumeration oracles check the recursive computations.
+along target-free paths) and SC. Its operations live here too:
+:func:`compute_mc`, the closed-form marginal, and :func:`remove_edge`, the
+update by subtraction. Independent path-enumeration oracles check the
+recursive computations.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ PRUNE_EPS = 1e-12
 class CreditStore:
     X: frozenset
     counts: dict[int, int]                                  # |A_u|
-    actions_of: dict[int, list[int]]
     ep: dict[int, dict[tuple[int, int], float]]             # action -> edge -> gamma
     uc: dict[int, dict[int, dict[int, float]]]              # action -> source -> {node: credit}
     ucx: dict[int, dict[int, dict[int, float]]]             # like uc, but paths avoid X
@@ -52,14 +53,6 @@ def counts_from_dags(dags) -> dict[int, int]:
         for u in dag.nodes:
             counts[u] = counts.get(u, 0) + 1
     return counts
-
-
-def actions_of_from_dags(dags) -> dict[int, list[int]]:
-    actions: dict[int, list[int]] = {}
-    for dag in dags:
-        for u in dag.nodes:
-            actions.setdefault(u, []).append(dag.action)
-    return actions
 
 
 def _credit_row(dag: ActionDag, source: int, X, removed) -> dict[int, float]:
@@ -304,8 +297,68 @@ def compute_credit_store(dags, X, counts=None, sources=None,
         uc[a] = rows
         ucx[a] = rows_x
         sc[a] = _sc_map(dag, X, removed)
-    return CreditStore(X=X, counts=counts, actions_of=actions_of_from_dags(dags),
-                       ep=ep, uc=uc, ucx=ucx, sc=sc, edge_actions=edge_actions)
+    return CreditStore(X=X, counts=counts, ep=ep, uc=uc, ucx=ucx, sc=sc,
+                       edge_actions=edge_actions)
+
+
+def compute_mc(store: CreditStore, e) -> float:
+    """Influence drop of removing ``e`` from the current store, via the closed
+    form: (SC[u] * gamma) * sum_w UCX[v][w] / |A_w| summed over the actions
+    where ``e`` survives. The w-sum includes the head's self entry. The head
+    row avoids X because set credit stops at the first target member."""
+    u, v = e
+    counts = store.counts
+    mc = 0.0
+    for a in store.edge_actions.get(e, ()):
+        g = store.ep[a].get(e)
+        if g is None or g <= 0.0:
+            continue
+        sc_u = store.sc[a].get(u, 0.0)
+        if sc_u <= 0.0:
+            continue
+        row = store.ucx[a].get(v)
+        if row is None:
+            raise ValueError(f"credit row for node {v} not materialized (action {a})")
+        mc_a = sum(val / counts[w] for w, val in row.items())
+        mc += sc_u * g * mc_a
+    return mc
+
+
+def _subtract(row: dict[int, float], factor: float, head_row: dict[int, float]) -> None:
+    """Lower ``row[w]`` by ``factor * head_row[w]`` for every w of the head
+    row, deleting entries that fall to ``PRUNE_EPS`` or below."""
+    for w, cred_vw in head_row.items():
+        newval = row.get(w, 0.0) - factor * cred_vw
+        if newval <= PRUNE_EPS:
+            row.pop(w, None)
+        else:
+            row[w] = newval
+
+
+def remove_edge(store: CreditStore, e) -> None:
+    """Drop ``e``'s EP entries (a repeated removal is a no-op) and subtract
+    the credit that flowed through it: every UC and UCX row z with credit at
+    the tail loses (row_z[u] * gamma) * row_v[w], and SC loses
+    (SC[u] * gamma) * UCX[v][w], at each w reachable from the head. No row
+    of the head holds the tail in a DAG, so the head rows read are the
+    pre-removal ones."""
+    u, v = e
+    for a in store.edge_actions.get(e, ()):
+        g = store.ep[a].pop(e, None)
+        if g is None or g <= 0.0:
+            continue
+        for rows in (store.uc[a], store.ucx[a]):
+            head_row = rows.get(v)
+            if not head_row:
+                continue
+            tail_col = [(z, row[u]) for z, row in rows.items()
+                        if row.get(u, 0.0) > 0.0]
+            for z, cred_zu in tail_col:
+                _subtract(rows[z], cred_zu * g, head_row)
+        sc_a = store.sc[a]
+        sc_u = sc_a.get(u, 0.0)
+        if sc_u > 0.0:
+            _subtract(sc_a, sc_u * g, store.ucx[a].get(v, {}))
 
 
 def kappa(store: CreditStore, u: int) -> float:
@@ -313,7 +366,7 @@ def kappa(store: CreditStore, u: int) -> float:
     n = store.counts.get(u, 0)
     if n == 0:
         raise ValueError(f"user {u} performs no actions")
-    return sum(store.sc[a].get(u, 0.0) for a in store.actions_of[u]) / n
+    return sum(sc_a.get(u, 0.0) for sc_a in store.sc.values()) / n
 
 
 def sigma_cd(store: CreditStore) -> float:
@@ -371,32 +424,6 @@ def delta_set(dags, X, B, counts=None) -> float:
         if B.isdisjoint(dag.gamma) or X.isdisjoint(dag.times):
             continue
         total += _influence(dag, X, counts, frozenset()) - _influence(dag, X, counts, B)
-    return total
-
-
-def delta_single(store: CreditStore, e) -> float:
-    """Influence drop of removing a single edge, via the closed form.
-
-    Sums, per action, (SC[u] * gamma) * sum_w row[v][w] / |A_w|; the w-sum
-    includes the head's self entry. The head row is the X-avoiding credit
-    row: set credit only travels along minimal paths, so continuations
-    through another target member never change SC. The store is not
-    modified.
-    """
-    u, v = e
-    counts = store.counts
-    total = 0.0
-    for a in store.edge_actions.get(e, ()):
-        g = store.ep[a].get(e)
-        if g is None:
-            continue
-        sc_u = store.sc[a].get(u, 0.0)
-        if sc_u == 0.0:
-            continue
-        row = store.ucx[a].get(v)
-        if row is None:
-            raise ValueError(f"credit row for node {v} not materialized (action {a})")
-        total += sc_u * g * sum(val / counts[w] for w, val in row.items())
     return total
 
 

@@ -225,7 +225,6 @@ def propagation_counts(graph: SocialGraph, actionlog: ActionLog) -> dict[tuple[i
 
 
 def assign_direct_credits(dag: ActionDag, scheme: str = "uniform", *, table=None,
-                          graph: SocialGraph | None = None,
                           actionlog: ActionLog | None = None,
                           prop_counts=None) -> ActionDag:
     """Return a copy of ``dag`` with direct credits filled in.
@@ -234,6 +233,7 @@ def assign_direct_credits(dag: ActionDag, scheme: str = "uniform", *, table=None
       - ``uniform``: gamma_(v,u) = 1 / d_in(u).
       - ``learned``: raw frequency |actions propagated v->u| / |A_v| over the
         whole log, normalized per head node so incoming credit sums to <= 1.
+        Needs ``actionlog`` and its ``prop_counts`` (:func:`propagation_counts`).
       - ``explicit``: values copied from ``table`` ({(u, v): gamma}), which
         must cover every DAG edge with values in [0, 1].
     """
@@ -242,12 +242,8 @@ def assign_direct_credits(dag: ActionDag, scheme: str = "uniform", *, table=None
         for (v, u) in dag.edges:
             gamma[(v, u)] = 1.0 / dag.d_in(u)
     elif scheme == "learned":
-        if actionlog is None:
-            raise ValueError("learned scheme needs the action log")
-        if prop_counts is None:
-            if graph is None:
-                raise ValueError("learned scheme needs the graph or precomputed counts")
-            prop_counts = propagation_counts(graph, actionlog)
+        if actionlog is None or prop_counts is None:
+            raise ValueError("learned scheme needs the action log and its propagation counts")
         raw = {(v, u): prop_counts.get((v, u), 0) / actionlog.counts[v] for (v, u) in dag.edges}
         for u in dag.nodes:
             incoming = [(v, u) for v in dag.in_nbrs[u]]
@@ -276,12 +272,15 @@ def build_all_dags(graph: SocialGraph, actionlog: ActionLog, scheme: str = "unif
     prop_counts = None
     if scheme == "learned":
         prop_counts = propagation_counts(graph, actionlog)
+    per_action = None
+    if scheme == "explicit" and _is_per_action(table):
+        per_action = {}
+        for (u, v, a), g in table.items():
+            per_action.setdefault(a, {})[(u, v)] = g
     dags = []
     for a in actionlog.actions():
         dag = build_action_dag(graph, actionlog, a)
-        tab = None
-        if scheme == "explicit":
-            tab = {(u, v): g for (u, v, aa), g in table.items() if aa == a} if _is_per_action(table) else table
+        tab = table if per_action is None else per_action.get(a, {})
         dags.append(assign_direct_credits(dag, scheme, table=tab, actionlog=actionlog,
                                           prop_counts=prop_counts))
     return dags

@@ -5,7 +5,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .credit import PRUNE_EPS, CreditKernel, CreditStore, counts_from_dags
+# compute_mc and remove_edge are re-exported for the benchmark's store probe.
+from .credit import CreditKernel, compute_mc, counts_from_dags, remove_edge  # noqa: F401
 
 
 @dataclass
@@ -18,92 +19,6 @@ class Solution:
     @property
     def total_delta(self) -> float:
         return sum(self.gain_per_step)
-
-
-def compute_mc(store: CreditStore, e) -> float:
-    """Marginal contribution of removing ``e`` given the current store.
-
-    For each action where the tail still carries target credit and the edge
-    survives, accumulates (SC[u] * gamma) * sum_w UC[v][w] / |A_w|.
-    """
-    u, v = e
-    counts = store.counts
-    mc = 0.0
-    for a in store.edge_actions.get(e, ()):
-        g = store.ep[a].get(e)
-        if g is None or g <= 0.0:
-            continue
-        sc_u = store.sc[a].get(u, 0.0)
-        if sc_u <= 0.0:
-            continue
-        row = store.ucx[a].get(v)
-        if row is None:
-            raise ValueError(f"credit row for node {v} not materialized (action {a})")
-        mc_a = sum(val / counts[w] for w, val in row.items())
-        mc += sc_u * g * mc_a
-    return mc
-
-
-def update_uc(store: CreditStore, e) -> None:
-    """Subtract the credit flowing through ``e`` from every affected UC row.
-
-    Every maintained row z with credit at the tail loses
-    (UC[z][u] * gamma) * UC[v][w] at each node w reachable from the head.
-    Pre-removal snapshots of the tail column and head row are used.
-    """
-    u, v = e
-    for a in store.edge_actions.get(e, ()):
-        g = store.ep[a].get(e)
-        if g is None or g <= 0.0:
-            continue
-        for rows in (store.uc[a], store.ucx[a]):
-            head_row = dict(rows.get(v, ()))
-            if not head_row:
-                continue
-            tail_col = [(z, row[u]) for z, row in rows.items()
-                        if row.get(u, 0.0) > 0.0]
-            for z, cred_zu in tail_col:
-                row_z = rows[z]
-                factor = cred_zu * g
-                for w, cred_vw in head_row.items():
-                    newval = row_z.get(w, 0.0) - factor * cred_vw
-                    if newval <= PRUNE_EPS:
-                        row_z.pop(w, None)
-                    else:
-                        row_z[w] = newval
-
-
-def update_sc(store: CreditStore, e) -> None:
-    """Subtract the target credit flowing through ``e`` from SC, then drop ``e``.
-
-    Uses the pre-removal SC at the tail and the pre-removal UC row of the
-    head. Clearing the EP entry marks the edge as removed, so a repeated
-    removal is a no-op.
-    """
-    u, v = e
-    for a in store.edge_actions.get(e, ()):
-        g = store.ep[a].get(e)
-        if g is None or g <= 0.0:
-            continue
-        sc_a = store.sc[a]
-        sc_u = sc_a.get(u, 0.0)
-        if sc_u > 0.0:
-            head_row = dict(store.ucx[a].get(v, ()))
-            factor = sc_u * g
-            for w, cred_vw in head_row.items():
-                newval = sc_a.get(w, 0.0) - factor * cred_vw
-                if newval <= PRUNE_EPS:
-                    sc_a.pop(w, None)
-                else:
-                    sc_a[w] = newval
-    for a in store.edge_actions.get(e, ()):
-        store.ep[a].pop(e, None)
-
-
-def remove_edge(store: CreditStore, e) -> None:
-    """Apply both incremental updates for one edge removal."""
-    update_uc(store, e)
-    update_sc(store, e)
 
 
 def greedy_bil(dags, X, k, C=None, *, counts=None, use_lazy=False,

@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 
 from cdlim.contgreedy import CGConfig, continuous_greedy, multilinear_exact
-from cdlim.credit import (compute_credit_store, counts_from_dags, delta_set,
-                          delta_single, oracle_set_credit, oracle_total_credit,
+from cdlim.credit import (compute_credit_store, compute_mc, counts_from_dags, delta_set,
+                          oracle_set_credit, oracle_total_credit, remove_edge,
                           sigma_cd_scratch)
 from cdlim.graph import ActionLog, SocialGraph, build_all_dags, generate_ic_actions
-from cdlim.greedy import compute_mc, greedy_bil, remove_edge
+from cdlim.greedy import greedy_bil
 from cdlim.harness import (baseline_high_degree, baseline_random,
                            concentration_report, default_candidates, di_metric,
                            pick_targets)
@@ -73,7 +73,7 @@ def test_criterion_01_oracle_equivalence():
 
 
 def test_criterion_02_single_edge_closed_form():
-    """delta_single equals the from-scratch set delta on 500 random edges."""
+    """compute_mc equals the from-scratch set delta on 500 random edges."""
     rng = random.Random(102)
     pairs = 0
     while pairs < 500:
@@ -82,7 +82,7 @@ def test_criterion_02_single_edge_closed_form():
         store = compute_credit_store(inst.dags, inst.X, counts=counts)
         for e in inst.C:
             want = delta_set(inst.dags, inst.X, {e}, counts=counts)
-            assert abs(delta_single(store, e) - want) <= TOL
+            assert abs(compute_mc(store, e) - want) <= TOL
             pairs += 1
 
 

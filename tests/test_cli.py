@@ -1,6 +1,7 @@
 """Command-line front end, exercised end to end through main()."""
 
 import csv
+import re
 import shlex
 from pathlib import Path
 from types import SimpleNamespace
@@ -134,7 +135,21 @@ class TestBil:
         args[args.index("--targets") + 1] = "0,9"
         assert main(["bil", *args, "-k", "1"]) == 1
         err = capsys.readouterr().err
-        assert err == "error: unknown node id 9\n"
+        assert err == "error: --targets: unknown node id 9\n"
+
+    def test_unknown_label_in_targets_file(self, f1_files, capsys):
+        tfile = f1_files / "targets.txt"
+        tfile.write_text("0\n9\n", encoding="utf-8")
+        args = _base_args(f1_files)
+        args[args.index("--targets") + 1] = str(tfile)
+        assert main(["bil", *args, "-k", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {tfile}: unknown node id 9\n"
+
+    def test_unknown_label_in_candidates_file(self, f1_files, capsys):
+        cfile = f1_files / "cands.txt"
+        cfile.write_text("0 1\n# comment\n1 9\n", encoding="utf-8")
+        assert main(["bil", *_base_args(f1_files), "--candidates", str(cfile), "-k", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {cfile}:3: unknown node id 9\n"
 
     def test_three_column_gamma_table(self, f1_files, capsys):
         (f1_files / "gamma.txt").write_text("0 1 0.5\n1 2 0.4\n0 2 0.3\n",
@@ -275,11 +290,13 @@ class TestReport:
         assert "error:" in capsys.readouterr().err
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_commands():
     """Every `cdlim` command in the README's shell blocks, continuations joined."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     commands, in_sh = [], False
-    for line in text.replace("\\\n", " ").splitlines():
+    for line in README.read_text(encoding="utf-8").replace("\\\n", " ").splitlines():
         if line.startswith("```"):
             in_sh = line == "```sh"
         elif in_sh and line.startswith("cdlim "):
@@ -307,3 +324,13 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(d)
         rc = main(argv)
         assert rc == 0, (argv, capsys.readouterr().err)
+
+
+def test_readme_library_block_runs(capsys):
+    # The block imports from the package root, so it also guards the
+    # names cdlim/__init__.py exports.
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    assert capsys.readouterr().out == "3.0\n[(0, 1), (0, 2)] 2.0\n"

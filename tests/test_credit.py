@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from cdlim.credit import (compute_credit_store, counts_from_dags, delta_set,
-                          delta_single, kappa, oracle_set_credit,
+from cdlim.credit import (compute_credit_store, compute_mc, counts_from_dags,
+                          delta_set, kappa, oracle_set_credit,
                           oracle_total_credit, sigma_cd, sigma_cd_scratch)
 from cdlim.graph import ActionLog, SocialGraph, build_action_dag
 from conftest import make_branch7, make_f1, random_instance
@@ -44,7 +44,7 @@ class TestComputeStore:
         store = compute_credit_store(f1.dags, f1.X, sources={1})
         assert set(store.uc[0]) == {1}
         with pytest.raises(ValueError, match="not materialized"):
-            delta_single(store, (0, 2))
+            compute_mc(store, (0, 2))
 
 
 class TestKappaSigma:
@@ -128,9 +128,9 @@ class TestOracles:
 class TestDeltas:
     def test_f1_single(self, f1):
         store = compute_credit_store(f1.dags, f1.X)
-        assert abs(delta_single(store, (0, 2)) - 0.3) < TOL
-        assert abs(delta_single(store, (0, 1)) - 0.7) < TOL
-        assert delta_single(store, (2, 0)) == 0.0  # not a DAG edge
+        assert abs(compute_mc(store, (0, 2)) - 0.3) < TOL
+        assert abs(compute_mc(store, (0, 1)) - 0.7) < TOL
+        assert compute_mc(store, (2, 0)) == 0.0  # not a DAG edge
 
     def test_f1_set(self, f1):
         assert delta_set(f1.dags, f1.X, set()) == 0.0
@@ -144,7 +144,7 @@ class TestDeltas:
             store = compute_credit_store(inst.dags, inst.X)
             for e in inst.C:
                 want = delta_set(inst.dags, inst.X, {e})
-                assert abs(delta_single(store, e) - want) < TOL
+                assert abs(compute_mc(store, e) - want) < TOL
 
     def test_set_matches_whole_graph_difference(self):
         # delta_set visits only the DAGs holding an edge of B; the two
@@ -180,7 +180,7 @@ class TestDeltas:
         X = {0, 3}
         store = compute_credit_store([dag], X)
         want = delta_set([dag], X, {(1, 2)})
-        assert abs(delta_single(store, (1, 2)) - want) < TOL
+        assert abs(compute_mc(store, (1, 2)) - want) < TOL
 
     def test_monotone_and_submodular_f1(self, f1):
         # the chained edge is worth 0.2 alone and nothing once the feeder

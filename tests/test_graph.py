@@ -201,6 +201,24 @@ class TestAssignDirectCredits:
         with pytest.raises(ValueError, match="unknown credit scheme"):
             assign_direct_credits(inst.dags[0], "bogus")
 
+    def test_learned_needs_propagation_counts(self):
+        g = SocialGraph(2, [(0, 1)])
+        log = ActionLog([(0, 0, 1), (1, 0, 2)])
+        bare = build_action_dag(g, log, 0)
+        for kwargs in ({"actionlog": log}, {"prop_counts": propagation_counts(g, log)}):
+            with pytest.raises(ValueError, match="needs the action log and its propagation counts"):
+                assign_direct_credits(bare, "learned", **kwargs)
+
+    def test_per_action_table_through_build_all_dags(self):
+        g = SocialGraph(2, [(0, 1)])
+        log = ActionLog([(0, 0, 1), (1, 0, 2), (0, 1, 1), (1, 1, 2), (0, 2, 1), (1, 2, 2)])
+        table = {(0, 1, 0): 0.25, (0, 1, 1): 0.75}
+        with pytest.raises(ValueError, match=r"gamma table missing edge \(0, 1\) for action 2"):
+            build_all_dags(g, log, "explicit", table=table)
+        table[(0, 1, 2)] = 0.5
+        dags = build_all_dags(g, log, "explicit", table=table)
+        assert [dag.gamma for dag in dags] == [{(0, 1): 0.25}, {(0, 1): 0.75}, {(0, 1): 0.5}]
+
 
 class TestGenerateIC:
     def test_prob_zero_only_seeds(self):

@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from cdlim.credit import (compute_credit_store, counts_from_dags, delta_set,
-                          sigma_cd, sigma_cd_scratch)
+from cdlim.credit import (compute_credit_store, compute_mc, counts_from_dags, delta_set,
+                          remove_edge, sigma_cd, sigma_cd_scratch)
 from cdlim.graph import ActionLog, SocialGraph, build_action_dag
-from cdlim.greedy import compute_mc, greedy_bil, remove_edge, update_sc, update_uc
+from cdlim.greedy import greedy_bil
 from conftest import random_instance
 
 TOL = 1e-9
@@ -47,19 +47,19 @@ class TestComputeMC:
 class TestUpdates:
     def test_update_uc_f1(self, f1):
         store = compute_credit_store(f1.dags, f1.X)
-        update_uc(store, (0, 1))
+        remove_edge(store, (0, 1))
         assert 1 not in store.uc[0][0]
         assert abs(store.uc[0][0][2] - 0.3) < TOL
 
     def test_update_sc_f1(self, f1):
         store = compute_credit_store(f1.dags, f1.X)
-        update_sc(store, (0, 1))
+        remove_edge(store, (0, 1))
         assert 1 not in store.sc[0]
         assert abs(store.sc[0][2] - 0.3) < TOL
 
     def test_update_sc_shortcut(self, f1):
         store = compute_credit_store(f1.dags, f1.X)
-        update_sc(store, (0, 2))
+        remove_edge(store, (0, 2))
         assert abs(store.sc[0][2] - 0.2) < TOL
 
     def test_removal_idempotent(self, f1):

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from cdlim.contgreedy import CGConfig, continuous_greedy, max_weight_independent, sample_set
 from cdlim.credit import (CreditKernel, _edge_deltas, _r_map, _sc_map,
-                          compute_credit_store, counts_from_dags, delta_set, sigma_cd,
-                          sigma_cd_scratch)
+                          compute_credit_store, compute_mc, counts_from_dags, delta_set,
+                          remove_edge, sigma_cd, sigma_cd_scratch)
 from cdlim.graph import ActionLog, SocialGraph, build_all_dags
-from cdlim.greedy import compute_mc, greedy_bil, remove_edge
+from cdlim.greedy import greedy_bil
 from conftest import make_f1, random_instance
 from test_acceptance import _best_feasible, _ic_benchmark
 

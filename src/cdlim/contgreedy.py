@@ -102,14 +102,14 @@ def cg_weights(dags, X, C, y, s, rng, counts=None) -> dict:
 
 def _cg_weights(kernel, C, y, s, rng) -> dict:
     """:func:`cg_weights` on sorted ``C`` and a kernel with no removals,
-    shared across calls; each sample B is scored by ``marginals_without``."""
+    shared across calls; each sample B is scored by ``marginals_without``.
+    A candidate it leaves out (in B, or held by no stored action) has a
+    marginal of exactly 0.0, so skipping it leaves ``acc`` bit-identical."""
     acc = dict.fromkeys(C, 0.0)
     for _ in range(s):
         B = sample_set(C, y, rng)
-        marg = kernel.marginals_without(C, B)
-        for e in C:
-            if e not in B:
-                acc[e] += marg[e]
+        for e, m in kernel.marginals_without(C, B).items():
+            acc[e] += m
     return {e: max(acc[e] / s, 0.0) for e in C}
 
 

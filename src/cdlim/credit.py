@@ -16,6 +16,11 @@ and their sums are unchanged to the bit. The whole-DAG passes
 :func:`_sc_map`, :func:`_r_map` and :func:`_edge_deltas` are references for
 the kernel; no solver calls them.
 
+Every pass, the oracles included, walks the DAG's ``in_edges`` and
+``out_edges`` lists. Their tuples are the keys of ``dag.gamma``, so a pass
+reads an edge's credit and tests it against the removed set with the
+DAG's own edge object and builds no tuple.
+
 :func:`compute_credit_store` builds the reference store the kernel is
 checked against: per action, EP (direct credit of each surviving DAG
 edge), UC rows (total credit of a source node for influencing every
@@ -77,10 +82,10 @@ def _credit_row(dag: ActionDag, source: int, X, removed) -> dict[int, float]:
         if not started or u in X:
             continue
         acc = 0.0
-        for w in dag.in_nbrs[u]:
-            c = row.get(w)
-            if c is not None and (w, u) not in removed:
-                acc += c * gamma[(w, u)]
+        for e in dag.in_edges[u]:
+            c = row.get(e[0])
+            if c is not None and e not in removed:
+                acc += c * gamma[e]
         if acc > 0.0:
             row[u] = acc
     return row
@@ -95,10 +100,10 @@ def _sc_map(dag: ActionDag, X, removed) -> dict[int, float]:
             sc[u] = 1.0
             continue
         acc = 0.0
-        for w in dag.in_nbrs[u]:
-            c = sc.get(w)
-            if c is not None and (w, u) not in removed:
-                acc += c * gamma[(w, u)]
+        for e in dag.in_edges[u]:
+            c = sc.get(e[0])
+            if c is not None and e not in removed:
+                acc += c * gamma[e]
         if acc > 0.0:
             sc[u] = acc
     return sc
@@ -113,15 +118,15 @@ def _r_map(dag: ActionDag, X, counts, removed) -> dict[int, float]:
     """
     r: dict[int, float] = {}
     gamma = dag.gamma
-    out_nbrs = dag.out_nbrs
+    out_edges = dag.out_edges
     for v in reversed(dag.nodes):
         if v in X:
             continue
         acc = 1.0 / counts[v]
-        for w in out_nbrs[v]:
-            rw = r.get(w)
-            if rw is not None and (v, w) not in removed:
-                acc += gamma[(v, w)] * rw
+        for e in out_edges[v]:
+            rw = r.get(e[1])
+            if rw is not None and e not in removed:
+                acc += gamma[e] * rw
         r[v] = acc
     return r
 
@@ -178,16 +183,31 @@ class CreditKernel:
         return mc
 
     def marginals_without(self, C, B) -> dict:
-        """Marginal of each candidate in ``C`` with the edge set ``B`` removed
-        on top of the kernel's removals; the kernel is left as it was. Only
-        the actions holding an edge of ``B`` get fresh maps for the call."""
+        """Marginals with the edge set ``B`` removed on top of the kernel's
+        removals, for the candidates in ``C`` that some stored action holds
+        and that are not removed; every other candidate's marginal is
+        exactly 0.0 and is left out. Each sum is :meth:`marginal`'s, term
+        for term. The kernel is left as it was. Only the actions holding an
+        edge of ``B`` get fresh maps for the call."""
+        edge_actions = self.edge_actions
         saved = {id(entry): (entry, entry[1], entry[2])
-                 for e in B for entry in self.edge_actions.get(e, ())}
+                 for e in B for entry in edge_actions.get(e, ())}
         removed = self.removed
-        self.removed = removed | B
+        self.removed = both = removed | B
         for entry, _, _ in saved.values():
             entry[1], entry[2] = self._maps(entry[0], entry[3])
-        marg = {e: self.marginal(e) for e in C}
+        marg = {}
+        for e in C:
+            entries = edge_actions.get(e)
+            if entries is None or e in both:
+                continue
+            u, v = e
+            mc = 0.0
+            for dag, sc, r, _ in entries:
+                c = sc.get(u)
+                if c is not None:
+                    mc += c * dag.gamma[e] * r.get(v, 0.0)
+            marg[e] = mc
         for entry, sc, r in saved.values():
             entry[1], entry[2] = sc, r
         self.removed = removed
@@ -232,16 +252,16 @@ class CreditKernel:
         X = self.X
         removed = self.removed
         gamma = dag.gamma
-        in_nbrs = dag.in_nbrs
+        in_edges = dag.in_edges
         for u in dag.nodes[start:]:
             if u in X:
                 sc[u] = 1.0
                 continue
             acc = 0.0
-            for w in in_nbrs[u]:
-                c = sc.get(w)
-                if c is not None and (w, u) not in removed:
-                    acc += c * gamma[(w, u)]
+            for e in in_edges[u]:
+                c = sc.get(e[0])
+                if c is not None and e not in removed:
+                    acc += c * gamma[e]
             if acc > 0.0:
                 sc[u] = acc
             else:
@@ -254,15 +274,15 @@ class CreditKernel:
         removed = self.removed
         counts = self.counts
         gamma = dag.gamma
-        out_nbrs = dag.out_nbrs
+        out_edges = dag.out_edges
         for v in reversed(dag.nodes[f:stop + 1]):
             if v in X:
                 continue
             acc = 1.0 / counts[v]
-            for w in out_nbrs[v]:
-                rw = r.get(w)
-                if rw is not None and (v, w) not in removed:
-                    acc += gamma[(v, w)] * rw
+            for e in out_edges[v]:
+                rw = r.get(e[1])
+                if rw is not None and e not in removed:
+                    acc += gamma[e] * rw
             r[v] = acc
 
 
@@ -450,10 +470,11 @@ def oracle_set_credit(dag: ActionDag, X, u: int, removed=frozenset()) -> float:
     stack = [(u, 1.0)]
     while stack:
         node, prod = stack.pop()
-        for w in dag.in_nbrs[node]:
-            if (w, node) in removed:
+        for e in dag.in_edges[node]:
+            if e in removed:
                 continue
-            p = prod * gamma[(w, node)]
+            w = e[0]
+            p = prod * gamma[e]
             if w in X:
                 total += p
             else:
@@ -474,10 +495,11 @@ def oracle_total_credit(dag: ActionDag, v: int, u: int, removed=frozenset()) -> 
     stack = [(u, 1.0)]
     while stack:
         node, prod = stack.pop()
-        for w in dag.in_nbrs[node]:
-            if (w, node) in removed:
+        for e in dag.in_edges[node]:
+            if e in removed:
                 continue
-            p = prod * gamma[(w, node)]
+            w = e[0]
+            p = prod * gamma[e]
             if w == v:
                 total += p
             else:

@@ -165,15 +165,19 @@ class ActionDag:
     """Propagation DAG of a single action.
 
     ``nodes`` is a valid topological order (sorted by performance time, ties
-    by id). ``gamma`` maps each DAG edge to its direct credit; all zeros
-    until :func:`assign_direct_credits` runs.
+    by id). ``in_edges[u]`` lists the edges (w, u) into u in the order their
+    tails come in ``nodes``, and ``out_edges[u]`` the edges (u, w) out of u
+    by ascending head id. ``gamma`` maps each DAG edge to its direct credit;
+    all zeros until :func:`assign_direct_credits` runs, which keys it by the
+    very tuples the edge lists hold. The credit passes therefore look an
+    edge up in ``gamma`` and in a removed set without building a tuple.
     """
 
     action: int
     nodes: list[int]
     times: dict[int, int]
-    in_nbrs: dict[int, list[int]]
-    out_nbrs: dict[int, list[int]]
+    in_edges: dict[int, list[tuple[int, int]]]
+    out_edges: dict[int, list[tuple[int, int]]]
     gamma: dict[tuple[int, int], float] = field(default_factory=dict)
 
     @property
@@ -181,10 +185,10 @@ class ActionDag:
         return self.gamma.keys()
 
     def d_in(self, u: int) -> int:
-        return len(self.in_nbrs[u])
+        return len(self.in_edges[u])
 
     def with_gamma(self, gamma: dict[tuple[int, int], float]) -> "ActionDag":
-        return ActionDag(self.action, self.nodes, self.times, self.in_nbrs, self.out_nbrs, gamma)
+        return ActionDag(self.action, self.nodes, self.times, self.in_edges, self.out_edges, gamma)
 
 
 def build_action_dag(graph: SocialGraph, actionlog: ActionLog, action: int) -> ActionDag:
@@ -197,18 +201,19 @@ def build_action_dag(graph: SocialGraph, actionlog: ActionLog, action: int) -> A
         raise ValueError(f"unknown action id {action}")
     times = actionlog.by_action[action]
     nodes = sorted(times, key=lambda u: (times[u], u))
-    in_nbrs = {u: [] for u in nodes}
-    out_nbrs = {u: [] for u in nodes}
+    in_edges = {u: [] for u in nodes}
+    out_edges = {u: [] for u in nodes}
     gamma = {}
     for u in nodes:
         tu = times[u]
         for v in graph.out_nbrs[u]:
             tv = times.get(v)
             if tv is not None and tu < tv:
-                out_nbrs[u].append(v)
-                in_nbrs[v].append(u)
-                gamma[(u, v)] = 0.0
-    return ActionDag(action, nodes, dict(times), in_nbrs, out_nbrs, gamma)
+                e = (u, v)
+                out_edges[u].append(e)
+                in_edges[v].append(e)
+                gamma[e] = 0.0
+    return ActionDag(action, nodes, dict(times), in_edges, out_edges, gamma)
 
 
 def propagation_counts(graph: SocialGraph, actionlog: ActionLog) -> dict[tuple[int, int], int]:
@@ -227,7 +232,8 @@ def propagation_counts(graph: SocialGraph, actionlog: ActionLog) -> dict[tuple[i
 def assign_direct_credits(dag: ActionDag, scheme: str = "uniform", *, table=None,
                           actionlog: ActionLog | None = None,
                           prop_counts=None) -> ActionDag:
-    """Return a copy of ``dag`` with direct credits filled in.
+    """Return a copy of ``dag`` with direct credits filled in, keyed by the
+    DAG's own edge tuples.
 
     Schemes:
       - ``uniform``: gamma_(v,u) = 1 / d_in(u).
@@ -239,14 +245,14 @@ def assign_direct_credits(dag: ActionDag, scheme: str = "uniform", *, table=None
     """
     gamma: dict[tuple[int, int], float] = {}
     if scheme == "uniform":
-        for (v, u) in dag.edges:
-            gamma[(v, u)] = 1.0 / dag.d_in(u)
+        for e in dag.edges:
+            gamma[e] = 1.0 / dag.d_in(e[1])
     elif scheme == "learned":
         if actionlog is None or prop_counts is None:
             raise ValueError("learned scheme needs the action log and its propagation counts")
-        raw = {(v, u): prop_counts.get((v, u), 0) / actionlog.counts[v] for (v, u) in dag.edges}
+        raw = {e: prop_counts.get(e, 0) / actionlog.counts[e[0]] for e in dag.edges}
         for u in dag.nodes:
-            incoming = [(v, u) for v in dag.in_nbrs[u]]
+            incoming = dag.in_edges[u]
             total = sum(raw[e] for e in incoming)
             scale = 1.0 / total if total > 1.0 else 1.0
             for e in incoming:

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 DECOMP_EPS = 1e-9
+# Residuals left over when the coefficients run out; up to this size they
+# are rounding error of a feasible y, and the set is padded instead.
+DECOMP_SLACK = 1e-6
 
 
 def feasible(B, b: int) -> bool:
@@ -73,6 +76,10 @@ def decompose(y, C, b):
     edge's residual exceeds the mass left after this step (otherwise that
     edge could never be covered by the remaining coefficients). Pads with
     the empty set so coefficients sum to 1.
+
+    On a feasible y the caps can drive the coefficient to zero while
+    residuals of float-rounding size (about 1e-9) remain. The extraction
+    then stops if no residual exceeds ``DECOMP_SLACK``, and fails otherwise.
     """
     residual = {e: y[e] for e in C if y[e] > DECOMP_EPS}
     parts = []
@@ -92,6 +99,8 @@ def decompose(y, C, b):
         for e in skipped:
             lam = min(lam, 1.0 - total - residual[e])
         if lam <= DECOMP_EPS:
+            if max(residual.values()) <= DECOMP_SLACK:
+                break
             raise ValueError("decomposition failure: residual mass exceeds 1 (infeasible y)")
         parts.append((frozenset(chosen), lam))
         total += lam

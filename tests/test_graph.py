@@ -106,7 +106,7 @@ class TestBuildActionDag:
         log = ActionLog([(0, 0, 1), (1, 0, 2), (2, 0, 1)])
         dag = build_action_dag(g, log, 0)
         assert 2 in dag.nodes
-        assert dag.in_nbrs[2] == [] and dag.out_nbrs[2] == []
+        assert dag.in_edges[2] == [] and dag.out_edges[2] == []
 
     def test_unknown_action(self):
         inst = make_f1()
@@ -139,6 +139,48 @@ class TestBuildActionDag:
                       if g.has_edge(u, v) and performers[u] < performers[v]}
             assert set(dag.gamma) == expect
 
+    def test_edge_lists_hold_every_edge_once_in_pass_order(self):
+        # in_edges[u] in the topological order of the tails, out_edges[u] by
+        # ascending head id: the order in which the credit passes sum terms.
+        rng = random.Random(8)
+        for _ in range(20):
+            n = rng.randint(2, 8)
+            g = SocialGraph(n, [(u, v) for u in range(n) for v in range(n)
+                                if u != v and rng.random() < 0.4])
+            log = ActionLog([(u, 0, rng.randint(0, 4)) for u in range(n)])
+            dag = build_action_dag(g, log, 0)
+            pos = {u: i for i, u in enumerate(dag.nodes)}
+            assert sorted(dag.in_edges) == sorted(dag.out_edges) == sorted(dag.nodes)
+            for u in dag.nodes:
+                assert all(e[1] == u for e in dag.in_edges[u])
+                assert all(e[0] == u for e in dag.out_edges[u])
+                assert [pos[e[0]] for e in dag.in_edges[u]] == sorted(pos[e[0]] for e in dag.in_edges[u])
+                assert [e[1] for e in dag.out_edges[u]] == sorted(e[1] for e in dag.out_edges[u])
+            flat_in = [e for u in dag.nodes for e in dag.in_edges[u]]
+            flat_out = [e for u in dag.nodes for e in dag.out_edges[u]]
+            assert flat_out == list(dag.gamma)
+            assert sorted(flat_in) == sorted(dag.gamma)
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "learned", "explicit"])
+def test_gamma_keys_are_the_edge_list_tuples(scheme):
+    # The credit passes look gamma up with the tuples of in_edges and
+    # out_edges, so every scheme must key gamma by those very objects.
+    rng = random.Random(9)
+    n = 9
+    g = SocialGraph(n, [(u, v) for u in range(n) for v in range(n)
+                        if u != v and rng.random() < 0.4])
+    log = ActionLog([(u, a, rng.randint(0, 4)) for a in range(4) for u in range(n)
+                     if rng.random() < 0.8])
+    table = {e: rng.random() for e in g.edges} if scheme == "explicit" else None
+    dags = build_all_dags(g, log, scheme, table=table)
+    assert sum(len(dag.gamma) for dag in dags) > 20
+    for dag in dags:
+        keys = list(dag.gamma)
+        for edges in (dag.in_edges, dag.out_edges):
+            listed = [e for u in dag.nodes for e in edges[u]]
+            assert sorted(map(id, listed)) == sorted(map(id, keys))
+
 
 class TestAssignDirectCredits:
     def test_explicit_copy(self):
@@ -167,7 +209,7 @@ class TestAssignDirectCredits:
             dag = assign_direct_credits(build_action_dag(g, log, 0), "uniform")
             for u in dag.nodes:
                 if dag.d_in(u):
-                    total = sum(dag.gamma[(w, u)] for w in dag.in_nbrs[u])
+                    total = sum(dag.gamma[e] for e in dag.in_edges[u])
                     assert abs(total - 1.0) < 1e-12
 
     def test_explicit_missing_edge(self):
@@ -190,7 +232,7 @@ class TestAssignDirectCredits:
         dags = build_all_dags(g, log, "learned")
         for dag in dags:
             for u in dag.nodes:
-                incoming = sum(dag.gamma[(w, u)] for w in dag.in_nbrs[u])
+                incoming = sum(dag.gamma[e] for e in dag.in_edges[u])
                 assert incoming <= 1.0 + 1e-12
         # edge (0,2) propagates in both actions 0 receives: raw = 2/2 = 1
         counts = propagation_counts(g, log)

@@ -1,5 +1,6 @@
 """The SC/R credit kernel against the reference store, from-scratch
 deltas and SC/R maps and the per-action delta-dict kernel it replaced,
+the edge-list passes against the neighbour-id passes they replaced,
 greedy_bil against a greedy loop written on the reference, against the
 eager scan on the kernel and against the lazy loop on the delta-dict
 kernel, and the continuous greedy's per-sample marginals from
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdlim.contgreedy import CGConfig, continuous_greedy, max_weight_independent, sample_set
-from cdlim.credit import (CreditKernel, _edge_deltas, _r_map, _sc_map,
+from cdlim.credit import (CreditKernel, _credit_row, _edge_deltas, _r_map, _sc_map,
                           compute_credit_store, compute_mc, counts_from_dags, delta_set,
                           remove_edge, sigma_cd, sigma_cd_scratch)
 from cdlim.graph import ActionLog, SocialGraph, build_all_dags
@@ -210,6 +211,117 @@ def test_remove_tail_before_first_target_changes_nothing():
 
 def test_repeated_removal_is_a_no_op():
     assert _remove_and_diff((4, 6), times=2) == (True, True)
+
+
+def _nbr_lists(dag):
+    """The neighbour-id lists ``ActionDag`` held before it kept edge lists,
+    rebuilt from ``nodes`` and ``gamma`` alone: in-neighbours in the
+    topological order of the tails, out-neighbours by ascending id."""
+    pos = {u: i for i, u in enumerate(dag.nodes)}
+    in_nbrs = {u: [] for u in dag.nodes}
+    out_nbrs = {u: [] for u in dag.nodes}
+    for w, u in sorted(dag.gamma, key=lambda e: (pos[e[0]], e[1])):
+        out_nbrs[w].append(u)
+        in_nbrs[u].append(w)
+    return in_nbrs, out_nbrs
+
+
+def tuple_sc_map(dag, X, removed, in_nbrs):
+    """:func:`_sc_map` as it was, building ``(w, u)`` for every in-edge."""
+    sc = {}
+    for u in dag.nodes:
+        if u in X:
+            sc[u] = 1.0
+            continue
+        acc = 0.0
+        for w in in_nbrs[u]:
+            c = sc.get(w)
+            if c is not None and (w, u) not in removed:
+                acc += c * dag.gamma[(w, u)]
+        if acc > 0.0:
+            sc[u] = acc
+    return sc
+
+
+def tuple_r_map(dag, X, counts, removed, out_nbrs):
+    """:func:`_r_map` as it was, building ``(v, w)`` for every out-edge."""
+    r = {}
+    for v in reversed(dag.nodes):
+        if v in X:
+            continue
+        acc = 1.0 / counts[v]
+        for w in out_nbrs[v]:
+            rw = r.get(w)
+            if rw is not None and (v, w) not in removed:
+                acc += dag.gamma[(v, w)] * rw
+        r[v] = acc
+    return r
+
+
+def tuple_credit_row(dag, source, X, removed, in_nbrs):
+    """:func:`_credit_row` as it was, building ``(w, u)`` for every in-edge."""
+    if source in X:
+        return {}
+    row = {source: 1.0}
+    started = False
+    for u in dag.nodes:
+        if u == source:
+            started = True
+            continue
+        if not started or u in X:
+            continue
+        acc = 0.0
+        for w in in_nbrs[u]:
+            c = row.get(w)
+            if c is not None and (w, u) not in removed:
+                acc += c * dag.gamma[(w, u)]
+        if acc > 0.0:
+            row[u] = acc
+    return row
+
+
+def _assert_edge_list_passes_equal_tuple_passes(inst, data):
+    # After every removal: the from-scratch maps and rows equal the
+    # neighbour-id copies entry for entry and in insertion order, and the
+    # kernel's stored maps equal them by ==.
+    dags, X, C = inst
+    X = frozenset(X)
+    removed = data.draw(st.lists(st.sampled_from(C), unique=True, max_size=len(C))) if C else []
+    counts = counts_from_dags(dags)
+    kernel = CreditKernel(dags, X, counts)
+    nbrs = {dag.action: _nbr_lists(dag) for dag in dags}
+    for i in range(len(removed) + 1):
+        cut = set(removed[:i])
+        for dag in dags:
+            in_nbrs, out_nbrs = nbrs[dag.action]
+            sc = tuple_sc_map(dag, X, cut, in_nbrs)
+            r = tuple_r_map(dag, X, counts, cut, out_nbrs)
+            assert list(_sc_map(dag, X, cut).items()) == list(sc.items())
+            assert list(_r_map(dag, X, counts, cut).items()) == list(r.items())
+            for source in dag.nodes:
+                for Y in (frozenset(), X):
+                    want = tuple_credit_row(dag, source, Y, cut, in_nbrs)
+                    assert list(_credit_row(dag, source, Y, cut).items()) == list(want.items())
+        for dag, sc, r, f in _stored_actions(kernel).values():
+            in_nbrs, out_nbrs = nbrs[dag.action]
+            assert sc == tuple_sc_map(dag, X, cut, in_nbrs), (dag.action, sorted(cut))
+            after_f = set(dag.nodes[f:])
+            assert r == {n: val for n, val in
+                         tuple_r_map(dag, X, counts, cut, out_nbrs).items() if n in after_f}
+        if i < len(removed):
+            kernel.remove(removed[i])
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_instances(), st.data())
+def test_edge_list_passes_equal_tuple_passes(inst, data):
+    _assert_edge_list_passes_equal_tuple_passes(inst, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(target_free_instances(), st.data())
+def test_edge_list_passes_equal_tuple_passes_target_free(inst, data):
+    _assert_edge_list_passes_equal_tuple_passes(inst, data)
 
 
 @settings(max_examples=150, deadline=None)
@@ -464,6 +576,14 @@ def reference_marginals(dags, X, C, counts, removed):
     return out
 
 
+def _dense_marginals(kernel, C, got, removed):
+    """``got`` from ``marginals_without`` after checking that it scores
+    exactly the candidates some stored action holds and ``removed`` lacks,
+    with the left-out candidates filled in as 0.0."""
+    assert set(got) == {e for e in C if e in kernel.edge_actions and e not in removed}
+    return {e: got.get(e, 0.0) for e in C}
+
+
 @settings(max_examples=150, deadline=None)
 @given(dense_instances(), st.data())
 def test_cached_marginals_equal_from_scratch_sum(inst, data):
@@ -473,7 +593,7 @@ def test_cached_marginals_equal_from_scratch_sum(inst, data):
     samples = data.draw(st.lists(subsets, min_size=1, max_size=6))
     kernel = CreditKernel(dags, X, counts)
     for B in samples:
-        got = kernel.marginals_without(C, B)
+        got = _dense_marginals(kernel, C, kernel.marginals_without(C, B), B)
         assert got == reference_marginals(dags, X, C, counts, B), sorted(B)
 
 
@@ -491,7 +611,7 @@ def _assert_marginals_without_match_scratch(inst, data):
         kernel.remove(e)
     P = set(prefix)
     for B in samples:
-        got = kernel.marginals_without(C, B)
+        got = _dense_marginals(kernel, C, kernel.marginals_without(C, B), P | B)
         assert got == reference_marginals(dags, X, C, counts, P | B), (prefix, sorted(B))
         assert kernel.removed == P
         _assert_state_matches_scratch(kernel, dags, X)
@@ -562,7 +682,7 @@ def test_continuous_greedy_matches_reference_multi_action_instances():
         kernel = CreditKernel(inst.dags, inst.X, counts)
         for _ in range(10):
             B = frozenset(e for e in inst.C if rng.random() < 0.2)
-            got = kernel.marginals_without(inst.C, B)
+            got = _dense_marginals(kernel, inst.C, kernel.marginals_without(inst.C, B), B)
             assert got == reference_marginals(inst.dags, inst.X, inst.C, counts, B)
         _assert_cg_matches_reference(inst.dags, inst.X, inst.C, 1 + i % 2,
                                      CGConfig(tau=20, s=10, seed=i), counts)

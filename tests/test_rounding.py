@@ -7,6 +7,7 @@ import random
 import pytest
 
 from cdlim.credit import delta_set
+from cdlim.contgreedy import FractionalSolution
 from cdlim.rounding import (_merge, chernoff_epsilon, decompose, feasible,
                             randomized_round, swap_round)
 
@@ -94,6 +95,26 @@ class TestDecompose:
             for e in edges:
                 mass = sum(lam for part, lam in parts if e in part)
                 assert abs(mass - y[e]) < 1e-6
+
+    def test_dense_heads_at_the_bound_decompose(self):
+        # Many edges per head with loads scaled to the bound: the caps can
+        # drive the coefficient to zero while residuals of about 1e-9 are
+        # left. At seed 13, 5 of these 200 feasible y used to raise.
+        rng = random.Random(13)
+        for _ in range(200):
+            edges = sorted({(rng.randrange(30), rng.randrange(2) + 30)
+                            for _ in range(rng.randint(10, 80))})
+            b = rng.randint(2, 8)
+            y = _random_feasible_y(edges, b, rng)
+            FractionalSolution(y).check(b)
+            parts = decompose(y, edges, b)
+            assert abs(sum(lam for _, lam in parts) - 1.0) <= 1e-9
+            for part, _ in parts:
+                assert feasible(part, b)
+            for e in edges:
+                mass = sum(lam for part, lam in parts if e in part)
+                assert abs(mass - y[e]) < 1e-6
+            assert feasible(swap_round(y, edges, b, rng), b)
 
 
 def _random_feasible_y(edges, b, rng):

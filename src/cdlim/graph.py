@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import random
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -15,28 +16,33 @@ class SocialGraph:
 
     Input files may use arbitrary non-negative integer labels; a remapping
     table (``labels``) is kept so results can be reported in the original ids.
-    Self-loops and duplicate edges are dropped at construction.
+    Self-loops and duplicate edges are dropped at construction; each
+    self-loop occurrence is counted in ``dropped_self_loops``.
+
+    The adjacency lists are the only copy of the edges: there is no edge
+    set. ``out_nbrs[u]`` is sorted and duplicate-free, ``in_nbrs[v]`` is
+    sorted, ``m`` is the edge count, and :meth:`has_edge` is a bisect on
+    ``out_nbrs[u]``.
     """
 
     def __init__(self, n: int, edges, labels=None):
         self.n = n
         out_nbrs = [[] for _ in range(n)]
-        in_nbrs = [[] for _ in range(n)]
-        seen = set()
         self.dropped_self_loops = 0
         for u, v in edges:
             if u == v:
                 self.dropped_self_loops += 1
-                continue
-            if (u, v) in seen:
-                continue
-            seen.add((u, v))
-            out_nbrs[u].append(v)
-            in_nbrs[v].append(u)
-        for adj in (out_nbrs, in_nbrs):
-            for lst in adj:
-                lst.sort()
-        self.edges = seen
+            else:
+                out_nbrs[u].append(v)
+        for u, nbrs in enumerate(out_nbrs):
+            if len(nbrs) > 1:
+                out_nbrs[u] = sorted(set(nbrs))
+        # Walking the out-lists by ascending tail fills each in-list sorted.
+        in_nbrs = [[] for _ in range(n)]
+        for u, nbrs in enumerate(out_nbrs):
+            for v in nbrs:
+                in_nbrs[v].append(u)
+        self.m = sum(map(len, out_nbrs))
         self.out_nbrs = out_nbrs
         self.in_nbrs = in_nbrs
         self.labels = list(labels) if labels is not None else list(range(n))
@@ -49,13 +55,17 @@ class SocialGraph:
             raise ValueError(f"unknown node id {label}") from None
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges
+        if not 0 <= u < self.n:
+            return False
+        nbrs = self.out_nbrs[u]
+        i = bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
     def degree(self, u: int) -> int:
         return len(self.out_nbrs[u]) + len(self.in_nbrs[u])
 
     def __repr__(self):
-        return f"SocialGraph(n={self.n}, m={len(self.edges)})"
+        return f"SocialGraph(n={self.n}, m={self.m})"
 
 
 def _int_token(tok, where) -> int:
@@ -72,8 +82,7 @@ def load_graph(path) -> SocialGraph:
     Lines starting with '#' are comments. Node labels are arbitrary
     non-negative integers and get remapped to dense ids (sorted label order).
     """
-    raw_edges = []
-    labels = set()
+    flat = []  # u1, v1, u2, v2, ... as read
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -88,12 +97,14 @@ def load_graph(path) -> SocialGraph:
                 raise ValueError(f"{path}:{lineno}: non-integer token in {line!r}") from None
             if u < 0 or v < 0:
                 raise ValueError(f"{path}:{lineno}: negative node id")
-            raw_edges.append((u, v))
-            labels.add(u)
-            labels.add(v)
-    ordered = sorted(labels)
+            flat.append(u)
+            flat.append(v)
+    ordered = sorted(set(flat))
     id_of = {lab: i for i, lab in enumerate(ordered)}
-    graph = SocialGraph(len(ordered), [(id_of[u], id_of[v]) for u, v in raw_edges], labels=ordered)
+    ids = list(map(id_of.__getitem__, flat))
+    del flat
+    pairs = iter(ids)
+    graph = SocialGraph(len(ordered), zip(pairs, pairs), labels=ordered)
     if graph.dropped_self_loops:
         log.warning("%s: dropped %d self-loop(s)", path, graph.dropped_self_loops)
     return graph
@@ -171,6 +182,9 @@ class ActionDag:
     all zeros until :func:`assign_direct_credits` runs, which keys it by the
     very tuples the edge lists hold. The credit passes therefore look an
     edge up in ``gamma`` and in a removed set without building a tuple.
+    ``times`` (user -> performance time) is the action log's own
+    ``by_action[action]`` dict, shared and not copied: treat it as
+    read-only.
     """
 
     action: int
@@ -213,7 +227,7 @@ def build_action_dag(graph: SocialGraph, actionlog: ActionLog, action: int) -> A
                 out_edges[u].append(e)
                 in_edges[v].append(e)
                 gamma[e] = 0.0
-    return ActionDag(action, nodes, dict(times), in_edges, out_edges, gamma)
+    return ActionDag(action, nodes, times, in_edges, out_edges, gamma)
 
 
 def propagation_counts(graph: SocialGraph, actionlog: ActionLog) -> dict[tuple[int, int], int]:

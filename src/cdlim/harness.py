@@ -47,7 +47,7 @@ def baseline_high_degree(graph: SocialGraph, X, k: int) -> list:
     edges = []
     for v in ranked:
         for x in sorted(X):
-            if (x, v) in graph.edges:
+            if graph.has_edge(x, v):
                 edges.append((x, v))
                 if len(edges) == k:
                     return edges

@@ -23,16 +23,16 @@ class TestLoadGraph:
     def test_basic(self, tmp_path):
         g = load_graph(_write(tmp_path / "g.txt", "0 1\n1 2\n0 2\n"))
         assert g.n == 3
-        assert len(g.edges) == 3
+        assert g.m == 3
 
     def test_self_loop_dropped(self, tmp_path):
         g = load_graph(_write(tmp_path / "g.txt", "0 0\n"))
-        assert len(g.edges) == 0
+        assert g.m == 0
         assert g.dropped_self_loops == 1
 
     def test_duplicate_edge(self, tmp_path):
         g = load_graph(_write(tmp_path / "g.txt", "0 1\n0 1\n"))
-        assert len(g.edges) == 1
+        assert g.m == 1
 
     def test_comments_and_labels(self, tmp_path):
         g = load_graph(_write(tmp_path / "g.txt", "# header\n10 20\n"))
@@ -44,6 +44,17 @@ class TestLoadGraph:
         with pytest.raises(ValueError, match=":2"):
             load_graph(path)
 
+    def test_round_trip_sparse_labels(self, tmp_path):
+        text = "# header\n\n900 7\n  7 42 \n# mid comment\n42 42\n900 42\n\n7 42\n3 900\n"
+        g = load_graph(_write(tmp_path / "g.txt", text))
+        assert g.labels == [3, 7, 42, 900]
+        assert g.dropped_self_loops == 1
+        got = sorted((g.labels[u], g.labels[v]) for u in range(g.n) for v in g.out_nbrs[u])
+        assert got == [(3, 900), (7, 42), (900, 7), (900, 42)]
+        assert g.m == 4
+        assert g.out_nbrs == [[3], [2], [], [1, 2]]
+        assert g.in_nbrs == [[], [3], [1, 3], [0]]
+
     def test_adjacency_is_transpose(self, tmp_path):
         g = load_graph(_write(tmp_path / "g.txt", "0 1\n1 2\n0 2\n2 3\n"))
         for u in range(g.n):
@@ -51,6 +62,23 @@ class TestLoadGraph:
                 assert u in g.in_nbrs[v]
             for w in g.in_nbrs[u]:
                 assert u in g.out_nbrs[w]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40))))
+def test_social_graph_matches_edge_set_reference(case):
+    n, pairs = case
+    g = SocialGraph(n, pairs)
+    ref = {(u, v) for u, v in pairs if u != v}
+    for u in range(n):
+        assert g.out_nbrs[u] == sorted({v for x, v in ref if x == u})
+        assert g.in_nbrs[u] == sorted({x for x, v in ref if v == u})
+    assert g.m == len(ref)
+    assert g.dropped_self_loops == sum(u == v for u, v in pairs)
+    for u in range(-1, n + 1):
+        for v in range(-1, n + 1):
+            assert g.has_edge(u, v) == ((u, v) in ref)
 
 
 class TestActionLog:
@@ -172,7 +200,8 @@ def test_gamma_keys_are_the_edge_list_tuples(scheme):
                         if u != v and rng.random() < 0.4])
     log = ActionLog([(u, a, rng.randint(0, 4)) for a in range(4) for u in range(n)
                      if rng.random() < 0.8])
-    table = {e: rng.random() for e in g.edges} if scheme == "explicit" else None
+    table = ({(u, v): rng.random() for u in range(n) for v in g.out_nbrs[u]}
+             if scheme == "explicit" else None)
     dags = build_all_dags(g, log, scheme, table=table)
     assert sum(len(dag.gamma) for dag in dags) > 20
     for dag in dags:
@@ -260,6 +289,15 @@ class TestAssignDirectCredits:
         table[(0, 1, 2)] = 0.5
         dags = build_all_dags(g, log, "explicit", table=table)
         assert [dag.gamma for dag in dags] == [{(0, 1): 0.25}, {(0, 1): 0.75}, {(0, 1): 0.5}]
+
+
+def test_dags_share_the_log_times():
+    inst = make_f1()
+    log = ActionLog([(0, 0, 1), (1, 0, 2), (2, 0, 3), (1, 1, 0), (2, 1, 4)])
+    dags = build_all_dags(inst.graph, log, "uniform")
+    assert [dag.action for dag in dags] == [0, 1]
+    for dag in dags:
+        assert dag.times is log.by_action[dag.action]
 
 
 class TestGenerateIC:

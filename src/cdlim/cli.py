@@ -12,16 +12,15 @@ import sys
 
 from . import contgreedy, harness, rounding
 from .credit import delta_set, sigma_cd_scratch
-from .graph import (_int_token, build_all_dags, generate_ic_actions, load_action_log,
-                    load_gamma_table, load_graph, write_action_log)
+from .graph import (_int_token, _records, build_all_dags, generate_ic_actions,
+                    load_action_log, load_gamma_table, load_graph, write_action_log)
 from .greedy import greedy_bil
 
 
 def _node_id(graph, tok, where) -> int:
     """Dense id of the node labelled ``tok``; errors name ``where``."""
-    label = _int_token(tok, where)
     try:
-        return graph.id_of(label)
+        return graph.id_of(_int_token(tok))
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
 
@@ -37,15 +36,13 @@ def _parse_targets(raw, graph):
 
 def _parse_candidates(raw, graph):
     edges = set()
-    with open(raw, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{raw}:{lineno}: expected 'u v', got {line!r}")
-            edges.add(tuple(_node_id(graph, tok, f"{raw}:{lineno}") for tok in parts))
+    for lineno, line, parts in _records(raw):
+        if len(parts) != 2:
+            raise ValueError(f"{raw}:{lineno}: expected 'u v', got {line!r}")
+        try:
+            edges.add((graph.id_of(_int_token(parts[0])), graph.id_of(_int_token(parts[1]))))
+        except ValueError as exc:
+            raise ValueError(f"{raw}:{lineno}: {exc}") from None
     return edges
 
 

@@ -10,7 +10,8 @@ import time
 from dataclasses import dataclass, field
 
 from .credit import delta_set, sigma_cd_scratch
-from .graph import SocialGraph, _int_token, build_all_dags, load_action_log, load_graph
+from .graph import (SocialGraph, _int_token, _records, build_all_dags, load_action_log,
+                    load_graph)
 from .greedy import greedy_bil
 
 log = logging.getLogger(__name__)
@@ -112,27 +113,28 @@ def write_reports_csv(reports, path) -> None:
 def parse_config(path) -> dict:
     """Flat key=value config; comma-separated values become lists."""
     cfg = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            cfg[key.strip()] = value.strip()
+    for lineno, line, _ in _records(path):
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        cfg[key.strip()] = value.strip()
     return cfg
 
 
 def _int_list(path, cfg, key) -> list[int]:
     """The comma-separated integers of ``key``; errors name file and key."""
-    where = f"{path}: key {key!r}"
-    return [_int_token(tok.strip(), where) for tok in cfg[key].split(",") if tok.strip()]
+    try:
+        return [_int_token(tok.strip()) for tok in cfg[key].split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ValueError(f"{path}: key {key!r}: {exc}") from None
 
 
 def _int_value(path, cfg, key, default):
     """The integer of ``key``, or ``default`` when the key is absent."""
-    return _int_token(cfg[key], f"{path}: key {key!r}") if key in cfg else default
+    try:
+        return _int_token(cfg[key]) if key in cfg else default
+    except ValueError as exc:
+        raise ValueError(f"{path}: key {key!r}: {exc}") from None
 
 
 def run_method(method: str, graph, dags, counts, X, C, k: int, b, seed) -> ExperimentReport:

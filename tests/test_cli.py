@@ -85,6 +85,8 @@ class TestBil:
     @pytest.mark.parametrize("text, message", [
         ("0 2\n0 1 2\n", "{}:2: expected 'u v', got '0 1 2'"),
         ("# edges\n0 x\n", "{}:2: non-integer token 'x'"),
+        ("# edges\n\n  0 2\n0 1 2\n", "{}:4: expected 'u v', got '0 1 2'"),
+        ("# edges\n\n  0 2\n 0 x\n", "{}:4: non-integer token 'x'"),
     ])
     def test_bad_candidates_line(self, f1_files, capsys, text, message):
         cand = f1_files / "cand.txt"

@@ -81,6 +81,13 @@ def test_social_graph_matches_edge_set_reference(case):
             assert g.has_edge(u, v) == ((u, v) in ref)
 
 
+@pytest.mark.parametrize("edge", [(-1, 0), (0, -1), (3, 0), (0, 3), (-1, -1), (3, 3)])
+def test_social_graph_rejects_ids_outside_range(edge):
+    with pytest.raises(ValueError) as exc:
+        SocialGraph(3, [(0, 1), edge])
+    assert str(exc.value) == f"edge {edge} has a node id outside 0..2"
+
+
 class TestActionLog:
     def test_grouping(self, tmp_path):
         g = load_graph(_write(tmp_path / "g.txt", "0 1\n"))
@@ -92,6 +99,10 @@ class TestActionLog:
         g = load_graph(_write(tmp_path / "g.txt", "0 1\n"))
         log = load_action_log(_write(tmp_path / "a.txt", "0 7 5\n0 7 1\n"), g)
         assert log.by_action == {7: {0: 1}}
+        text = "# log\n\n  0 7 1\n1 7 2\n0 7 5\n0 8 4\n0 8 3\n"
+        log = load_action_log(_write(tmp_path / "a.txt", text), g)
+        assert log.by_action == {7: {0: 1, 1: 2}, 8: {0: 3}}
+        assert log.counts == {0: 2, 1: 1}
 
     def test_empty(self, tmp_path):
         g = load_graph(_write(tmp_path / "g.txt", "0 1\n"))
@@ -389,22 +400,25 @@ def test_load_gamma_table_errors_name_the_line(tmp_path, line, message):
     path = tmp_path / "gamma.txt"
     width = len(line.split())
     first = "1 2 0.25" if width == 3 else "1 2 0 0.25"
-    path.write_text(f"# table\n{first}\n{line}\n", encoding="utf-8")
+    path.write_text(f"# table\n\n  {first}\n{line}\n", encoding="utf-8")
     with pytest.raises(ValueError) as exc:
         load_gamma_table(str(path), g)
-    assert str(exc.value) == f"{path}:3: {message}"
+    assert str(exc.value) == f"{path}:4: {message}"
 
 
 @pytest.mark.parametrize("loader, text", [
     ("graph", "0 1\n1 b\n"),
     ("actions", "0 7 1\n1 7 b\n"),
+    ("graph", "# header\n\n  0 1\n  1 b \n"),
+    ("actions", "# header\n\n  0 7 1\n  1 7 b \n"),
 ])
 def test_non_integer_token_names_the_line(tmp_path, loader, text):
     g = SocialGraph(2, [(0, 1)])
     path = _write(tmp_path / "in.txt", text)
+    lines = text.splitlines()
     with pytest.raises(ValueError) as exc:
         load_graph(path) if loader == "graph" else load_action_log(path, g)
-    assert str(exc.value) == f"{path}:2: non-integer token in {text.splitlines()[1]!r}"
+    assert str(exc.value) == f"{path}:{len(lines)}: non-integer token in {lines[-1].strip()!r}"
 
 
 def test_unknown_label_is_value_error():
@@ -424,4 +438,4 @@ def test_action_log_invariants(tuples):
         seen.add((u, a))
     for u, cnt in log.counts.items():
         assert cnt >= 1
-        assert cnt == len(log.actions_of[u])
+        assert cnt == sum(u in times for times in log.by_action.values())

@@ -106,6 +106,10 @@ class TestConfig:
         path.write_text("graph g.txt\n", encoding="utf-8")
         with pytest.raises(ValueError, match="key=value"):
             parse_config(str(path))
+        path.write_text("# grid\n\n  k=10\n graph g.txt\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            parse_config(str(path))
+        assert str(exc.value) == f"{path}:4: expected key=value, got 'graph g.txt'"
 
 
 class TestPickTargets:

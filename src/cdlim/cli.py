@@ -27,8 +27,7 @@ def _node_id(graph, tok, where) -> int:
 
 def _parse_targets(raw, graph):
     if os.path.exists(raw):
-        with open(raw, "r", encoding="utf-8") as fh:
-            where, tokens = raw, fh.read().split()
+        where, tokens = raw, [tok for _, _, fields in _records(raw) for tok in fields]
     else:
         where, tokens = "--targets", raw.split(",")
     return {_node_id(graph, tok, where) for tok in tokens}
@@ -185,8 +184,11 @@ def build_parser():
     _add_problem_flags(ilm)
     ilm.add_argument("-b", type=int, required=True)
     ilm.add_argument("--tau", type=int, default=100)
-    ilm.add_argument("--samples", type=int, default=20)
-    ilm.add_argument("--seed", type=int, default=0)
+    ilm.add_argument("--samples", type=int, metavar="N",
+                     help="estimate the continuous-greedy weights from N samples per "
+                          "step; default: exact weights, no sampling")
+    ilm.add_argument("--seed", type=int, default=0,
+                     help="seeds the rounding, and the samples with --samples")
     ilm.add_argument("--rounding", choices=["randomized", "swap"], default="randomized")
     ilm.add_argument("--trials", type=int, default=50,
                      help="trials of best-of-trials rounding; applies to --rounding "

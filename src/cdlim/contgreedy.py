@@ -1,5 +1,15 @@
 """Matroid-constrained influence limitation: multilinear extension and
-continuous greedy over the per-node partition matroid."""
+continuous greedy over the per-node partition matroid.
+
+A DAG path uses each edge at most once, so under independent removals
+(edge e removed with probability y_e) the expected set credit is the same
+SC/R pass run on the credits gamma_e * (1 - y_e). The continuous-greedy
+weight of e, E[f(R + e) - f(R)] for R drawn from y, is then exactly
+``CreditKernel.marginal(e)`` on a kernel holding those credits: the
+exact path (``CGConfig.s=None``, the default) keeps such a kernel and
+needs no samples. ``s >= 1`` selects the sampled path, which estimates
+each weight as a mean over s shared draws of R.
+"""
 
 from __future__ import annotations
 
@@ -15,12 +25,16 @@ CURVATURE_GUARD = 15
 
 @dataclass
 class CGConfig:
+    """``tau`` steps; ``s=None`` takes exact weights from the kernel, and
+    ``s >= 1`` estimates them from s samples per step drawn with ``seed``.
+    The exact path draws nothing, so ``seed`` does not affect it."""
+
     tau: int = 100
-    s: int = 20
+    s: int | None = None
     seed: int | None = None
 
     def __post_init__(self):
-        if self.tau < 1 or self.s < 1:
+        if self.tau < 1 or (self.s is not None and self.s < 1):
             raise ValueError("tau and s must be >= 1")
 
 
@@ -136,7 +150,13 @@ def max_weight_independent(weights, b, y=None) -> set:
 
 def continuous_greedy(dags, X, C, b, config: CGConfig, counts=None) -> FractionalSolution:
     """Fractional ascent: tau steps of 1/tau mass along a max-weight
-    independent direction, staying inside the matroid polytope."""
+    independent direction, staying inside the matroid polytope.
+
+    On the exact path the kernel's credits are gamma * (1 - y) throughout:
+    after each step, :meth:`CreditKernel.scale` updates only the actions
+    holding an edge whose y moved, and each weight is the kernel's
+    marginal. The sampled path keeps the kernel at gamma and scores each
+    sample with :meth:`CreditKernel.marginals_without`."""
     C = sorted(set(C))
     if not C:
         raise ValueError("empty candidate set")
@@ -149,9 +169,15 @@ def continuous_greedy(dags, X, C, b, config: CGConfig, counts=None) -> Fractiona
     y = dict.fromkeys(C, 0.0)
     step = 1.0 / config.tau
     for _ in range(config.tau):
-        weights = _cg_weights(kernel, C, y, config.s, rng)
-        for e in max_weight_independent(weights, b, y=y):
+        if config.s is None:
+            weights = {e: kernel.marginal(e) for e in C}
+        else:
+            weights = _cg_weights(kernel, C, y, config.s, rng)
+        moved = max_weight_independent(weights, b, y=y)
+        for e in moved:
             y[e] = min(y[e] + step, 1.0)
+        if config.s is None:
+            kernel.scale({e: 1.0 - y[e] for e in moved})
     return FractionalSolution(y=y)
 
 

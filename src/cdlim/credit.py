@@ -7,8 +7,11 @@ R, the action-normalized credit a node passes on along target-free paths,
 its own share included (a backward pass). Removing edge (u, v) lowers the
 influence in action a by SC[u] * gamma * R[v]; the kernel sums these terms
 on demand. It keeps each map only from the action's first target member on,
-since no earlier node carries set credit. A removal updates the maps of the
-actions holding the edge in place: SC from v on, R from u back. A
+since no earlier node carries set credit. Each stored action also keeps its
+own effective credits ``g``, a copy of ``dag.gamma``, and the kernel's
+passes read only ``g``: a removal sets ``g[e] = 0.0``, and exact continuous
+greedy sets ``g[e] = gamma * (1 - y_e)``. Either change updates the maps of
+the actions holding the edge in place: SC from v on, R from u back. A
 continuous-greedy sample gives those actions fresh maps for one call. An
 action with no target member has SC empty, so it adds no influence and no
 term: the kernel, :func:`sigma_cd_scratch` and :func:`delta_set` skip it,
@@ -18,8 +21,8 @@ the kernel; no solver calls them.
 
 Every pass, the oracles included, walks the DAG's ``in_edges`` and
 ``out_edges`` lists. Their tuples are the keys of ``dag.gamma``, so a pass
-reads an edge's credit and tests it against the removed set with the
-DAG's own edge object and builds no tuple.
+reads an edge's credit (and, in the references, tests it against the
+removed set) with the DAG's own edge object and builds no tuple.
 
 :func:`compute_credit_store` builds the reference store the kernel is
 checked against: per action, EP (direct credit of each surviving DAG
@@ -142,21 +145,28 @@ def _edge_deltas(dag: ActionDag, X, counts, removed) -> dict[tuple[int, int], fl
 
 class CreditKernel:
     """SC and R maps per target-holding action, for the marginals of greedy
-    (:meth:`remove` per pick) and continuous greedy (:meth:`marginals_without`).
+    (:meth:`remove` per pick) and continuous greedy (:meth:`scale` per step
+    on the exact path, :meth:`marginals_without` per sample on the sampled
+    one).
 
     ``marginal(e)`` is the influence drop of removing ``e`` on top of the
-    edges removed so far: SC[u] * gamma * R[v] summed over the stored
+    kernel's current credits: SC[u] * g[e] * R[v] summed over the stored
     actions containing it, in DAG order, computed on each call. Only actions
     holding an edge and a target member are stored. In any other action SC
     is empty, so it adds no term to any marginal.
 
-    Each stored action is a list ``[dag, sc, r, f]``, where ``f`` is the
-    position in ``dag.nodes`` of its first target member. No node before
-    ``f`` has set credit, so SC is computed forward from ``f`` and R backward
-    only down to ``f``: a marginal reads R only at the head of an edge whose
-    tail has SC, and such a head comes after ``f``. Each value is the same
-    sum, in the same order, as in :func:`_sc_map` and :func:`_r_map`, so the
-    maps equal theirs (R on the nodes from ``f`` on) bit for bit.
+    Each stored action is a list ``[dag, g, sc, r, f]``. ``g`` is the
+    action's own effective-credit dict: a copy of ``dag.gamma`` in which a
+    removed edge reads 0.0 and a scaled edge gamma * keep. The passes read
+    ``g`` alone, so a removed edge adds ``c * 0.0`` to a non-negative sum,
+    which leaves it unchanged to the bit. ``f`` is the position in
+    ``dag.nodes`` of the action's first target member. No node before ``f``
+    has set credit, so SC is computed forward from ``f`` and R backward only
+    down to ``f``: a marginal reads R only at the head of an edge whose tail
+    has SC, and such a head comes after ``f``. Each value is the same sum,
+    in the same order, as in :func:`_sc_map` and :func:`_r_map` on the DAG
+    with credits ``g``, so the maps equal theirs (R on the nodes from ``f``
+    on) bit for bit.
     """
 
     def __init__(self, dags, X, counts):
@@ -167,8 +177,9 @@ class CreditKernel:
         for dag in dags:
             if dag.gamma and not self.X.isdisjoint(dag.times):
                 f = next(i for i, u in enumerate(dag.nodes) if u in self.X)
-                entry = [dag, *self._maps(dag, f), f]
-                for e in dag.gamma:
+                g = dag.gamma.copy()
+                entry = [dag, g, *self._maps(dag, g, f), f]
+                for e in g:
                     self.edge_actions.setdefault(e, []).append(entry)
 
     def marginal(self, e) -> float:
@@ -176,10 +187,10 @@ class CreditKernel:
             return 0.0
         u, v = e
         mc = 0.0
-        for dag, sc, r, _ in self.edge_actions.get(e, ()):
+        for _, g, sc, r, _ in self.edge_actions.get(e, ()):
             c = sc.get(u)
             if c is not None:
-                mc += c * dag.gamma[e] * r.get(v, 0.0)
+                mc += c * g[e] * r.get(v, 0.0)
         return mc
 
     def marginals_without(self, C, B) -> dict:
@@ -188,70 +199,92 @@ class CreditKernel:
         and that are not removed; every other candidate's marginal is
         exactly 0.0 and is left out. Each sum is :meth:`marginal`'s, term
         for term. The kernel is left as it was. Only the actions holding an
-        edge of ``B`` get fresh maps for the call."""
+        edge of ``B`` get sample maps for the call, computed from a copy of
+        their ``g`` with their edges of ``B`` set to 0.0."""
         edge_actions = self.edge_actions
-        saved = {id(entry): (entry, entry[1], entry[2])
-                 for e in B for entry in edge_actions.get(e, ())}
+        sampled = {}
+        for e in B:
+            for entry in edge_actions.get(e, ()):
+                item = sampled.get(id(entry))
+                if item is None:
+                    item = sampled[id(entry)] = (entry, entry[1].copy(), entry[2], entry[3])
+                item[1][e] = 0.0
+        for entry, g, _, _ in sampled.values():
+            entry[2], entry[3] = self._maps(entry[0], g, entry[4])
         removed = self.removed
-        self.removed = both = removed | B
-        for entry, _, _ in saved.values():
-            entry[1], entry[2] = self._maps(entry[0], entry[3])
         marg = {}
         for e in C:
             entries = edge_actions.get(e)
-            if entries is None or e in both:
+            if entries is None or e in removed or e in B:
                 continue
             u, v = e
             mc = 0.0
-            for dag, sc, r, _ in entries:
+            for _, g, sc, r, _ in entries:
                 c = sc.get(u)
                 if c is not None:
-                    mc += c * dag.gamma[e] * r.get(v, 0.0)
+                    mc += c * g[e] * r.get(v, 0.0)
             marg[e] = mc
-        for entry, sc, r in saved.values():
-            entry[1], entry[2] = sc, r
-        self.removed = removed
+        for entry, _, sc, r in sampled.values():
+            entry[2], entry[3] = sc, r
         return marg
 
     def remove(self, e) -> None:
-        """Delete ``e`` and update, in place, SC and R of the actions
-        containing it.
-
-        Removing (u, v) can change SC only at v and its descendants, and R
-        only at u and its ancestors. So SC is recomputed in topological
-        order from v to the end, and R in reverse from u down to ``f``;
-        every other node in these windows gets the same inputs and the same
-        value. The SC pass is skipped when u has no SC or v is a target
-        member (its SC stays 1), and the R pass when v is a target member
-        (it has no R) or u comes before ``f`` (R is not kept there).
-        """
+        """Delete ``e``: its credit becomes 0.0 in every stored action holding
+        it, and their maps are updated in place by :meth:`scale`. A repeated
+        removal is a no-op."""
         if e in self.removed:
             return
         self.removed.add(e)
-        u, v = e
-        X = self.X
-        for dag, sc, r, f in self.edge_actions.get(e, ()):
-            if v in X:
-                continue
-            if u in sc:
-                self._sc_pass(dag, sc, dag.nodes.index(v))
-            i = dag.nodes.index(u)
-            if i >= f:
-                self._r_pass(dag, r, i, f)
+        self.scale({e: 0.0})
 
-    def _maps(self, dag, f) -> tuple[dict, dict]:
-        """Fresh SC and R maps of ``dag`` from position ``f`` on."""
+    def scale(self, keep) -> None:
+        """Set the credit of each edge ``e`` of ``keep`` to gamma * keep[e]
+        in every stored action holding it, and update those actions' SC and
+        R maps in place. Continuous greedy passes keep = 1 - y.
+
+        Changing the credit of (u, v) can change SC only at v and its
+        descendants, and R only at u and its ancestors. So per action, SC is
+        recomputed in topological order from the earliest such head to the
+        end, and R in reverse from the latest such tail down to ``f``; every
+        other node gets the same inputs and keeps its value. An edge into a
+        target member changes neither map (the head's SC stays 1, and it has
+        no R), so it is left out. So is a head whose tail has no SC before
+        the call, from the SC window (if another change of the call gives
+        that tail credit, the head of that change comes earlier and the
+        window covers this one), and a tail without R, from the R window.
+        A tail has no R before ``f``, where R is not kept, and when it is a
+        target member: R counts only target-free paths, so no R value reads
+        an edge out of a target member. Greedy's best picks are often such
+        edges.
+        """
+        X = self.X
+        touched = {}
+        for e, k in keep.items():
+            for entry in self.edge_actions.get(e, ()):
+                entry[1][e] = entry[0].gamma[e] * k
+                if e[1] not in X:
+                    touched.setdefault(id(entry), (entry, []))[1].append(e)
+        for (dag, g, sc, r, f), edges in touched.values():
+            index = dag.nodes.index
+            heads = {v for u, v in edges if u in sc}
+            if heads:
+                self._sc_pass(dag, g, sc, min(map(index, heads)))
+            tails = {u for u, _ in edges if u in r}
+            if tails:
+                self._r_pass(dag, g, r, max(map(index, tails)), f)
+
+    def _maps(self, dag, g, f) -> tuple[dict, dict]:
+        """Fresh SC and R maps of ``dag`` with credits ``g``, from position
+        ``f`` on."""
         sc, r = {}, {}
-        self._sc_pass(dag, sc, f)
-        self._r_pass(dag, r, len(dag.nodes) - 1, f)
+        self._sc_pass(dag, g, sc, f)
+        self._r_pass(dag, g, r, len(dag.nodes) - 1, f)
         return sc, r
 
-    def _sc_pass(self, dag, sc, start) -> None:
+    def _sc_pass(self, dag, g, sc, start) -> None:
         """Recompute SC in place at ``dag.nodes[start:]``, in topological
         order, dropping nodes whose credit falls to zero."""
         X = self.X
-        removed = self.removed
-        gamma = dag.gamma
         in_edges = dag.in_edges
         for u in dag.nodes[start:]:
             if u in X:
@@ -260,20 +293,18 @@ class CreditKernel:
             acc = 0.0
             for e in in_edges[u]:
                 c = sc.get(e[0])
-                if c is not None and e not in removed:
-                    acc += c * gamma[e]
+                if c is not None:
+                    acc += c * g[e]
             if acc > 0.0:
                 sc[u] = acc
             else:
                 sc.pop(u, None)
 
-    def _r_pass(self, dag, r, stop, f) -> None:
+    def _r_pass(self, dag, g, r, stop, f) -> None:
         """Recompute R in place at ``dag.nodes[f:stop + 1]``, in reverse
         topological order."""
         X = self.X
-        removed = self.removed
         counts = self.counts
-        gamma = dag.gamma
         out_edges = dag.out_edges
         for v in reversed(dag.nodes[f:stop + 1]):
             if v in X:
@@ -281,8 +312,8 @@ class CreditKernel:
             acc = 1.0 / counts[v]
             for e in out_edges[v]:
                 rw = r.get(e[1])
-                if rw is not None and e not in removed:
-                    acc += gamma[e] * rw
+                if rw is not None:
+                    acc += g[e] * rw
             r[v] = acc
 
 

@@ -7,6 +7,7 @@ import random
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 log = logging.getLogger(__name__)
 
@@ -22,7 +23,8 @@ class SocialGraph:
     The adjacency lists are the only copy of the edges: there is no edge
     set. ``out_nbrs[u]`` is sorted and duplicate-free, ``in_nbrs[v]`` is
     sorted, ``m`` is the edge count, and :meth:`has_edge` is a bisect on
-    ``out_nbrs[u]``.
+    ``out_nbrs[u]``. The label -> id map behind :meth:`id_of` is built on
+    first use; :func:`load_graph` hands over the one it remapped with.
     """
 
     def __init__(self, n: int, edges, labels=None):
@@ -48,7 +50,10 @@ class SocialGraph:
         self.out_nbrs = out_nbrs
         self.in_nbrs = in_nbrs
         self.labels = list(labels) if labels is not None else list(range(n))
-        self._id_of = {lab: i for i, lab in enumerate(self.labels)}
+
+    @cached_property
+    def _id_of(self) -> dict[int, int]:
+        return {lab: i for i, lab in enumerate(self.labels)}
 
     def id_of(self, label: int) -> int:
         try:
@@ -114,6 +119,7 @@ def load_graph(path) -> SocialGraph:
     del flat
     pairs = iter(ids)
     graph = SocialGraph(len(ordered), zip(pairs, pairs), labels=ordered)
+    graph._id_of = id_of
     if graph.dropped_self_loops:
         log.warning("%s: dropped %d self-loop(s)", path, graph.dropped_self_loops)
     return graph

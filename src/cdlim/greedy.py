@@ -36,7 +36,8 @@ def greedy_bil(dags, X, k, C=None, *, counts=None, use_lazy=False,
     Lazy evaluation (Minoux 1978; CELF, Leskovec et al. 2007) returns the
     eager scan's picks and gains bit for bit, not just within rounding.
     Every SC and R value is a left-to-right sum of non-negative products
-    over a fixed neighbour order, and a removal drops one term. Round-to-
+    over a fixed neighbour order, and a removal turns one term into
+    c * 0.0, which adds nothing. Round-to-
     nearest addition and multiplication are monotone, so after a removal
     every SC and R value, every term SC[u] * gamma * R[v], and every
     marginal (a sum of such terms over actions in DAG order) is at most its

@@ -236,6 +236,17 @@ def test_criterion_08_continuous_greedy_quality(cg_bench):
     assert cg_bench["elapsed"] < 300.0
 
 
+def test_exact_continuous_greedy_reaches_sampled_median(cg_bench):
+    """On criterion 08's instances, exact weights (tau=100) reach at least
+    the median multilinear value of the twenty sampled runs."""
+    for item in cg_bench["bench"]:
+        inst, b, counts = item["inst"], item["b"], item["counts"]
+        frac = continuous_greedy(inst.dags, inst.X, inst.C, b, CGConfig(tau=100), counts=counts)
+        frac.check(b)
+        value = multilinear_exact(inst.dags, inst.X, inst.C, frac.y, counts=counts)
+        assert value >= statistics.median(item["values"]), (value, item["values"])
+
+
 def test_criterion_09_randomized_rounding_quality(cg_bench):
     """Best-of-50 randomized rounding keeps 0.9 of the fractional value."""
     ratios = []

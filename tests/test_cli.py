@@ -166,6 +166,18 @@ class TestBil:
         args[args.index("--targets") + 1] = str(tfile)
         assert main(["bil", *args, "-k", "1"]) == 0
 
+    def test_targets_file_comments_and_blank_lines(self, f1_files, capsys):
+        # Read like every other input file: '#' lines and blank lines are skipped.
+        tfile = f1_files / "targets.txt"
+        args = _base_args(f1_files)
+        args[args.index("--targets") + 1] = str(tfile)
+        tfile.write_text("0\n", encoding="utf-8")
+        assert main(["bil", *args, "-k", "1"]) == 0
+        plain = capsys.readouterr().out
+        tfile.write_text("# targets\n\n  0  \n# end\n", encoding="utf-8")
+        assert main(["bil", *args, "-k", "1"]) == 0
+        assert capsys.readouterr().out == plain
+
 
 class TestGrr:
     def test_bound(self, f1_files):
@@ -203,6 +215,19 @@ class TestIlm:
         _, rows = _read_csv(out)
         kinds = {row[0] for row in rows[1:]}
         assert {"y", "removed", "solution", "trial"} <= kinds
+
+    def test_exact_y_does_not_depend_on_seed(self, f1_files):
+        # Without --samples the weights are exact: y is the same at every
+        # seed, which drives only the rounding.
+        ys = []
+        for seed in ("1", "2"):
+            out = f1_files / f"ilm-exact-{seed}.csv"
+            rc = main(["ilm", *_base_args(f1_files), "-b", "1", "--tau", "30",
+                       "--seed", seed, "--out", str(out)])
+            assert rc == 0
+            _, rows = _read_csv(out)
+            ys.append([row for row in rows[1:] if row[0] == "y"])
+        assert ys[0] == ys[1] and len(ys[0]) == 3
 
     def test_swap(self, f1_files):
         out = f1_files / "ilm2.csv"

@@ -159,6 +159,13 @@ class TestContinuousGreedy:
         value = multilinear_exact(f1.dags, f1.X, f1.C, frac.y)
         assert value >= 0.9
 
+    def test_f1_quality_exact(self, f1):
+        frac = continuous_greedy(f1.dags, f1.X, f1.C, 1, CGConfig(tau=100))
+        frac.check(1)
+        assert frac.y[(0, 1)] >= 1.0 - TOL
+        assert frac.y[(0, 2)] + frac.y[(1, 2)] <= 1.0 + TOL
+        assert multilinear_exact(f1.dags, f1.X, f1.C, frac.y) >= 0.9
+
     def test_single_step_is_indicator(self, f1):
         frac = continuous_greedy(f1.dags, f1.X, f1.C, 1, CGConfig(tau=1, s=20, seed=0))
         values = sorted(frac.y.values(), reverse=True)
@@ -187,6 +194,9 @@ class TestContinuousGreedy:
             CGConfig(tau=0, s=5)
         with pytest.raises(ValueError):
             CGConfig(tau=5, s=0)
+        with pytest.raises(ValueError):
+            CGConfig(tau=0)
+        assert CGConfig().s is None
 
     def test_fractional_check_rejects_violations(self):
         frac = FractionalSolution(y={(0, 1): 0.7, (2, 1): 0.7})

@@ -427,6 +427,17 @@ def test_unknown_label_is_value_error():
         g.id_of(30)
 
 
+def test_directly_built_graph_resolves_labels(tmp_path):
+    # The label map is built on first use for a graph built directly, and
+    # handed over by load_graph, which remapped the edges with it.
+    g = SocialGraph(3, [(0, 1), (1, 2)], labels=[30, 10, 20])
+    assert [g.id_of(lab) for lab in (30, 10, 20)] == [0, 1, 2]
+    assert SocialGraph(3, []).id_of(2) == 2
+    loaded = load_graph(_write(tmp_path / "g.txt", "30 10\n10 20\n"))
+    assert "_id_of" in vars(loaded)
+    assert [loaded.id_of(lab) for lab in (10, 20, 30)] == [0, 1, 2]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 2), st.integers(0, 5)),
                 min_size=1, max_size=30))

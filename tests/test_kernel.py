@@ -3,8 +3,11 @@ deltas and SC/R maps and the per-action delta-dict kernel it replaced,
 the edge-list passes against the neighbour-id passes they replaced,
 greedy_bil against a greedy loop written on the reference, against the
 eager scan on the kernel and against the lazy loop on the delta-dict
-kernel, and the continuous greedy's per-sample marginals from
-``CreditKernel.marginals_without`` against a from-scratch sum."""
+kernel, the continuous greedy's per-sample marginals from
+``CreditKernel.marginals_without`` against a from-scratch sum, and the
+exact continuous greedy (the kernel at credits gamma * (1 - y), updated by
+``CreditKernel.scale``) against whole-DAG passes and against enumeration
+of the multilinear extension."""
 
 import heapq
 import random
@@ -12,7 +15,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdlim.contgreedy import CGConfig, continuous_greedy, max_weight_independent, sample_set
+from cdlim.contgreedy import (CGConfig, continuous_greedy, max_weight_independent,
+                              multilinear_exact, sample_set)
 from cdlim.credit import (CreditKernel, _credit_row, _edge_deltas, _r_map, _sc_map,
                           compute_credit_store, compute_mc, counts_from_dags, delta_set,
                           remove_edge, sigma_cd, sigma_cd_scratch)
@@ -130,18 +134,20 @@ def test_kernel_equals_delta_kernel_target_free(inst, data):
 
 
 def _stored_actions(kernel):
-    """The kernel's distinct ``(dag, sc, r, f)`` entries, by action id."""
+    """The kernel's distinct ``(dag, g, sc, r, f)`` entries, by action id."""
     return {entry[0].action: entry
             for entries in kernel.edge_actions.values() for entry in entries}
 
 
 def _assert_state_matches_scratch(kernel, dags, X):
-    # SC everywhere, R from the action's first target member on.
+    # SC everywhere, R from the action's first target member on, and the
+    # effective credits: gamma with the removed edges at zero.
     X = frozenset(X)
     stored = _stored_actions(kernel)
     assert sorted(stored) == [d.action for d in dags if d.gamma and not X.isdisjoint(d.times)]
-    for dag, sc, r, f in stored.values():
+    for dag, g, sc, r, f in stored.values():
         assert dag.nodes[f] in X and X.isdisjoint(dag.nodes[:f]), dag.action
+        assert g == {e: 0.0 if e in kernel.removed else c for e, c in dag.gamma.items()}
         assert sc == _sc_map(dag, X, kernel.removed), (dag.action, sorted(kernel.removed))
         after_f = set(dag.nodes[f:])
         want_r = {n: val for n, val in _r_map(dag, X, kernel.counts, kernel.removed).items()
@@ -171,6 +177,74 @@ def test_kernel_state_equals_scratch_maps_target_free(inst, data):
     _assert_kernel_state_after_every_prefix(inst, data)
 
 
+def _assert_scaled_state_matches_scratch(inst, data):
+    # After each ``scale`` call, with factors that may rise as well as fall:
+    # every stored g is gamma times the edge's latest factor, and the maps
+    # equal the whole-DAG passes on the DAG with credits g, bit for bit.
+    dags, X, C = inst
+    X = frozenset(X)
+    counts = counts_from_dags(dags)
+    kernel = CreditKernel(dags, X, counts)
+    factors = st.sampled_from((0.0, 0.3, 0.5, 1.0))
+    keep = {}
+    for _ in range(data.draw(st.integers(1, 4))):
+        step = data.draw(st.dictionaries(st.sampled_from(C), factors))
+        kernel.scale(step)
+        keep.update(step)
+        for dag, g, sc, r, f in _stored_actions(kernel).values():
+            assert g == {e: c * keep[e] if e in keep else c for e, c in dag.gamma.items()}
+            scaled = dag.with_gamma(g)
+            assert sc == _sc_map(scaled, X, ()), (dag.action, keep)
+            after_f = set(dag.nodes[f:])
+            assert r == {n: val for n, val in _r_map(scaled, X, counts, ()).items()
+                         if n in after_f}, (dag.action, keep)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_instances(), st.data())
+def test_scaled_kernel_state_equals_scratch_maps(inst, data):
+    _assert_scaled_state_matches_scratch(inst, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(target_free_instances(), st.data())
+def test_scaled_kernel_state_equals_scratch_maps_target_free(inst, data):
+    _assert_scaled_state_matches_scratch(inst, data)
+
+
+def closed_form_multilinear(dags, X, y, counts):
+    """F(y) in closed form: per DAG, the influence at gamma minus the
+    influence at gamma * (1 - y), one SC pass each."""
+    total = 0.0
+    for dag in dags:
+        kept = dag.with_gamma({e: c * (1.0 - y.get(e, 0.0)) for e, c in dag.gamma.items()})
+        total += sigma_cd_scratch([dag], X, counts) - sigma_cd_scratch([kept], X, counts)
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_instances(), st.data())
+def test_exact_multilinear_and_weights_equal_enumeration(inst, data):
+    # The premise of exact continuous greedy: a DAG path uses each edge once,
+    # so F(y) is one pass on the credits gamma * (1 - y), and the weight
+    # E[f(R + e) - f(R)] = (1 - y_e) (F(y | y_e = 1) - F(y | y_e = 0)) is
+    # the kernel's marginal at those credits. Enumeration over every subset
+    # of up to seven candidates is the reference.
+    dags, X, C = inst
+    C = data.draw(st.lists(st.sampled_from(C), unique=True, min_size=1, max_size=7))
+    probs = st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)
+    y = {e: data.draw(probs) for e in C}
+    counts = counts_from_dags(dags)
+    want = multilinear_exact(dags, X, C, y, counts=counts)
+    assert _close(closed_form_multilinear(dags, X, y, counts), want), y
+    kernel = CreditKernel(dags, X, counts)
+    kernel.scale({e: 1.0 - y[e] for e in C})
+    for e in C:
+        lo = multilinear_exact(dags, X, C, {**y, e: 0.0}, counts=counts)
+        hi = multilinear_exact(dags, X, C, {**y, e: 1.0}, counts=counts)
+        assert _close(kernel.marginal(e), (1.0 - y[e]) * (hi - lo)), (e, y)
+
+
 def _skip_instance():
     """One action over nodes 0-6 in id order with uniform credits and
     targets {2, 5}, so the first target sits at position 2. Node 3 comes
@@ -187,7 +261,7 @@ def _remove_and_diff(e, times=1):
     both must equal the from-scratch maps afterwards."""
     dags, X, counts = _skip_instance()
     kernel = CreditKernel(dags, X, counts)
-    (_, sc, r, f), = _stored_actions(kernel).values()
+    (_, _, sc, r, f), = _stored_actions(kernel).values()
     assert f == 2
     before = dict(sc), dict(r)
     for _ in range(times):
@@ -302,7 +376,7 @@ def _assert_edge_list_passes_equal_tuple_passes(inst, data):
                 for Y in (frozenset(), X):
                     want = tuple_credit_row(dag, source, Y, cut, in_nbrs)
                     assert list(_credit_row(dag, source, Y, cut).items()) == list(want.items())
-        for dag, sc, r, f in _stored_actions(kernel).values():
+        for dag, _, sc, r, f in _stored_actions(kernel).values():
             in_nbrs, out_nbrs = nbrs[dag.action]
             assert sc == tuple_sc_map(dag, X, cut, in_nbrs), (dag.action, sorted(cut))
             after_f = set(dag.nodes[f:])
@@ -342,8 +416,16 @@ def test_scratch_skips_target_free_actions_exactly(inst, data):
 @given(target_free_instances(), st.integers(1, 2), st.integers(0, 2 ** 16))
 def test_continuous_greedy_matches_reference_target_free(inst, b, seed):
     dags, X, C = inst
-    _assert_cg_matches_reference(dags, X, C, b, CGConfig(tau=10, s=5, seed=seed),
-                                 counts_from_dags(dags))
+    counts = counts_from_dags(dags)
+    _assert_cg_matches_reference(dags, X, C, b, CGConfig(tau=10, s=5, seed=seed), counts)
+    _assert_cg_matches_reference(dags, X, C, b, CGConfig(tau=10), counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_instances(), st.integers(1, 2), st.integers(1, 30))
+def test_exact_continuous_greedy_matches_reference(inst, b, tau):
+    dags, X, C = inst
+    _assert_cg_matches_reference(dags, X, C, b, CGConfig(tau=tau), counts_from_dags(dags))
 
 
 @settings(max_examples=150, deadline=None)
@@ -488,8 +570,16 @@ def test_greedy_equals_delta_kernel_chain_instance():
         # The picks hit stored actions on both sides of their first target.
         kernel = CreditKernel(dags, X, counts)
         sides = {dag.nodes.index(e[0]) >= f
-                 for e in sol.edges for dag, _, _, f in kernel.edge_actions.get(e, ())}
+                 for e in sol.edges for dag, _, _, _, f in kernel.edge_actions.get(e, ())}
         assert sides == {False, True}, bound
+        # No pick's tail holds R in any stored action (it is a target member
+        # or comes before the first one), so the removals skip every R
+        # window, and the maps still equal the whole-DAG passes.
+        assert not any(e[0] in r for e in sol.edges
+                       for _, _, _, r, _ in kernel.edge_actions.get(e, ())), bound
+        for e in sol.edges:
+            kernel.remove(e)
+        _assert_state_matches_scratch(kernel, dags, X)
 
 
 def reference_greedy(dags, X, k, C, counts, per_node_bound=None):
@@ -630,20 +720,27 @@ def test_marginals_without_equal_scratch_and_restore_kernel_target_free(inst, da
 
 
 def reference_continuous_greedy(dags, X, C, b, config, counts):
-    """Continuous greedy with every sample's marginals from scratch."""
+    """Continuous greedy with every weight from scratch: on the exact path,
+    the marginals on the DAGs with credits gamma * (1 - y); on the sampled
+    path, each sample's marginals with the sample removed."""
     C = sorted(set(C))
     rng = random.Random(config.seed)
     y = dict.fromkeys(C, 0.0)
     step = 1.0 / config.tau
     for _ in range(config.tau):
-        acc = dict.fromkeys(C, 0.0)
-        for _ in range(config.s):
-            B = sample_set(C, y, rng)
-            marg = reference_marginals(dags, X, C, counts, B)
-            for e in C:
-                if e not in B:
-                    acc[e] += marg[e]
-        weights = {e: max(acc[e] / config.s, 0.0) for e in C}
+        if config.s is None:
+            kept = [d.with_gamma({e: c * (1.0 - y[e]) if e in y else c
+                                  for e, c in d.gamma.items()}) for d in dags]
+            weights = reference_marginals(kept, X, C, counts, frozenset())
+        else:
+            acc = dict.fromkeys(C, 0.0)
+            for _ in range(config.s):
+                B = sample_set(C, y, rng)
+                marg = reference_marginals(dags, X, C, counts, B)
+                for e in C:
+                    if e not in B:
+                        acc[e] += marg[e]
+            weights = {e: max(acc[e] / config.s, 0.0) for e in C}
         for e in max_weight_independent(weights, b, y=y):
             y[e] = min(y[e] + step, 1.0)
     return y
@@ -666,8 +763,8 @@ def test_continuous_greedy_matches_reference_criterion_08_instances():
         counts = counts_from_dags(inst.dags)
         if _best_feasible(inst, b, counts)[0] < 0.05:
             continue
-        _assert_cg_matches_reference(inst.dags, inst.X, inst.C, b,
-                                     CGConfig(tau=100, s=50, seed=0), counts)
+        for config in (CGConfig(tau=100, s=50, seed=0), CGConfig(tau=100)):
+            _assert_cg_matches_reference(inst.dags, inst.X, inst.C, b, config, counts)
         done += 1
 
 
@@ -684,5 +781,5 @@ def test_continuous_greedy_matches_reference_multi_action_instances():
             B = frozenset(e for e in inst.C if rng.random() < 0.2)
             got = _dense_marginals(kernel, inst.C, kernel.marginals_without(inst.C, B), B)
             assert got == reference_marginals(inst.dags, inst.X, inst.C, counts, B)
-        _assert_cg_matches_reference(inst.dags, inst.X, inst.C, 1 + i % 2,
-                                     CGConfig(tau=20, s=10, seed=i), counts)
+        for config in (CGConfig(tau=20, s=10, seed=i), CGConfig(tau=20)):
+            _assert_cg_matches_reference(inst.dags, inst.X, inst.C, 1 + i % 2, config, counts)

@@ -153,10 +153,12 @@ def continuous_greedy(dags, X, C, b, config: CGConfig, counts=None) -> Fractiona
     independent direction, staying inside the matroid polytope.
 
     On the exact path the kernel's credits are gamma * (1 - y) throughout:
-    after each step, :meth:`CreditKernel.scale` updates only the actions
+    after each step, :meth:`CreditKernel.scale` marks only the actions
     holding an edge whose y moved, and each weight is the kernel's
-    marginal. The sampled path keeps the kernel at gamma and scores each
-    sample with :meth:`CreditKernel.marginals_without`."""
+    marginal. Only the candidates some stored action holds are scored: every
+    other weight is exactly 0.0, which ``max_weight_independent`` skips. The
+    sampled path keeps the kernel at gamma and scores each sample with
+    :meth:`CreditKernel.marginals_without`."""
     C = sorted(set(C))
     if not C:
         raise ValueError("empty candidate set")
@@ -165,12 +167,13 @@ def continuous_greedy(dags, X, C, b, config: CGConfig, counts=None) -> Fractiona
     if counts is None:
         counts = counts_from_dags(dags)
     kernel = CreditKernel(dags, X, counts)
+    held = [e for e in C if e in kernel.edge_actions]
     rng = random.Random(config.seed)
     y = dict.fromkeys(C, 0.0)
     step = 1.0 / config.tau
     for _ in range(config.tau):
         if config.s is None:
-            weights = {e: kernel.marginal(e) for e in C}
+            weights = {e: kernel.marginal(e) for e in held}
         else:
             weights = _cg_weights(kernel, C, y, config.s, rng)
         moved = max_weight_independent(weights, b, y=y)

@@ -8,16 +8,19 @@ its own share included (a backward pass). Removing edge (u, v) lowers the
 influence in action a by SC[u] * gamma * R[v]; the kernel sums these terms
 on demand. It keeps each map only from the action's first target member on,
 since no earlier node carries set credit. Each stored action also keeps its
-own effective credits ``g``, a copy of ``dag.gamma``, and the kernel's
-passes read only ``g``: a removal sets ``g[e] = 0.0``, and exact continuous
-greedy sets ``g[e] = gamma * (1 - y_e)``. Either change updates the maps of
-the actions holding the edge in place: SC from v on, R from u back. A
-continuous-greedy sample gives those actions fresh maps for one call. An
-action with no target member has SC empty, so it adds no influence and no
-term: the kernel, :func:`sigma_cd_scratch` and :func:`delta_set` skip it,
-and their sums are unchanged to the bit. The whole-DAG passes
-:func:`_sc_map`, :func:`_r_map` and :func:`_edge_deltas` are references for
-the kernel; no solver calls them.
+own effective credits ``g``: ``dag.gamma`` restricted to the edges whose
+tail comes at or after that first target member, the only ones a pass or a
+marginal reads. The kernel's passes read only ``g``: a removal sets
+``g[e] = 0.0``, and exact continuous greedy sets ``g[e] = gamma * (1 - y_e)``.
+Either change repairs nothing at once. It marks the maps of the actions
+holding the edge stale, SC from v on and R from u back, and a marginal
+repairs only the part of a map it reads. A continuous-greedy sample gives
+the actions holding a sampled edge fresh maps for one call. An action with
+no target member has SC empty, so it adds no influence and no term: the
+kernel, :func:`sigma_cd_scratch` and :func:`delta_set` skip it, and their
+sums are unchanged to the bit. The whole-DAG passes :func:`_sc_map`,
+:func:`_r_map` and :func:`_edge_deltas` are references for the kernel; no
+solver calls them.
 
 Every pass, the oracles included, walks the DAG's ``in_edges`` and
 ``out_edges`` lists. Their tuples are the keys of ``dag.gamma``, so a pass
@@ -155,18 +158,24 @@ class CreditKernel:
     holding an edge and a target member are stored. In any other action SC
     is empty, so it adds no term to any marginal.
 
-    Each stored action is a list ``[dag, g, sc, r, f]``. ``g`` is the
-    action's own effective-credit dict: a copy of ``dag.gamma`` in which a
-    removed edge reads 0.0 and a scaled edge gamma * keep. The passes read
-    ``g`` alone, so a removed edge adds ``c * 0.0`` to a non-negative sum,
-    which leaves it unchanged to the bit. ``f`` is the position in
-    ``dag.nodes`` of the action's first target member. No node before ``f``
-    has set credit, so SC is computed forward from ``f`` and R backward only
-    down to ``f``: a marginal reads R only at the head of an edge whose tail
-    has SC, and such a head comes after ``f``. Each value is the same sum,
+    Each stored action is a list ``[dag, g, sc, r, f, pos, s, t]``. ``f`` is
+    the position in ``dag.nodes`` of the action's first target member. No
+    node before ``f`` has set credit, so SC is computed forward from ``f``
+    and R backward only down to ``f``: a marginal reads R only at the head
+    of an edge whose tail has SC, and such a head comes after ``f``. ``g``
+    is the action's own effective-credit dict, over the edges whose tail
+    comes at or after ``f``: an earlier tail has no SC, so its edge adds no
+    term to any marginal and no pass reads its credit. A removed edge reads
+    0.0 in ``g`` and a scaled edge gamma * keep. The passes read ``g``
+    alone, so a removed edge adds ``c * 0.0`` to a non-negative sum, which
+    leaves it unchanged to the bit. ``pos`` maps each node from ``f`` on to
+    its position. The marks ``s`` and ``t`` say which parts of the maps are
+    current: SC at every position below ``s``, and R at every position
+    above ``t``. A new kernel's maps are current throughout (``s`` is the
+    node count and ``t`` is ``f - 1``). Each current value is the same sum,
     in the same order, as in :func:`_sc_map` and :func:`_r_map` on the DAG
-    with credits ``g``, so the maps equal theirs (R on the nodes from ``f``
-    on) bit for bit.
+    with credits ``g``, so a repaired map equals theirs (R on the nodes from
+    ``f`` on) bit for bit.
     """
 
     def __init__(self, dags, X, counts):
@@ -174,22 +183,42 @@ class CreditKernel:
         self.counts = counts
         self.removed: set[tuple[int, int]] = set()
         self.edge_actions: dict[tuple[int, int], list[list]] = {}
+        # id -> entry for each stored action marked stale since the last
+        # full repair; marginals_without repairs them first.
+        self._stale: dict[int, list] = {}
         for dag in dags:
             if dag.gamma and not self.X.isdisjoint(dag.times):
-                f = next(i for i, u in enumerate(dag.nodes) if u in self.X)
-                g = dag.gamma.copy()
-                entry = [dag, g, *self._maps(dag, g, f), f]
-                for e in g:
-                    self.edge_actions.setdefault(e, []).append(entry)
+                nodes = dag.nodes
+                f = next(i for i, u in enumerate(nodes) if u in self.X)
+                pos = {u: i for i, u in enumerate(nodes[f:], f)}
+                g = {e: c for e, c in dag.gamma.items() if e[0] in pos}
+                if g:
+                    entry = [dag, g, *self._maps(dag, g, f), f, pos, len(nodes), f - 1]
+                    for e in g:
+                        self.edge_actions.setdefault(e, []).append(entry)
 
     def marginal(self, e) -> float:
+        """The sum of SC[u] * g[e] * R[v] over the stored actions holding
+        ``e`` (0.0 once ``e`` is removed). Per action it first repairs what
+        the term reads and is stale: SC from ``s`` through u, and, when u has
+        set credit, R from ``t`` down to v. Both marks then move past the
+        values read; everything beyond them stays stale."""
         if e in self.removed:
             return 0.0
         u, v = e
         mc = 0.0
-        for _, g, sc, r, _ in self.edge_actions.get(e, ()):
+        for entry in self.edge_actions.get(e, ()):
+            dag, g, sc, r, _, pos, s, t = entry
+            i = pos[u]
+            if i >= s:
+                self._sc_pass(dag, g, sc, s, i)
+                entry[6] = i + 1
             c = sc.get(u)
             if c is not None:
+                j = pos[v]
+                if j <= t:
+                    self._r_pass(dag, g, r, j, t)
+                    entry[7] = j - 1
                 mc += c * g[e] * r.get(v, 0.0)
         return mc
 
@@ -198,9 +227,13 @@ class CreditKernel:
         removals, for the candidates in ``C`` that some stored action holds
         and that are not removed; every other candidate's marginal is
         exactly 0.0 and is left out. Each sum is :meth:`marginal`'s, term
-        for term. The kernel is left as it was. Only the actions holding an
-        edge of ``B`` get sample maps for the call, computed from a copy of
-        their ``g`` with their edges of ``B`` set to 0.0."""
+        for term. The kernel is left as it was, with every stored map
+        repaired. Only the actions holding an edge of ``B`` get sample maps
+        for the call, computed from a copy of their ``g`` with their edges
+        of ``B`` set to 0.0."""
+        for entry in self._stale.values():
+            self._repair(entry)
+        self._stale.clear()
         edge_actions = self.edge_actions
         sampled = {}
         for e in B:
@@ -219,7 +252,7 @@ class CreditKernel:
                 continue
             u, v = e
             mc = 0.0
-            for _, g, sc, r, _ in entries:
+            for _, g, sc, r, _, _, _, _ in entries:
                 c = sc.get(u)
                 if c is not None:
                     mc += c * g[e] * r.get(v, 0.0)
@@ -230,8 +263,7 @@ class CreditKernel:
 
     def remove(self, e) -> None:
         """Delete ``e``: its credit becomes 0.0 in every stored action holding
-        it, and their maps are updated in place by :meth:`scale`. A repeated
-        removal is a no-op."""
+        it, by :meth:`scale`. A repeated removal is a no-op."""
         if e in self.removed:
             return
         self.removed.add(e)
@@ -239,54 +271,60 @@ class CreditKernel:
 
     def scale(self, keep) -> None:
         """Set the credit of each edge ``e`` of ``keep`` to gamma * keep[e]
-        in every stored action holding it, and update those actions' SC and
-        R maps in place. Continuous greedy passes keep = 1 - y.
+        in every stored action holding it, and mark what that makes stale.
+        Continuous greedy passes keep = 1 - y. No pass runs here.
 
         Changing the credit of (u, v) can change SC only at v and its
-        descendants, and R only at u and its ancestors. So per action, SC is
-        recomputed in topological order from the earliest such head to the
-        end, and R in reverse from the latest such tail down to ``f``; every
-        other node gets the same inputs and keeps its value. An edge into a
-        target member changes neither map (the head's SC stays 1, and it has
-        no R), so it is left out. So is a head whose tail has no SC before
-        the call, from the SC window (if another change of the call gives
-        that tail credit, the head of that change comes earlier and the
-        window covers this one), and a tail without R, from the R window.
-        A tail has no R before ``f``, where R is not kept, and when it is a
-        target member: R counts only target-free paths, so no R value reads
-        an edge out of a target member. Greedy's best picks are often such
-        edges.
+        descendants, which come after v, and R only at u and its ancestors,
+        which come before u. So per action ``s`` drops to v's position and
+        ``t`` rises to u's, if they are not already past them. An edge into
+        a target member changes neither map (the head's SC stays 1, and it
+        has no R), so it moves no mark. Nor does an edge out of a target
+        member move ``t``: R counts only target-free paths, so no R value
+        reads it. Greedy's best picks are often such edges.
         """
         X = self.X
-        touched = {}
+        stale = self._stale
         for e, k in keep.items():
+            u, v = e
+            marks = v not in X
+            moves_t = marks and u not in X
             for entry in self.edge_actions.get(e, ()):
                 entry[1][e] = entry[0].gamma[e] * k
-                if e[1] not in X:
-                    touched.setdefault(id(entry), (entry, []))[1].append(e)
-        for (dag, g, sc, r, f), edges in touched.values():
-            index = dag.nodes.index
-            heads = {v for u, v in edges if u in sc}
-            if heads:
-                self._sc_pass(dag, g, sc, min(map(index, heads)))
-            tails = {u for u, _ in edges if u in r}
-            if tails:
-                self._r_pass(dag, g, r, max(map(index, tails)), f)
+                if marks:
+                    pos = entry[5]
+                    if pos[v] < entry[6]:
+                        entry[6] = pos[v]
+                    if moves_t and pos[u] > entry[7]:
+                        entry[7] = pos[u]
+                    stale[id(entry)] = entry
+
+    def _repair(self, entry) -> None:
+        """Bring both maps of a stored action up to date and reset its marks."""
+        dag, g, sc, r, f, _, s, t = entry
+        last = len(dag.nodes) - 1
+        if s <= last:
+            self._sc_pass(dag, g, sc, s, last)
+            entry[6] = last + 1
+        if t >= f:
+            self._r_pass(dag, g, r, f, t)
+            entry[7] = f - 1
 
     def _maps(self, dag, g, f) -> tuple[dict, dict]:
         """Fresh SC and R maps of ``dag`` with credits ``g``, from position
         ``f`` on."""
         sc, r = {}, {}
-        self._sc_pass(dag, g, sc, f)
-        self._r_pass(dag, g, r, len(dag.nodes) - 1, f)
+        last = len(dag.nodes) - 1
+        self._sc_pass(dag, g, sc, f, last)
+        self._r_pass(dag, g, r, f, last)
         return sc, r
 
-    def _sc_pass(self, dag, g, sc, start) -> None:
-        """Recompute SC in place at ``dag.nodes[start:]``, in topological
+    def _sc_pass(self, dag, g, sc, lo, hi) -> None:
+        """Recompute SC in place at ``dag.nodes[lo:hi + 1]``, in topological
         order, dropping nodes whose credit falls to zero."""
         X = self.X
         in_edges = dag.in_edges
-        for u in dag.nodes[start:]:
+        for u in dag.nodes[lo:hi + 1]:
             if u in X:
                 sc[u] = 1.0
                 continue
@@ -300,13 +338,13 @@ class CreditKernel:
             else:
                 sc.pop(u, None)
 
-    def _r_pass(self, dag, g, r, stop, f) -> None:
-        """Recompute R in place at ``dag.nodes[f:stop + 1]``, in reverse
+    def _r_pass(self, dag, g, r, lo, hi) -> None:
+        """Recompute R in place at ``dag.nodes[lo:hi + 1]``, in reverse
         topological order."""
         X = self.X
         counts = self.counts
         out_edges = dag.out_edges
-        for v in reversed(dag.nodes[f:stop + 1]):
+        for v in reversed(dag.nodes[lo:hi + 1]):
             if v in X:
                 continue
             acc = 1.0 / counts[v]

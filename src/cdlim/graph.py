@@ -113,12 +113,14 @@ def load_graph(path) -> SocialGraph:
             raise ValueError(f"{path}:{lineno}: negative node id")
         flat.append(u)
         flat.append(v)
-    ordered = sorted(set(flat))
-    id_of = {lab: i for i, lab in enumerate(ordered)}
+    # The sorted label list lives only while the map is built: SocialGraph
+    # takes its labels from the map's keys, which keep the sorted order, so
+    # the one label list the graph holds is its own.
+    id_of = {lab: i for i, lab in enumerate(sorted(set(flat)))}
     ids = list(map(id_of.__getitem__, flat))
     del flat
     pairs = iter(ids)
-    graph = SocialGraph(len(ordered), zip(pairs, pairs), labels=ordered)
+    graph = SocialGraph(len(id_of), zip(pairs, pairs), labels=id_of)
     graph._id_of = id_of
     if graph.dropped_self_loops:
         log.warning("%s: dropped %d self-loop(s)", path, graph.dropped_self_loops)

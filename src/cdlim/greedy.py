@@ -27,11 +27,12 @@ def greedy_bil(dags, X, k, C=None, *, counts=None, use_lazy=False,
 
     Picks, k times, the remaining candidate with the largest marginal
     contribution (ties broken by smallest (u, v) pair) from a
-    :class:`CreditKernel`, which updates only the actions containing the
-    picked edge, and in each only the window of nodes the removal can
-    reach. ``per_node_bound`` adds a per-head-node feasibility filter
-    (the restricted-greedy ILM baseline). ``use_lazy`` changes nothing; it
-    is kept only because the benchmark's chain-long workload passes it.
+    :class:`CreditKernel`. A removal marks stale only the actions holding
+    the picked edge, and in each only the nodes the removal can reach; a
+    marginal repairs only the values it reads. ``per_node_bound`` adds a
+    per-head-node feasibility filter (the restricted-greedy ILM baseline).
+    ``use_lazy`` changes nothing; it is kept only because the benchmark's
+    chain-long workload passes it.
 
     Lazy evaluation (Minoux 1978; CELF, Leskovec et al. 2007) returns the
     eager scan's picks and gains bit for bit, not just within rounding.
@@ -41,14 +42,16 @@ def greedy_bil(dags, X, k, C=None, *, counts=None, use_lazy=False,
     nearest addition and multiplication are monotone, so after a removal
     every SC and R value, every term SC[u] * gamma * R[v], and every
     marginal (a sum of such terms over actions in DAG order) is at most its
-    previous float value. The kernel recomputes values only inside the
-    window of nodes a removal can reach. Every value outside it keeps its
-    old bits, which are what a whole-DAG pass would give, since none of its
-    inputs changed; so no value, and no marginal, rises there either. A
-    heap key is therefore an upper bound on the current marginal, and with
-    ``(-marginal, edge)`` heap order the first popped entry whose key
-    equals its current marginal is the largest current marginal, ties going
-    to the smallest edge, with the same gain the eager scan would report.
+    previous float value. Every value a marginal reads is repaired from
+    current inputs first, in the same order, so it has the bits a whole-DAG
+    pass on the current credits would give: a value that no removal could
+    reach keeps its old bits, since none of its inputs changed, and any
+    other is recomputed. So no value a marginal reads, and no marginal,
+    ever rises. A heap key is therefore an upper bound on the current
+    marginal, and with ``(-marginal, edge)`` heap order the first popped
+    entry whose key equals its current marginal is the largest current
+    marginal, ties going to the smallest edge, with the same gain the eager
+    scan would report.
     """
     if k < 1:
         raise ValueError(f"budget k={k} must be at least 1")

@@ -134,20 +134,40 @@ def test_kernel_equals_delta_kernel_target_free(inst, data):
 
 
 def _stored_actions(kernel):
-    """The kernel's distinct ``(dag, g, sc, r, f)`` entries, by action id."""
-    return {entry[0].action: entry
-            for entries in kernel.edge_actions.values() for entry in entries}
+    """The kernel's distinct stored actions by action id, each first
+    repaired to current and then cut to its ``(dag, g, sc, r, f)`` fields."""
+    stored = {}
+    for entries in kernel.edge_actions.values():
+        for entry in entries:
+            kernel._repair(entry)
+            stored[entry[0].action] = entry[:5]
+    return stored
+
+
+def _first_target(dag, X):
+    """Position of the DAG's first target member; the node count if none."""
+    return next((i for i, u in enumerate(dag.nodes) if u in X), len(dag.nodes))
+
+
+def _held_gamma(dag, X):
+    """``dag.gamma`` cut to the edges whose tail comes at or after the DAG's
+    first target member: the credits a stored action keeps. Empty when the
+    DAG has no target member."""
+    after = set(dag.nodes[_first_target(dag, X):])
+    return {e: c for e, c in dag.gamma.items() if e[0] in after}
 
 
 def _assert_state_matches_scratch(kernel, dags, X):
     # SC everywhere, R from the action's first target member on, and the
-    # effective credits: gamma with the removed edges at zero.
+    # effective credits: gamma with the removed edges at zero, on the edges
+    # whose tail comes at or after that member.
     X = frozenset(X)
     stored = _stored_actions(kernel)
-    assert sorted(stored) == [d.action for d in dags if d.gamma and not X.isdisjoint(d.times)]
+    assert sorted(stored) == [d.action for d in dags if _held_gamma(d, X)]
     for dag, g, sc, r, f in stored.values():
         assert dag.nodes[f] in X and X.isdisjoint(dag.nodes[:f]), dag.action
-        assert g == {e: 0.0 if e in kernel.removed else c for e, c in dag.gamma.items()}
+        assert g == {e: 0.0 if e in kernel.removed else c
+                     for e, c in _held_gamma(dag, X).items()}
         assert sc == _sc_map(dag, X, kernel.removed), (dag.action, sorted(kernel.removed))
         after_f = set(dag.nodes[f:])
         want_r = {n: val for n, val in _r_map(dag, X, kernel.counts, kernel.removed).items()
@@ -177,27 +197,33 @@ def test_kernel_state_equals_scratch_maps_target_free(inst, data):
     _assert_kernel_state_after_every_prefix(inst, data)
 
 
+def _assert_maps_match_credits(kernel, X, keep):
+    # Every stored g is gamma times the edge's latest factor in ``keep``,
+    # and the repaired maps equal the whole-DAG passes on the DAG with
+    # those credits, bit for bit. The passes read every edge, so the DAG
+    # given to them keeps gamma on the edges g leaves out.
+    for dag, g, sc, r, f in _stored_actions(kernel).values():
+        assert g == {e: c * keep[e] if e in keep else c
+                     for e, c in _held_gamma(dag, X).items()}
+        scaled = dag.with_gamma({**dag.gamma, **g})
+        assert sc == _sc_map(scaled, X, ()), (dag.action, keep)
+        after_f = set(dag.nodes[f:])
+        assert r == {n: val for n, val in _r_map(scaled, X, kernel.counts, ()).items()
+                     if n in after_f}, (dag.action, keep)
+
+
 def _assert_scaled_state_matches_scratch(inst, data):
-    # After each ``scale`` call, with factors that may rise as well as fall:
-    # every stored g is gamma times the edge's latest factor, and the maps
-    # equal the whole-DAG passes on the DAG with credits g, bit for bit.
+    # After each ``scale`` call, with factors that may rise as well as fall.
     dags, X, C = inst
     X = frozenset(X)
-    counts = counts_from_dags(dags)
-    kernel = CreditKernel(dags, X, counts)
+    kernel = CreditKernel(dags, X, counts_from_dags(dags))
     factors = st.sampled_from((0.0, 0.3, 0.5, 1.0))
     keep = {}
     for _ in range(data.draw(st.integers(1, 4))):
         step = data.draw(st.dictionaries(st.sampled_from(C), factors))
         kernel.scale(step)
         keep.update(step)
-        for dag, g, sc, r, f in _stored_actions(kernel).values():
-            assert g == {e: c * keep[e] if e in keep else c for e, c in dag.gamma.items()}
-            scaled = dag.with_gamma(g)
-            assert sc == _sc_map(scaled, X, ()), (dag.action, keep)
-            after_f = set(dag.nodes[f:])
-            assert r == {n: val for n, val in _r_map(scaled, X, counts, ()).items()
-                         if n in after_f}, (dag.action, keep)
+        _assert_maps_match_credits(kernel, X, keep)
 
 
 @settings(max_examples=150, deadline=None)
@@ -210,6 +236,80 @@ def test_scaled_kernel_state_equals_scratch_maps(inst, data):
 @given(target_free_instances(), st.data())
 def test_scaled_kernel_state_equals_scratch_maps_target_free(inst, data):
     _assert_scaled_state_matches_scratch(inst, data)
+
+
+def _assert_lazy_repair_matches_scratch(dags, X, C, rng, steps):
+    # One kernel under a random interleaving of removals (one to three in a
+    # row, some repeated), scale batches on edges not removed, and marginal
+    # queries. Every marginal equals the from-scratch sum on the DAGs with
+    # the current credits, bit for bit, and every fully repaired map equals
+    # the whole-DAG passes, now and then along the way and at the end. A
+    # third of the draws come from the edges into a target member and the
+    # edges whose tail comes before the first target member of a
+    # target-holding action that holds them, when there are any.
+    X = frozenset(X)
+    counts = counts_from_dags(dags)
+    kernel = CreditKernel(dags, X, counts)
+    early = set().union(*(d.gamma.keys() - _held_gamma(d, X).keys()
+                          for d in dags if not X.isdisjoint(d.times)))
+    special = [e for e in C if e[1] in X or e in early]
+
+    def draw():
+        return rng.choice(special if special and rng.random() < 0.3 else C)
+
+    keep, ref = {}, None
+    for _ in range(steps):
+        op = rng.random()
+        if op < 0.35:
+            for _ in range(rng.randint(1, 3)):
+                again = kernel.removed and rng.random() < 0.2
+                e = rng.choice(sorted(kernel.removed)) if again else draw()
+                kernel.remove(e)
+                keep[e] = 0.0
+            ref = None
+        elif op < 0.5:
+            step = {e: rng.choice((0.0, 0.3, 0.5, 1.0))
+                    for e in (draw() for _ in range(rng.randint(1, 3)))
+                    if e not in kernel.removed}
+            kernel.scale(step)
+            keep.update(step)
+            ref = None
+        elif op < 0.55:
+            _assert_maps_match_credits(kernel, X, keep)
+        else:
+            if ref is None:
+                scaled = [d.with_gamma({e: c * keep[e] if e in keep else c
+                                        for e, c in d.gamma.items()}) for d in dags]
+                ref = reference_marginals(scaled, X, C, counts, ())
+            for _ in range(rng.randint(1, 4)):
+                e = draw()
+                want = 0.0 if e in kernel.removed else ref[e]
+                assert kernel.marginal(e) == want, (e, sorted(keep.items()))
+    _assert_maps_match_credits(kernel, X, keep)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_instances(), st.integers(0, 2 ** 32 - 1))
+def test_lazy_repair_matches_scratch(inst, seed):
+    dags, X, C = inst
+    _assert_lazy_repair_matches_scratch(dags, X, C, random.Random(seed), steps=40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(target_free_instances(), st.integers(0, 2 ** 32 - 1))
+def test_lazy_repair_matches_scratch_target_free(inst, seed):
+    dags, X, C = inst
+    _assert_lazy_repair_matches_scratch(dags, X, C, random.Random(seed), steps=40)
+
+
+def test_lazy_repair_matches_scratch_chain_instance():
+    dags, X, _, C = _chain_instance()
+    for seed in range(6):
+        rng = random.Random(seed)
+        if seed % 2:
+            dags = [d.with_gamma({e: rng.choice((0.25, 0.5, 1.0)) / d.d_in(e[1])
+                                  for e in d.gamma}) for d in dags]
+        _assert_lazy_repair_matches_scratch(dags, X, C, rng, steps=80)
 
 
 def closed_form_multilinear(dags, X, y, counts):
@@ -567,18 +667,24 @@ def test_greedy_equals_delta_kernel_chain_instance():
         sol = greedy_bil(dags, X, 40, C, counts=counts, per_node_bound=bound)
         want = delta_kernel_greedy(dags, X, 40, C, counts, bound)
         assert repr((sol.edges, sol.gain_per_step)) == repr(want), bound
-        # The picks hit stored actions on both sides of their first target.
+        # The picks lie in target-holding actions on both sides of their
+        # first target, and the kernel stores only the side at or after it.
         kernel = CreditKernel(dags, X, counts)
-        sides = {dag.nodes.index(e[0]) >= f
-                 for e in sol.edges for dag, _, _, _, f in kernel.edge_actions.get(e, ())}
+        sides = {dag.nodes.index(e[0]) >= _first_target(dag, X)
+                 for e in sol.edges for dag in dags
+                 if e in dag.gamma and not X.isdisjoint(dag.times)}
         assert sides == {False, True}, bound
+        assert {dag.nodes.index(e[0]) >= f for e in sol.edges
+                for dag, _, _, _, f, *_ in kernel.edge_actions.get(e, ())} == {True}, bound
         # No pick's tail holds R in any stored action (it is a target member
-        # or comes before the first one), so the removals skip every R
-        # window, and the maps still equal the whole-DAG passes.
-        assert not any(e[0] in r for e in sol.edges
-                       for _, _, _, r, _ in kernel.edge_actions.get(e, ())), bound
+        # or comes before the first one), so the removals never mark R
+        # stale, and the repaired maps still equal the whole-DAG passes.
+        assert not any(e[0] in entry[3] for e in sol.edges
+                       for entry in kernel.edge_actions.get(e, ())), bound
         for e in sol.edges:
             kernel.remove(e)
+        assert all(entry[7] == entry[4] - 1
+                   for entries in kernel.edge_actions.values() for entry in entries), bound
         _assert_state_matches_scratch(kernel, dags, X)
 
 

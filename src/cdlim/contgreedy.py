@@ -8,7 +8,9 @@ weight of e, E[f(R + e) - f(R)] for R drawn from y, is then exactly
 ``CreditKernel.marginal(e)`` on a kernel holding those credits: the
 exact path (``CGConfig.s=None``, the default) keeps such a kernel and
 needs no samples. ``s >= 1`` selects the sampled path, which estimates
-each weight as a mean over s shared draws of R.
+each weight as a mean over s shared draws of R. It scores each draw on the
+same kernel through the same two calls: ``scale`` sets the credits of R to
+0.0, ``marginal`` reads the weights, and ``scale`` sets them back to gamma.
 """
 
 from __future__ import annotations
@@ -111,19 +113,27 @@ def cg_weights(dags, X, C, y, s, rng, counts=None) -> dict:
         raise ValueError("s must be >= 1")
     if counts is None:
         counts = counts_from_dags(dags)
-    return _cg_weights(CreditKernel(dags, X, counts), sorted(C), y, s, rng)
+    kernel = CreditKernel(dags, X, counts)
+    C = sorted(C)
+    return _cg_weights(kernel, C, [e for e in C if e in kernel.edge_actions], y, s, rng)
 
 
-def _cg_weights(kernel, C, y, s, rng) -> dict:
-    """:func:`cg_weights` on sorted ``C`` and a kernel with no removals,
-    shared across calls; each sample B is scored by ``marginals_without``.
-    A candidate it leaves out (in B, or held by no stored action) has a
-    marginal of exactly 0.0, so skipping it leaves ``acc`` bit-identical."""
+def _cg_weights(kernel, C, held, y, s, rng) -> dict:
+    """:func:`cg_weights` on sorted ``C`` and a kernel shared across calls;
+    ``held`` is the part of ``C`` some stored action holds. Per sample B,
+    :meth:`CreditKernel.scale` sets the edges of B that the kernel has not
+    removed to credit 0.0, and back to gamma (exactly, by a factor of 1.0)
+    once the held candidates outside B are scored. Any other candidate's
+    marginal is exactly 0.0, so skipping it leaves ``acc`` bit-identical."""
     acc = dict.fromkeys(C, 0.0)
     for _ in range(s):
         B = sample_set(C, y, rng)
-        for e, m in kernel.marginals_without(C, B).items():
-            acc[e] += m
+        zeroed = B - kernel.removed
+        kernel.scale(dict.fromkeys(zeroed, 0.0))
+        for e in held:
+            if e not in B:
+                acc[e] += kernel.marginal(e)
+        kernel.scale(dict.fromkeys(zeroed, 1.0))
     return {e: max(acc[e] / s, 0.0) for e in C}
 
 
@@ -157,13 +167,14 @@ def continuous_greedy(dags, X, C, b, config: CGConfig, counts=None) -> Fractiona
     holding an edge whose y moved, and each weight is the kernel's
     marginal. Only the candidates some stored action holds are scored: every
     other weight is exactly 0.0, which ``max_weight_independent`` skips. The
-    sampled path keeps the kernel at gamma and scores each sample with
-    :meth:`CreditKernel.marginals_without`."""
+    sampled path keeps the kernel at gamma between samples, and scores each
+    sample on the same kernel with the sample's credits set to 0.0 (see
+    :func:`_cg_weights`)."""
     C = sorted(set(C))
     if not C:
         raise ValueError("empty candidate set")
     if b < 1:
-        raise ValueError("per-node bound must be >= 1")
+        raise ValueError(f"per-node bound b={b} must be at least 1")
     if counts is None:
         counts = counts_from_dags(dags)
     kernel = CreditKernel(dags, X, counts)
@@ -175,7 +186,7 @@ def continuous_greedy(dags, X, C, b, config: CGConfig, counts=None) -> Fractiona
         if config.s is None:
             weights = {e: kernel.marginal(e) for e in held}
         else:
-            weights = _cg_weights(kernel, C, y, config.s, rng)
+            weights = _cg_weights(kernel, C, held, y, config.s, rng)
         moved = max_weight_independent(weights, b, y=y)
         for e in moved:
             y[e] = min(y[e] + step, 1.0)

@@ -11,16 +11,16 @@ since no earlier node carries set credit. Each stored action also keeps its
 own effective credits ``g``: ``dag.gamma`` restricted to the edges whose
 tail comes at or after that first target member, the only ones a pass or a
 marginal reads. The kernel's passes read only ``g``: a removal sets
-``g[e] = 0.0``, and exact continuous greedy sets ``g[e] = gamma * (1 - y_e)``.
-Either change repairs nothing at once. It marks the maps of the actions
-holding the edge stale, SC from v on and R from u back, and a marginal
-repairs only the part of a map it reads. A continuous-greedy sample gives
-the actions holding a sampled edge fresh maps for one call. An action with
-no target member has SC empty, so it adds no influence and no term: the
-kernel, :func:`sigma_cd_scratch` and :func:`delta_set` skip it, and their
-sums are unchanged to the bit. The whole-DAG passes :func:`_sc_map`,
-:func:`_r_map` and :func:`_edge_deltas` are references for the kernel; no
-solver calls them.
+``g[e] = 0.0``, exact continuous greedy sets ``g[e] = gamma * (1 - y_e)``,
+and a sample of the sampled path sets its edges to 0.0 and, once its
+marginals are read, back to gamma. None of these changes repairs anything
+at once: each marks the maps of the actions holding the edge stale, SC from
+v on and R from u back, and a marginal repairs only the part of a map it
+reads. An action with no target member has SC empty, so it adds no
+influence and no term: the kernel, :func:`sigma_cd_scratch` and
+:func:`delta_set` skip it, and their sums are unchanged to the bit. The
+whole-DAG passes :func:`_sc_map`, :func:`_r_map` and :func:`_edge_deltas`
+are references for the kernel; no solver calls them.
 
 Every pass, the oracles included, walks the DAG's ``in_edges`` and
 ``out_edges`` lists. Their tuples are the keys of ``dag.gamma``, so a pass
@@ -149,8 +149,7 @@ def _edge_deltas(dag: ActionDag, X, counts, removed) -> dict[tuple[int, int], fl
 class CreditKernel:
     """SC and R maps per target-holding action, for the marginals of greedy
     (:meth:`remove` per pick) and continuous greedy (:meth:`scale` per step
-    on the exact path, :meth:`marginals_without` per sample on the sampled
-    one).
+    on the exact path, and per sample on the sampled one).
 
     ``marginal(e)`` is the influence drop of removing ``e`` on top of the
     kernel's current credits: SC[u] * g[e] * R[v] summed over the stored
@@ -183,9 +182,6 @@ class CreditKernel:
         self.counts = counts
         self.removed: set[tuple[int, int]] = set()
         self.edge_actions: dict[tuple[int, int], list[list]] = {}
-        # id -> entry for each stored action marked stale since the last
-        # full repair; marginals_without repairs them first.
-        self._stale: dict[int, list] = {}
         for dag in dags:
             if dag.gamma and not self.X.isdisjoint(dag.times):
                 nodes = dag.nodes
@@ -193,7 +189,11 @@ class CreditKernel:
                 pos = {u: i for i, u in enumerate(nodes[f:], f)}
                 g = {e: c for e, c in dag.gamma.items() if e[0] in pos}
                 if g:
-                    entry = [dag, g, *self._maps(dag, g, f), f, pos, len(nodes), f - 1]
+                    sc, r = {}, {}
+                    last = len(nodes) - 1
+                    self._sc_pass(dag, g, sc, f, last)
+                    self._r_pass(dag, g, r, f, last)
+                    entry = [dag, g, sc, r, f, pos, last + 1, f - 1]
                     for e in g:
                         self.edge_actions.setdefault(e, []).append(entry)
 
@@ -222,45 +222,6 @@ class CreditKernel:
                 mc += c * g[e] * r.get(v, 0.0)
         return mc
 
-    def marginals_without(self, C, B) -> dict:
-        """Marginals with the edge set ``B`` removed on top of the kernel's
-        removals, for the candidates in ``C`` that some stored action holds
-        and that are not removed; every other candidate's marginal is
-        exactly 0.0 and is left out. Each sum is :meth:`marginal`'s, term
-        for term. The kernel is left as it was, with every stored map
-        repaired. Only the actions holding an edge of ``B`` get sample maps
-        for the call, computed from a copy of their ``g`` with their edges
-        of ``B`` set to 0.0."""
-        for entry in self._stale.values():
-            self._repair(entry)
-        self._stale.clear()
-        edge_actions = self.edge_actions
-        sampled = {}
-        for e in B:
-            for entry in edge_actions.get(e, ()):
-                item = sampled.get(id(entry))
-                if item is None:
-                    item = sampled[id(entry)] = (entry, entry[1].copy(), entry[2], entry[3])
-                item[1][e] = 0.0
-        for entry, g, _, _ in sampled.values():
-            entry[2], entry[3] = self._maps(entry[0], g, entry[4])
-        removed = self.removed
-        marg = {}
-        for e in C:
-            entries = edge_actions.get(e)
-            if entries is None or e in removed or e in B:
-                continue
-            u, v = e
-            mc = 0.0
-            for _, g, sc, r, _, _, _, _ in entries:
-                c = sc.get(u)
-                if c is not None:
-                    mc += c * g[e] * r.get(v, 0.0)
-            marg[e] = mc
-        for entry, _, sc, r in sampled.values():
-            entry[2], entry[3] = sc, r
-        return marg
-
     def remove(self, e) -> None:
         """Delete ``e``: its credit becomes 0.0 in every stored action holding
         it, by :meth:`scale`. A repeated removal is a no-op."""
@@ -272,7 +233,9 @@ class CreditKernel:
     def scale(self, keep) -> None:
         """Set the credit of each edge ``e`` of ``keep`` to gamma * keep[e]
         in every stored action holding it, and mark what that makes stale.
-        Continuous greedy passes keep = 1 - y. No pass runs here.
+        Exact continuous greedy passes keep = 1 - y; a sample of the sampled
+        path passes 0.0 on its edges and then 1.0, which puts back gamma
+        exactly. No pass runs here.
 
         Changing the credit of (u, v) can change SC only at v and its
         descendants, which come after v, and R only at u and its ancestors,
@@ -284,7 +247,6 @@ class CreditKernel:
         reads it. Greedy's best picks are often such edges.
         """
         X = self.X
-        stale = self._stale
         for e, k in keep.items():
             u, v = e
             marks = v not in X
@@ -297,27 +259,6 @@ class CreditKernel:
                         entry[6] = pos[v]
                     if moves_t and pos[u] > entry[7]:
                         entry[7] = pos[u]
-                    stale[id(entry)] = entry
-
-    def _repair(self, entry) -> None:
-        """Bring both maps of a stored action up to date and reset its marks."""
-        dag, g, sc, r, f, _, s, t = entry
-        last = len(dag.nodes) - 1
-        if s <= last:
-            self._sc_pass(dag, g, sc, s, last)
-            entry[6] = last + 1
-        if t >= f:
-            self._r_pass(dag, g, r, f, t)
-            entry[7] = f - 1
-
-    def _maps(self, dag, g, f) -> tuple[dict, dict]:
-        """Fresh SC and R maps of ``dag`` with credits ``g``, from position
-        ``f`` on."""
-        sc, r = {}, {}
-        last = len(dag.nodes) - 1
-        self._sc_pass(dag, g, sc, f, last)
-        self._r_pass(dag, g, r, f, last)
-        return sc, r
 
     def _sc_pass(self, dag, g, sc, lo, hi) -> None:
         """Recompute SC in place at ``dag.nodes[lo:hi + 1]``, in topological

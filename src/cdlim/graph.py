@@ -16,7 +16,8 @@ class SocialGraph:
     """Immutable directed graph with dense integer node ids 0..n-1.
 
     Input files may use arbitrary non-negative integer labels; a remapping
-    table (``labels``) is kept so results can be reported in the original ids.
+    table (``labels``, one distinct label per node) is kept so results can be
+    reported in the original ids.
     Self-loops and duplicate edges are dropped at construction; each
     self-loop occurrence is counted in ``dropped_self_loops``.
 
@@ -50,6 +51,15 @@ class SocialGraph:
         self.out_nbrs = out_nbrs
         self.in_nbrs = in_nbrs
         self.labels = list(labels) if labels is not None else list(range(n))
+        if len(self.labels) != n:
+            raise ValueError(f"{len(self.labels)} labels for {n} nodes")
+        # The default labels and the keys of a dict, which load_graph passes,
+        # are distinct already; only another iterable pays for the set (about
+        # 1 MB on 20k labels).
+        distinct = labels is None or isinstance(labels, dict)
+        if not distinct and len(set(self.labels)) != n:
+            dup = next(lab for lab, c in Counter(self.labels).items() if c > 1)
+            raise ValueError(f"label {dup} is given to more than one node")
 
     @cached_property
     def _id_of(self) -> dict[int, int]:

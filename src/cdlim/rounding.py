@@ -28,6 +28,11 @@ def feasible(B, b: int) -> bool:
     return True
 
 
+def _check_bound(b) -> None:
+    if b < 1:
+        raise ValueError(f"per-node bound b={b} must be at least 1")
+
+
 @dataclass
 class RoundedSolution:
     edges: list
@@ -45,6 +50,7 @@ def randomized_round(y, C, b, trials, rng, evaluator) -> RoundedSolution:
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_bound(b)
     order = sorted(C, key=lambda e: (-y[e], e))
     trial_seeds = [rng.getrandbits(64) for _ in range(trials)]
     best_B, best_delta = None, None
@@ -81,6 +87,7 @@ def decompose(y, C, b):
     residuals of float-rounding size (about 1e-9) remain. The extraction
     then stops if no residual exceeds ``DECOMP_SLACK``, and fails otherwise.
     """
+    _check_bound(b)
     residual = {e: y[e] for e in C if y[e] > DECOMP_EPS}
     parts = []
     total = 0.0

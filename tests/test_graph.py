@@ -88,6 +88,20 @@ def test_social_graph_rejects_ids_outside_range(edge):
     assert str(exc.value) == f"edge {edge} has a node id outside 0..2"
 
 
+def test_social_graph_rejects_labels_of_another_length():
+    # One label for three nodes would fail only when node 2 is reported.
+    with pytest.raises(ValueError) as exc:
+        SocialGraph(3, [(0, 1), (1, 2)], labels=[10])
+    assert str(exc.value) == "1 labels for 3 nodes"
+
+
+def test_social_graph_rejects_a_repeated_label():
+    # A repeated label would lose node 0's label to node 1.
+    with pytest.raises(ValueError) as exc:
+        SocialGraph(2, [(0, 1)], labels=[7, 7])
+    assert str(exc.value) == "label 7 is given to more than one node"
+
+
 class TestActionLog:
     def test_grouping(self, tmp_path):
         g = load_graph(_write(tmp_path / "g.txt", "0 1\n"))

@@ -3,20 +3,23 @@ deltas and SC/R maps and the per-action delta-dict kernel it replaced,
 the edge-list passes against the neighbour-id passes they replaced,
 greedy_bil against a greedy loop written on the reference, against the
 eager scan on the kernel and against the lazy loop on the delta-dict
-kernel, the continuous greedy's per-sample marginals from
-``CreditKernel.marginals_without`` against a from-scratch sum, and the
-exact continuous greedy (the kernel at credits gamma * (1 - y), updated by
-``CreditKernel.scale``) against whole-DAG passes and against enumeration
-of the multilinear extension."""
+kernel, the sampled continuous greedy's per-sample marginals (one
+``_cg_weights`` sample: ``CreditKernel.scale`` to 0.0 on the sample, the
+marginals, and ``scale`` back to 1.0) against a from-scratch sum and the
+kernel's state after each sample, its pinned ``y`` on the criterion-12
+instance, and the exact continuous greedy (the kernel at credits
+gamma * (1 - y), updated by ``CreditKernel.scale``) against whole-DAG
+passes and against enumeration of the multilinear extension."""
 
+import hashlib
 import heapq
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdlim.contgreedy import (CGConfig, continuous_greedy, max_weight_independent,
-                              multilinear_exact, sample_set)
+from cdlim.contgreedy import (CGConfig, _cg_weights, continuous_greedy,
+                              max_weight_independent, multilinear_exact, sample_set)
 from cdlim.credit import (CreditKernel, _credit_row, _edge_deltas, _r_map, _sc_map,
                           compute_credit_store, compute_mc, counts_from_dags, delta_set,
                           remove_edge, sigma_cd, sigma_cd_scratch)
@@ -133,13 +136,25 @@ def test_kernel_equals_delta_kernel_target_free(inst, data):
     _assert_kernel_equals_delta_kernel(inst, data)
 
 
+def _repair(kernel, entry):
+    """Bring both maps of a stored action up to date and reset its marks."""
+    dag, g, sc, r, f, _, s, t = entry
+    last = len(dag.nodes) - 1
+    if s <= last:
+        kernel._sc_pass(dag, g, sc, s, last)
+        entry[6] = last + 1
+    if t >= f:
+        kernel._r_pass(dag, g, r, f, t)
+        entry[7] = f - 1
+
+
 def _stored_actions(kernel):
     """The kernel's distinct stored actions by action id, each first
     repaired to current and then cut to its ``(dag, g, sc, r, f)`` fields."""
     stored = {}
     for entries in kernel.edge_actions.values():
         for entry in entries:
-            kernel._repair(entry)
+            _repair(kernel, entry)
             stored[entry[0].action] = entry[:5]
     return stored
 
@@ -772,12 +787,16 @@ def reference_marginals(dags, X, C, counts, removed):
     return out
 
 
-def _dense_marginals(kernel, C, got, removed):
-    """``got`` from ``marginals_without`` after checking that it scores
-    exactly the candidates some stored action holds and ``removed`` lacks,
-    with the left-out candidates filled in as 0.0."""
-    assert set(got) == {e for e in C if e in kernel.edge_actions and e not in removed}
-    return {e: got.get(e, 0.0) for e in C}
+def _sample_marginals(kernel, C, B):
+    """The marginals of ``C`` with ``B`` removed on top of the kernel's
+    removals, as one sample of :func:`_cg_weights` scores them: with s=1
+    and y 1.0 on B and 0.0 elsewhere, ``random() < y`` draws exactly B.
+    Checks that the weights cover exactly C, in its order."""
+    held = [e for e in C if e in kernel.edge_actions]
+    y = {e: 1.0 if e in B else 0.0 for e in C}
+    got = _cg_weights(kernel, C, held, y, 1, random.Random(0))
+    assert list(got) == list(C)
+    return got
 
 
 @settings(max_examples=150, deadline=None)
@@ -789,14 +808,15 @@ def test_cached_marginals_equal_from_scratch_sum(inst, data):
     samples = data.draw(st.lists(subsets, min_size=1, max_size=6))
     kernel = CreditKernel(dags, X, counts)
     for B in samples:
-        got = _dense_marginals(kernel, C, kernel.marginals_without(C, B), B)
+        got = _sample_marginals(kernel, C, B)
         assert got == reference_marginals(dags, X, C, counts, B), sorted(B)
 
 
-def _assert_marginals_without_match_scratch(inst, data):
-    # Several samples B on one kernel after a removal prefix P: each call
+def _assert_sample_marginals_match_scratch(inst, data):
+    # Several samples B on one kernel after a removal prefix P: each sample
     # equals the from-scratch sum with P | B removed and leaves the kernel's
-    # removed set and every stored map as they were.
+    # removed set and every stored map as they were: the edges of P at 0.0
+    # and every other edge at gamma.
     dags, X, C = inst
     edges = st.sampled_from(C) if C else st.nothing()
     prefix = data.draw(st.lists(edges, unique=True, max_size=len(C)))
@@ -807,7 +827,7 @@ def _assert_marginals_without_match_scratch(inst, data):
         kernel.remove(e)
     P = set(prefix)
     for B in samples:
-        got = _dense_marginals(kernel, C, kernel.marginals_without(C, B), P | B)
+        got = _sample_marginals(kernel, C, B)
         assert got == reference_marginals(dags, X, C, counts, P | B), (prefix, sorted(B))
         assert kernel.removed == P
         _assert_state_matches_scratch(kernel, dags, X)
@@ -815,14 +835,14 @@ def _assert_marginals_without_match_scratch(inst, data):
 
 @settings(max_examples=150, deadline=None)
 @given(dense_instances(), st.data())
-def test_marginals_without_equal_scratch_and_restore_kernel(inst, data):
-    _assert_marginals_without_match_scratch(inst, data)
+def test_sample_marginals_equal_scratch_and_restore_kernel(inst, data):
+    _assert_sample_marginals_match_scratch(inst, data)
 
 
 @settings(max_examples=150, deadline=None)
 @given(target_free_instances(), st.data())
-def test_marginals_without_equal_scratch_and_restore_kernel_target_free(inst, data):
-    _assert_marginals_without_match_scratch(inst, data)
+def test_sample_marginals_equal_scratch_and_restore_kernel_target_free(inst, data):
+    _assert_sample_marginals_match_scratch(inst, data)
 
 
 def reference_continuous_greedy(dags, X, C, b, config, counts):
@@ -885,7 +905,17 @@ def test_continuous_greedy_matches_reference_multi_action_instances():
         kernel = CreditKernel(inst.dags, inst.X, counts)
         for _ in range(10):
             B = frozenset(e for e in inst.C if rng.random() < 0.2)
-            got = _dense_marginals(kernel, inst.C, kernel.marginals_without(inst.C, B), B)
+            got = _sample_marginals(kernel, inst.C, B)
             assert got == reference_marginals(inst.dags, inst.X, inst.C, counts, B)
         for config in (CGConfig(tau=20, s=10, seed=i), CGConfig(tau=20)):
             _assert_cg_matches_reference(inst.dags, inst.X, inst.C, 1 + i % 2, config, counts)
+
+
+def test_sampled_continuous_greedy_pinned_criterion_12_instance():
+    # The sampled y on the criterion-12 instance at b=2, pinned by the
+    # sha256 of its repr: scoring the samples another way must not move a
+    # bit of it.
+    _, dags, counts, X, C = _ic_benchmark(1202)
+    frac = continuous_greedy(dags, X, C, 2, CGConfig(tau=5, s=5, seed=1), counts=counts)
+    assert hashlib.sha256(repr(frac.y).encode()).hexdigest() == (
+        "0998fb72043b692e1957878713ddd16c4a1a153fc87e91dd8a2368e72dfce8b5")

@@ -74,6 +74,11 @@ class TestRandomizedRound:
         with pytest.raises(ValueError):
             randomized_round({}, [], 1, 0, random.Random(0), lambda B: 0.0)
 
+    @pytest.mark.parametrize("b", [0, -1])
+    def test_bound_below_one(self, b):
+        with pytest.raises(ValueError, match=f"^per-node bound b={b} must be at least 1$"):
+            randomized_round({(0, 1): 0.5}, [(0, 1)], b, 1, random.Random(0), len)
+
 
 class TestDecompose:
     def test_integral(self):
@@ -116,6 +121,11 @@ class TestDecompose:
                 assert abs(mass - y[e]) < 1e-6
             assert feasible(swap_round(y, edges, b, rng), b)
 
+    @pytest.mark.parametrize("b", [0, -1])
+    def test_bound_below_one(self, b):
+        with pytest.raises(ValueError, match=f"^per-node bound b={b} must be at least 1$"):
+            decompose({(0, 1): 0.5}, [(0, 1)], b)
+
 
 def _random_feasible_y(edges, b, rng):
     y = {e: rng.random() for e in edges}
@@ -130,6 +140,11 @@ def _random_feasible_y(edges, b, rng):
 
 
 class TestSwapRound:
+    @pytest.mark.parametrize("b", [0, -1])
+    def test_bound_below_one(self, b):
+        with pytest.raises(ValueError, match=f"^per-node bound b={b} must be at least 1$"):
+            swap_round({(0, 1): 0.5}, [(0, 1)], b, random.Random(0))
+
     def test_integral_passthrough(self):
         y = {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 0.0}
         got = swap_round(y, sorted(y), 1, random.Random(0))

@@ -7,7 +7,7 @@ set's influence under a global budget or a per-node bound.
 
 from .contgreedy import (CGConfig, FractionalSolution, cg_weights, continuous_greedy,
                          empirical_total_curvature, max_weight_independent,
-                         multilinear_exact, multilinear_sample)
+                         multilinear_exact)
 from .credit import (CreditStore, compute_credit_store, compute_mc, delta_set,
                      kappa, oracle_set_credit, oracle_total_credit, remove_edge,
                      sigma_cd, sigma_cd_scratch)

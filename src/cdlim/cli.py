@@ -11,7 +11,7 @@ import random
 import sys
 
 from . import contgreedy, harness, rounding
-from .credit import delta_set, sigma_cd_scratch
+from .credit import delta_set
 from .graph import (_int_token, _records, build_all_dags, generate_ic_actions,
                     load_action_log, load_gamma_table, load_graph, write_action_log)
 from .greedy import greedy_bil
@@ -48,7 +48,7 @@ def _parse_candidates(raw, graph):
 def _load_problem(args):
     graph = load_graph(args.graph)
     actionlog = load_action_log(args.actions, graph)
-    table = load_gamma_table(args.gamma_table, graph) if getattr(args, "gamma_table", None) else None
+    table = load_gamma_table(args.gamma_table, graph) if args.gamma_table else None
     dags = build_all_dags(graph, actionlog, args.scheme, table=table)
     X = _parse_targets(args.targets, graph)
     C = (_parse_candidates(args.candidates, graph) if args.candidates
@@ -56,23 +56,14 @@ def _load_problem(args):
     return graph, actionlog, dags, X, sorted(C)
 
 
-def _sigma_before(dags, X, counts):
-    """Influence of the targets before any removal: the DI denominator."""
-    before = sigma_cd_scratch(dags, X, counts)
-    if before <= 0.0:
-        raise ValueError("no target user performs any action: nothing to limit")
-    return before
-
-
-def _add_problem_flags(sub, scheme=True):
+def _add_problem_flags(sub):
     sub.add_argument("--graph", required=True)
     sub.add_argument("--actions", required=True)
     sub.add_argument("--targets", required=True, help="file of ids or comma-separated ids")
     sub.add_argument("--candidates", help="file of 'u v' edges; default: edges of any action graph")
-    if scheme:
-        sub.add_argument("--scheme", default="uniform", choices=["uniform", "learned", "explicit"])
-        sub.add_argument("--gamma-table",
-                         help="explicit gamma file: 'u v gamma' or 'u v action gamma' lines")
+    sub.add_argument("--scheme", default="uniform", choices=["uniform", "learned", "explicit"])
+    sub.add_argument("--gamma-table",
+                     help="explicit gamma file: 'u v gamma' or 'u v action gamma' lines")
 
 
 def cmd_gen(args):
@@ -86,7 +77,7 @@ def cmd_gen(args):
 def cmd_bil(args, per_node_bound=None):
     graph, actionlog, dags, X, C = _load_problem(args)
     counts = actionlog.counts
-    before = _sigma_before(dags, X, counts)
+    before = harness.sigma_before(dags, X, counts)
     sol = greedy_bil(dags, X, args.k, C, counts=counts, per_node_bound=per_node_bound)
     labels = graph.labels
     rows = []
@@ -108,7 +99,7 @@ def cmd_grr(args):
 def cmd_ilm(args):
     graph, actionlog, dags, X, C = _load_problem(args)
     counts = actionlog.counts
-    before = _sigma_before(dags, X, counts)
+    before = harness.sigma_before(dags, X, counts)
     config = contgreedy.CGConfig(tau=args.tau, s=args.samples, seed=args.seed)
     frac = contgreedy.continuous_greedy(dags, X, C, args.b, config, counts=counts)
     frac.check(args.b)
@@ -135,7 +126,8 @@ def cmd_ilm(args):
 def cmd_baseline(args):
     graph, actionlog, dags, X, C = _load_problem(args)
     counts = actionlog.counts
-    rep = harness.run_method(args.method, graph, dags, counts, X, C, args.k, None, args.seed)
+    rep = harness.run_method(args.method, graph, dags, counts, X, C, args.k, None, args.seed,
+                             harness.sigma_before(dags, X, counts))
     if args.out:
         harness.write_reports_csv([rep], args.out)
     print(f"{args.method}: delta={rep.delta:.9g} di={rep.di_percent:.4f}%")

@@ -89,19 +89,6 @@ def sample_set(C, y, rng) -> frozenset:
     return frozenset(e for e in C if rng.random() < y[e])
 
 
-def multilinear_sample(dags, X, C, y, s, rng, counts=None) -> float:
-    """Monte-Carlo estimate of the multilinear extension: mean of s draws."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    C = sorted(C)
-    if counts is None:
-        counts = counts_from_dags(dags)
-    acc = 0.0
-    for _ in range(s):
-        acc += delta_set(dags, X, sample_set(C, y, rng), counts=counts)
-    return acc / s
-
-
 def cg_weights(dags, X, C, y, s, rng, counts=None) -> dict:
     """Mean marginal gain of each candidate over s shared samples from y,
     scored on one :class:`CreditKernel` built for the call.

@@ -157,18 +157,19 @@ class CreditKernel:
     holding an edge and a target member are stored. In any other action SC
     is empty, so it adds no term to any marginal.
 
-    Each stored action is a list ``[dag, g, sc, r, f, pos, s, t]``. ``f`` is
-    the position in ``dag.nodes`` of the action's first target member. No
-    node before ``f`` has set credit, so SC is computed forward from ``f``
-    and R backward only down to ``f``: a marginal reads R only at the head
-    of an edge whose tail has SC, and such a head comes after ``f``. ``g``
-    is the action's own effective-credit dict, over the edges whose tail
-    comes at or after ``f``: an earlier tail has no SC, so its edge adds no
-    term to any marginal and no pass reads its credit. A removed edge reads
-    0.0 in ``g`` and a scaled edge gamma * keep. The passes read ``g``
-    alone, so a removed edge adds ``c * 0.0`` to a non-negative sum, which
-    leaves it unchanged to the bit. ``pos`` maps each node from ``f`` on to
-    its position. The marks ``s`` and ``t`` say which parts of the maps are
+    Each stored action is a list ``[dag, g, sc, r, pos, s, t]``. Let ``f``
+    be the position in ``dag.nodes`` of the action's first target member;
+    the entry does not keep it, since only ``__init__`` reads it. No node
+    before ``f`` has set credit, so SC is computed forward from ``f`` and R
+    backward only down to ``f``: a marginal reads R only at the head of an
+    edge whose tail has SC, and such a head comes after ``f``. ``g`` is the
+    action's own effective-credit dict, over the edges whose tail comes at
+    or after ``f``: an earlier tail has no SC, so its edge adds no term to
+    any marginal and no pass reads its credit. A removed edge reads 0.0 in
+    ``g`` and a scaled edge gamma * keep. The passes read ``g`` alone, so a
+    removed edge adds ``c * 0.0`` to a non-negative sum, which leaves it
+    unchanged to the bit. ``pos`` maps each node from ``f`` on to its
+    position. The marks ``s`` and ``t`` say which parts of the maps are
     current: SC at every position below ``s``, and R at every position
     above ``t``. A new kernel's maps are current throughout (``s`` is the
     node count and ``t`` is ``f - 1``). Each current value is the same sum,
@@ -193,7 +194,7 @@ class CreditKernel:
                     last = len(nodes) - 1
                     self._sc_pass(dag, g, sc, f, last)
                     self._r_pass(dag, g, r, f, last)
-                    entry = [dag, g, sc, r, f, pos, last + 1, f - 1]
+                    entry = [dag, g, sc, r, pos, last + 1, f - 1]
                     for e in g:
                         self.edge_actions.setdefault(e, []).append(entry)
 
@@ -208,17 +209,17 @@ class CreditKernel:
         u, v = e
         mc = 0.0
         for entry in self.edge_actions.get(e, ()):
-            dag, g, sc, r, _, pos, s, t = entry
+            dag, g, sc, r, pos, s, t = entry
             i = pos[u]
             if i >= s:
                 self._sc_pass(dag, g, sc, s, i)
-                entry[6] = i + 1
+                entry[5] = i + 1
             c = sc.get(u)
             if c is not None:
                 j = pos[v]
                 if j <= t:
                     self._r_pass(dag, g, r, j, t)
-                    entry[7] = j - 1
+                    entry[6] = j - 1
                 mc += c * g[e] * r.get(v, 0.0)
         return mc
 
@@ -254,11 +255,11 @@ class CreditKernel:
             for entry in self.edge_actions.get(e, ()):
                 entry[1][e] = entry[0].gamma[e] * k
                 if marks:
-                    pos = entry[5]
-                    if pos[v] < entry[6]:
-                        entry[6] = pos[v]
-                    if moves_t and pos[u] > entry[7]:
-                        entry[7] = pos[u]
+                    pos = entry[4]
+                    if pos[v] < entry[5]:
+                        entry[5] = pos[v]
+                    if moves_t and pos[u] > entry[6]:
+                        entry[6] = pos[u]
 
     def _sc_pass(self, dag, g, sc, lo, hi) -> None:
         """Recompute SC in place at ``dag.nodes[lo:hi + 1]``, in topological

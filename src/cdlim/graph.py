@@ -21,11 +21,12 @@ class SocialGraph:
     Self-loops and duplicate edges are dropped at construction; each
     self-loop occurrence is counted in ``dropped_self_loops``.
 
-    The adjacency lists are the only copy of the edges: there is no edge
-    set. ``out_nbrs[u]`` is sorted and duplicate-free, ``in_nbrs[v]`` is
-    sorted, ``m`` is the edge count, and :meth:`has_edge` is a bisect on
-    ``out_nbrs[u]``. The label -> id map behind :meth:`id_of` is built on
-    first use; :func:`load_graph` hands over the one it remapped with.
+    The out-adjacency lists are the only copy of the edges: there is no
+    edge set and no in-adjacency. ``out_nbrs[u]`` is sorted and
+    duplicate-free, ``m`` is the edge count, and :meth:`has_edge` is a
+    bisect on ``out_nbrs[u]``. The label -> id map behind :meth:`id_of` is
+    built on first use; :func:`load_graph` hands over the one it remapped
+    with.
     """
 
     def __init__(self, n: int, edges, labels=None):
@@ -42,14 +43,8 @@ class SocialGraph:
         for u, nbrs in enumerate(out_nbrs):
             if len(nbrs) > 1:
                 out_nbrs[u] = sorted(set(nbrs))
-        # Walking the out-lists by ascending tail fills each in-list sorted.
-        in_nbrs = [[] for _ in range(n)]
-        for u, nbrs in enumerate(out_nbrs):
-            for v in nbrs:
-                in_nbrs[v].append(u)
         self.m = sum(map(len, out_nbrs))
         self.out_nbrs = out_nbrs
-        self.in_nbrs = in_nbrs
         self.labels = list(labels) if labels is not None else list(range(n))
         if len(self.labels) != n:
             raise ValueError(f"{len(self.labels)} labels for {n} nodes")
@@ -77,9 +72,6 @@ class SocialGraph:
         nbrs = self.out_nbrs[u]
         i = bisect_left(nbrs, v)
         return i < len(nbrs) and nbrs[i] == v
-
-    def degree(self, u: int) -> int:
-        return len(self.out_nbrs[u]) + len(self.in_nbrs[u])
 
     def __repr__(self):
         return f"SocialGraph(n={self.n}, m={self.m})"
@@ -363,22 +355,18 @@ def generate_ic_actions(graph: SocialGraph, num_actions: int, seeds_per_action: 
                         edge_prob, seed=None) -> ActionLog:
     """Generate a synthetic action log via independent-cascade simulation.
 
-    Each action samples ``seeds_per_action`` distinct seeds (active at time 0)
-    and runs IC rounds: every newly active node u activates each inactive
-    out-neighbor v independently with its edge probability; the activation
-    time is the round index. ``edge_prob`` is a float or a {(u, v): p} map.
-    Deterministic for a fixed ``seed``.
+    Each of the ``num_actions`` (at least 1) actions samples
+    ``seeds_per_action`` distinct seeds (active at time 0) and runs IC
+    rounds: every newly active node u activates each inactive out-neighbor
+    v independently with probability ``edge_prob``, one float in [0, 1]
+    for every edge; the activation time is the round index. Deterministic
+    for a fixed ``seed``.
     """
+    if num_actions < 1:
+        raise ValueError(f"num_actions {num_actions} must be at least 1")
     if seeds_per_action < 1 or seeds_per_action > graph.n:
         raise ValueError(f"seeds_per_action {seeds_per_action} outside [1, {graph.n}]")
-    prob = edge_prob if callable(getattr(edge_prob, "get", None)) else None
-
-    def p_of(u, v):
-        if prob is not None:
-            return prob.get((u, v), 0.0)
-        return edge_prob
-
-    if prob is None and not 0.0 <= edge_prob <= 1.0:
+    if not 0.0 <= edge_prob <= 1.0:
         raise ValueError(f"edge probability {edge_prob} outside [0, 1]")
     rng = random.Random(seed)
 
@@ -393,7 +381,7 @@ def generate_ic_actions(graph: SocialGraph, num_actions: int, seeds_per_action: 
                 new = []
                 for u in frontier:
                     for v in graph.out_nbrs[u]:
-                        if v not in active and rng.random() < p_of(u, v):
+                        if v not in active and rng.random() < edge_prob:
                             active[v] = t
                             new.append(v)
                 frontier = sorted(new)

@@ -7,6 +7,7 @@ import csv
 import logging
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .credit import delta_set, sigma_cd_scratch
@@ -29,6 +30,14 @@ def di_metric(sigma_before: float, sigma_after: float) -> float:
     return (sigma_before - sigma_after) / sigma_before * 100.0
 
 
+def sigma_before(dags, X, counts) -> float:
+    """Influence of the targets before any removal: the DI denominator."""
+    before = sigma_cd_scratch(dags, X, counts)
+    if before <= 0.0:
+        raise ValueError("no target user performs any action: nothing to limit")
+    return before
+
+
 def default_candidates(dags) -> set:
     """Edges that appear in at least one action graph."""
     return {e for dag in dags for e in dag.gamma}
@@ -38,13 +47,16 @@ def baseline_high_degree(graph: SocialGraph, X, k: int) -> list:
     """Edges from the target set to the highest-degree non-target nodes.
 
     Scans nodes by total (in+out) degree, ties by id, collecting existing
-    (x, v) edges until k are found; may return fewer, with a warning.
+    (x, v) edges until k are found; may return fewer, with a warning. The
+    graph keeps no in-adjacency, so the in-degrees are counted here.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     X = set(X)
+    out_nbrs = graph.out_nbrs
+    in_degree = Counter(v for nbrs in out_nbrs for v in nbrs)
     ranked = sorted((v for v in range(graph.n) if v not in X),
-                    key=lambda v: (-graph.degree(v), v))
+                    key=lambda v: (-(len(out_nbrs[v]) + in_degree[v]), v))
     edges = []
     for v in ranked:
         for x in sorted(X):
@@ -89,9 +101,8 @@ class ExperimentReport:
     di_percent: float
     top3_share: float
     wall_ms: float                  # the method call alone
-    eval_ms: float = 0.0            # the from-scratch sigma before and after
+    eval_ms: float = 0.0            # the from-scratch sigma after the removals
     edges: list = field(default_factory=list)
-    per_step: list = field(default_factory=list)
 
 
 def write_csv(path, header, rows) -> None:
@@ -137,38 +148,38 @@ def _int_value(path, cfg, key, default):
         raise ValueError(f"{path}: key {key!r}: {exc}") from None
 
 
-def run_method(method: str, graph, dags, counts, X, C, k: int, b, seed) -> ExperimentReport:
+def run_method(method: str, graph, dags, counts, X, C, k: int, b, seed,
+               before: float) -> ExperimentReport:
     """Run one (method, parameter) cell and measure it against sigma_cd.
 
-    ``wall_ms`` times the method call; ``eval_ms`` times the two
-    from-scratch influence computations that score it.
+    ``before`` is the targets' influence with nothing removed, from
+    :func:`sigma_before`, computed once for every cell of an experiment.
+    ``wall_ms`` times the method call; ``eval_ms`` times the from-scratch
+    influence after its removals.
     """
     start = time.perf_counter()
     rng = random.Random(seed)
     if method == "greedy":
-        sol = greedy_bil(dags, X, k, C, counts=counts)
-        B, per_step = sol.edges, list(zip(sol.edges, sol.gain_per_step))
+        B = greedy_bil(dags, X, k, C, counts=counts).edges
     elif method == "grr":
         if b is None:
             raise ValueError("method 'grr' needs a per-node bound b")
-        sol = greedy_bil(dags, X, k, C, counts=counts, per_node_bound=b)
-        B, per_step = sol.edges, list(zip(sol.edges, sol.gain_per_step))
+        B = greedy_bil(dags, X, k, C, counts=counts, per_node_bound=b).edges
     elif method == "high-degree":
-        B, per_step = baseline_high_degree(graph, X, k), []
+        B = baseline_high_degree(graph, X, k)
     elif method == "random":
-        B, per_step = baseline_random(C, k, rng), []
+        B = baseline_random(C, k, rng)
     else:
         raise ValueError(f"unknown method {method!r}")
     wall_ms = (time.perf_counter() - start) * 1000.0
     start = time.perf_counter()
-    before = sigma_cd_scratch(dags, X, counts)
     after = sigma_cd_scratch(dags, X, counts, removed=frozenset(B))
     eval_ms = (time.perf_counter() - start) * 1000.0
     return ExperimentReport(method=method, k=k, b=b if method == "grr" else None,
                             seed=seed, delta=before - after,
                             di_percent=di_metric(before, after),
                             top3_share=concentration_report(B) if B else 0.0,
-                            wall_ms=wall_ms, eval_ms=eval_ms, edges=list(B), per_step=per_step)
+                            wall_ms=wall_ms, eval_ms=eval_ms, edges=list(B))
 
 
 def pick_targets(counts, size: int, rng: random.Random, pool_size: int = 150,
@@ -215,10 +226,11 @@ def run_experiment(config_path, out_path=None, verify=False):
     methods = [m.strip() for m in cfg["methods"].split(",")]
     ks = _int_list(config_path, cfg, "k") if "k" in cfg else [10]
     b = _int_value(config_path, cfg, "b", None)
+    before = sigma_before(dags, X, counts)
     reports = []
     for method in methods:
         for k in ks:
-            rep = run_method(method, graph, dags, counts, X, C, k, b, seed)
+            rep = run_method(method, graph, dags, counts, X, C, k, b, seed, before)
             if verify:
                 check = delta_set(dags, X, rep.edges, counts=counts)
                 if abs(check - rep.delta) > VERIFY_TOL:

@@ -40,6 +40,22 @@ def _base_args(d):
             "--gamma-table", str(d / "gamma.txt")]
 
 
+NEVER_ACTS = "error: no target user performs any action: nothing to limit\n"
+
+
+def _never_acting_target_args(d):
+    """Add node 3, which performs no action, to the graph in ``d`` and
+    return problem flags that target it alone."""
+    (d / "graph.txt").write_text("0 1\n1 2\n0 2\n3 0\n", encoding="utf-8")
+    args = _base_args(d)
+    args[args.index("--targets") + 1] = "3"
+    return args
+
+
+def _must_not_run(*args):
+    raise AssertionError("a method ran on targets that never act")
+
+
 class TestBil:
     def test_k2(self, f1_files, capsys):
         out = f1_files / "bil.csv"
@@ -124,12 +140,11 @@ class TestBil:
         assert capsys.readouterr().err == f"error: {tfile}: non-integer token '1.5'\n"
 
     def test_target_that_never_acts(self, f1_files, capsys):
-        (f1_files / "graph.txt").write_text("0 1\n1 2\n0 2\n3 0\n", encoding="utf-8")
-        args = _base_args(f1_files)
-        args[args.index("--targets") + 1] = "3"
+        args = _never_acting_target_args(f1_files)
         assert main(["bil", *args, "-k", "1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert err == NEVER_ACTS
         assert main(["grr", *args, "-k", "1", "-b", "1"]) == 1
 
     def test_unknown_target_label(self, f1_files, capsys):
@@ -272,6 +287,14 @@ class TestBaselineCmd:
             assert rc == 1, method
             assert capsys.readouterr().err == "error: k must be >= 1\n", method
 
+    def test_target_that_never_acts(self, f1_files, capsys, monkeypatch):
+        # The same one-line error as bil, raised before the baseline runs.
+        args = _never_acting_target_args(f1_files)
+        monkeypatch.setattr(harness, "run_method", _must_not_run)
+        for method in ("high-degree", "random"):
+            assert main(["baseline", *args, "--method", method, "-k", "1"]) == 1, method
+            assert capsys.readouterr().err == NEVER_ACTS, method
+
 
 class TestGen:
     def test_gen_then_bil(self, tmp_path, capsys):
@@ -286,6 +309,17 @@ class TestGen:
         rc = main(["bil", "--graph", str(g), "--actions", str(out),
                    "--targets", "0,1,2", "-k", "1"])
         assert rc == 0
+
+    @pytest.mark.parametrize("num_actions", ["0", "-2"])
+    def test_num_actions_below_one(self, tmp_path, capsys, num_actions):
+        g = tmp_path / "graph.txt"
+        g.write_text("0 1\n", encoding="utf-8")
+        out = tmp_path / "actions.txt"
+        assert main(["gen", "--graph", str(g), "--out", str(out),
+                     "--num-actions", num_actions]) == 1
+        assert capsys.readouterr().err == (
+            f"error: num_actions {num_actions} must be at least 1\n")
+        assert not out.exists()
 
     def test_gen_deterministic(self, tmp_path):
         g = tmp_path / "graph.txt"
@@ -308,6 +342,19 @@ class TestReport:
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
         _, rows = _read_csv(out)
         assert len(rows) == 5  # header + 4 cells
+
+    def test_target_that_never_acts(self, f1_files, capsys, monkeypatch):
+        # One whole-graph influence pass before the grid, so no cell runs.
+        _never_acting_target_args(f1_files)
+        cfg = f1_files / "cfg.txt"
+        cfg.write_text(f"graph={f1_files / 'graph.txt'}\n"
+                       f"actions={f1_files / 'actions.txt'}\n"
+                       "methods=greedy,high-degree\nk=1\ntargets=3\n",
+                       encoding="utf-8")
+        monkeypatch.setattr(harness, "run_method", _must_not_run)
+        for command in ("report", "verify"):
+            assert main([command, "--config", str(cfg)]) == 1, command
+            assert capsys.readouterr().err == NEVER_ACTS, command
 
     def test_missing_graph(self, f1_files, capsys):
         cfg = f1_files / "cfg.txt"

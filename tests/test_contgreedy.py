@@ -1,15 +1,13 @@
 """Multilinear extension, continuous greedy, and the curvature diagnostic."""
 
 import itertools
-import math
 import random
 
 import pytest
 
 from cdlim.contgreedy import (CGConfig, FractionalSolution, cg_weights,
                               continuous_greedy, empirical_total_curvature,
-                              max_weight_independent, multilinear_exact,
-                              multilinear_sample)
+                              max_weight_independent, multilinear_exact)
 from cdlim.credit import counts_from_dags, delta_set
 from cdlim.graph import ActionLog, SocialGraph, build_action_dag
 from cdlim.rounding import feasible
@@ -45,25 +43,6 @@ class TestMultilinear:
         big = [(i, i + 1) for i in range(25)]
         with pytest.raises(ValueError, match="guard"):
             multilinear_exact(f1.dags, f1.X, big, dict.fromkeys(big, 0.5))
-
-    def test_sample_deterministic_y(self, f1):
-        y = {(0, 1): 1.0, (1, 2): 0.0, (0, 2): 1.0}
-        got = multilinear_sample(f1.dags, f1.X, f1.C, y, 3, random.Random(0))
-        assert abs(got - 1.0) < TOL
-
-    def test_sample_reproducible(self, f1):
-        y = dict.fromkeys(f1.C, 0.5)
-        a = multilinear_sample(f1.dags, f1.X, f1.C, y, 7, random.Random(3))
-        b = multilinear_sample(f1.dags, f1.X, f1.C, y, 7, random.Random(3))
-        assert a == b
-
-    def test_sample_converges(self, f1):
-        y = dict.fromkeys(f1.C, 0.5)
-        exact = multilinear_exact(f1.dags, f1.X, f1.C, y)
-        s = 20000
-        est = multilinear_sample(f1.dags, f1.X, f1.C, y, s, random.Random(4))
-        # crude bound on the standard error: deltas live in [0, 1]
-        assert abs(est - exact) < 3 * 0.5 / math.sqrt(s)
 
     def test_monotone_per_coordinate(self, f1):
         rng = random.Random(5)

@@ -4,6 +4,8 @@ config parsing, and grid runs."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdlim.cli import main
 from cdlim.graph import (ActionLog, SocialGraph, build_all_dags,
@@ -12,7 +14,7 @@ from cdlim.harness import (CSV_COLUMNS, CSV_SCHEMA, baseline_high_degree,
                            baseline_random, concentration_report,
                            default_candidates, di_metric, parse_config,
                            pick_targets, run_experiment, run_method,
-                           write_reports_csv)
+                           sigma_before, write_reports_csv)
 from conftest import make_f1
 
 TOL = 1e-9
@@ -77,6 +79,25 @@ class TestBaselines:
     def test_random_over_budget(self, f1):
         with pytest.raises(ValueError):
             baseline_random(f1.C, 4, random.Random(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 9).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40),
+    st.sets(st.integers(0, n - 1), min_size=1, max_size=n),
+    st.integers(1, 2 * n))))
+def test_high_degree_matches_edge_list_reference(case):
+    # Non-targets ranked by in-degree plus out-degree, both counted on the
+    # loop-free, duplicate-free edge list, ties by id; the edges from the
+    # targets into them, in that order, cut at k.
+    n, pairs, X, k = case
+    edges = {(u, v) for u, v in pairs if u != v}
+    out_degree = {v: sum(u == v for u, _ in edges) for v in range(n)}
+    in_degree = {v: sum(w == v for _, w in edges) for v in range(n)}
+    ranked = sorted(set(range(n)) - X, key=lambda v: (-(out_degree[v] + in_degree[v]), v))
+    want = [(x, v) for v in ranked for x in sorted(X) if (x, v) in edges][:k]
+    assert baseline_high_degree(SocialGraph(n, pairs), X, k) == want
 
 
 class TestConcentration:
@@ -164,8 +185,9 @@ class TestRunExperiment:
 
     def test_di_matches_scratch_recompute(self, f1):
         from cdlim.credit import sigma_cd_scratch
-        rep = run_method("greedy", f1.graph, f1.dags, {0: 1, 1: 1, 2: 1},
-                         f1.X, f1.C, 2, None, 0)
+        counts = {0: 1, 1: 1, 2: 1}
+        rep = run_method("greedy", f1.graph, f1.dags, counts,
+                         f1.X, f1.C, 2, None, 0, sigma_before(f1.dags, f1.X, counts))
         before = sigma_cd_scratch(f1.dags, f1.X)
         after = sigma_cd_scratch(f1.dags, f1.X, removed=frozenset(rep.edges))
         assert abs(rep.di_percent - di_metric(before, after)) < 1e-6
@@ -174,12 +196,12 @@ class TestRunExperiment:
     def test_unknown_method(self, f1):
         with pytest.raises(ValueError, match="unknown method"):
             run_method("bogus", f1.graph, f1.dags, {0: 1, 1: 1, 2: 1},
-                       f1.X, f1.C, 1, None, 0)
+                       f1.X, f1.C, 1, None, 0, 1.0)
 
     def test_grr_needs_bound(self, f1, tmp_path, capsys):
         with pytest.raises(ValueError, match="per-node bound b"):
             run_method("grr", f1.graph, f1.dags, {0: 1, 1: 1, 2: 1},
-                       f1.X, f1.C, 1, None, 0)
+                       f1.X, f1.C, 1, None, 0, 1.0)
         gpath, apath, _, _ = _bench_files(tmp_path)
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(f"graph={gpath}\nactions={apath}\nmethods=grr\nk=2\n",
@@ -224,8 +246,9 @@ class TestRunExperiment:
         dags = build_all_dags(graph, log)
         from cdlim.harness import default_candidates as dc
         C = sorted(dc(dags))
+        X = {C[0][0]}
         rep = run_method("grr", graph, dags, log.counts,
-                         {C[0][0]}, C, min(6, len(C) - 1), 1, 0)
+                         X, C, min(6, len(C) - 1), 1, 0, sigma_before(dags, X, log.counts))
         heads = [v for (_, v) in rep.edges]
         assert len(heads) == len(set(heads))
 

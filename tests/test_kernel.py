@@ -138,24 +138,26 @@ def test_kernel_equals_delta_kernel_target_free(inst, data):
 
 def _repair(kernel, entry):
     """Bring both maps of a stored action up to date and reset its marks."""
-    dag, g, sc, r, f, _, s, t = entry
+    dag, g, sc, r, _, s, t = entry
+    f = _first_target(dag, kernel.X)
     last = len(dag.nodes) - 1
     if s <= last:
         kernel._sc_pass(dag, g, sc, s, last)
-        entry[6] = last + 1
+        entry[5] = last + 1
     if t >= f:
         kernel._r_pass(dag, g, r, f, t)
-        entry[7] = f - 1
+        entry[6] = f - 1
 
 
 def _stored_actions(kernel):
     """The kernel's distinct stored actions by action id, each first
-    repaired to current and then cut to its ``(dag, g, sc, r, f)`` fields."""
+    repaired to current and then cut to its ``(dag, g, sc, r)`` fields,
+    with ``f``, the first position its ``pos`` map holds, appended."""
     stored = {}
     for entries in kernel.edge_actions.values():
         for entry in entries:
             _repair(kernel, entry)
-            stored[entry[0].action] = entry[:5]
+            stored[entry[0].action] = (*entry[:4], min(entry[4].values()))
     return stored
 
 
@@ -689,8 +691,8 @@ def test_greedy_equals_delta_kernel_chain_instance():
                  for e in sol.edges for dag in dags
                  if e in dag.gamma and not X.isdisjoint(dag.times)}
         assert sides == {False, True}, bound
-        assert {dag.nodes.index(e[0]) >= f for e in sol.edges
-                for dag, _, _, _, f, *_ in kernel.edge_actions.get(e, ())} == {True}, bound
+        assert {dag.nodes.index(e[0]) >= min(pos.values()) for e in sol.edges
+                for dag, _, _, _, pos, *_ in kernel.edge_actions.get(e, ())} == {True}, bound
         # No pick's tail holds R in any stored action (it is a target member
         # or comes before the first one), so the removals never mark R
         # stale, and the repaired maps still equal the whole-DAG passes.
@@ -698,7 +700,7 @@ def test_greedy_equals_delta_kernel_chain_instance():
                        for entry in kernel.edge_actions.get(e, ())), bound
         for e in sol.edges:
             kernel.remove(e)
-        assert all(entry[7] == entry[4] - 1
+        assert all(entry[6] == min(entry[4].values()) - 1
                    for entries in kernel.edge_actions.values() for entry in entries), bound
         _assert_state_matches_scratch(kernel, dags, X)
 

@@ -21,6 +21,7 @@ CSV_SCHEMA = "cdlim-results-v2"
 CSV_COLUMNS = ["method", "k", "b", "seed", "delta", "di_percent", "top3_share", "wall_ms",
                "eval_ms"]
 VERIFY_TOL = 1e-6
+METHODS = ("greedy", "grr", "high-degree", "random")
 
 
 def di_metric(sigma_before: float, sigma_after: float) -> float:
@@ -148,6 +149,13 @@ def _int_value(path, cfg, key, default):
         raise ValueError(f"{path}: key {key!r}: {exc}") from None
 
 
+def _check_method(method: str, b) -> None:
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if method == "grr" and b is None:
+        raise ValueError("method 'grr' needs a per-node bound b")
+
+
 def run_method(method: str, graph, dags, counts, X, C, k: int, b, seed,
                before: float) -> ExperimentReport:
     """Run one (method, parameter) cell and measure it against sigma_cd.
@@ -157,20 +165,17 @@ def run_method(method: str, graph, dags, counts, X, C, k: int, b, seed,
     ``wall_ms`` times the method call; ``eval_ms`` times the from-scratch
     influence after its removals.
     """
+    _check_method(method, b)
     start = time.perf_counter()
     rng = random.Random(seed)
     if method == "greedy":
         B = greedy_bil(dags, X, k, C, counts=counts).edges
     elif method == "grr":
-        if b is None:
-            raise ValueError("method 'grr' needs a per-node bound b")
         B = greedy_bil(dags, X, k, C, counts=counts, per_node_bound=b).edges
     elif method == "high-degree":
         B = baseline_high_degree(graph, X, k)
-    elif method == "random":
-        B = baseline_random(C, k, rng)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        B = baseline_random(C, k, rng)
     wall_ms = (time.perf_counter() - start) * 1000.0
     start = time.perf_counter()
     after = sigma_cd_scratch(dags, X, counts, removed=frozenset(B))
@@ -202,30 +207,50 @@ def pick_targets(counts, size: int, rng: random.Random, pool_size: int = 150,
 def run_experiment(config_path, out_path=None, verify=False):
     """Run every (method, k) cell in the config and emit one CSV row each.
 
-    Raises on verification mismatch: each reported delta is cross-checked
-    against a from-scratch recomputation when ``verify`` is set.
+    The whole config is checked before any input is read: every method is
+    known, ``grr`` has its bound ``b``, ``k`` lists at least one value, and
+    every value of ``k`` and ``b`` is at least 1. Raises on verification
+    mismatch: each reported delta is cross-checked against a from-scratch
+    recomputation when ``verify`` is set.
     """
     cfg = parse_config(config_path)
     for key in ("graph", "actions", "methods"):
         if key not in cfg:
             raise ValueError(f"config missing required key {key!r}")
+    seed = _int_value(config_path, cfg, "seed", 0)
+    labels = _int_list(config_path, cfg, "targets") if "targets" in cfg else None
+    target_size = _int_value(config_path, cfg, "target_size", 10)
+    target_pool = _int_value(config_path, cfg, "target_pool", 150)
+    ks = _int_list(config_path, cfg, "k") if "k" in cfg else [10]
+    b = _int_value(config_path, cfg, "b", None)
+    methods = [m.strip() for m in cfg["methods"].split(",")]
+    for method in methods:
+        if not method:
+            raise ValueError(f"{config_path}: key 'methods': empty method name in "
+                             f"{cfg['methods']!r}")
+        try:
+            _check_method(method, b)
+        except ValueError as exc:
+            raise ValueError(f"{config_path}: key 'methods': {exc}") from None
+    if not ks:
+        raise ValueError(f"{config_path}: key 'k': no values")
+    for k in ks:
+        if k < 1:
+            raise ValueError(f"{config_path}: key 'k': value {k} is below 1")
+    if b is not None and b < 1:
+        raise ValueError(f"{config_path}: key 'b': value {b} is below 1")
     graph = load_graph(cfg["graph"])
     actionlog = load_action_log(cfg["actions"], graph)
     scheme = cfg.get("scheme", "uniform")
     dags = build_all_dags(graph, actionlog, scheme)
     counts = actionlog.counts
-    seed = _int_value(config_path, cfg, "seed", 0)
     rng = random.Random(seed)
-    if "targets" in cfg:
-        X = set(graph.id_of(t) for t in _int_list(config_path, cfg, "targets"))
+    if labels is not None:
+        X = set(graph.id_of(t) for t in labels)
     else:
-        X = pick_targets(counts, _int_value(config_path, cfg, "target_size", 10), rng,
-                         pool_size=_int_value(config_path, cfg, "target_pool", 150),
+        X = pick_targets(counts, target_size, rng, pool_size=target_pool,
                          sampler=cfg.get("target_sampler", "top-actions"))
     C = sorted(default_candidates(dags))
-    methods = [m.strip() for m in cfg["methods"].split(",")]
-    ks = _int_list(config_path, cfg, "k") if "k" in cfg else [10]
-    b = _int_value(config_path, cfg, "b", None)
     before = sigma_before(dags, X, counts)
     reports = []
     for method in methods:

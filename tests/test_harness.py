@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdlim import harness
 from cdlim.cli import main
 from cdlim.graph import (ActionLog, SocialGraph, build_all_dags,
                          generate_ic_actions, write_action_log)
@@ -211,6 +212,28 @@ class TestRunExperiment:
             err = capsys.readouterr().err
             assert err.startswith("error:") and "per-node bound b" in err
             assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("lines, message", [
+        ("methods=greedy,grr\nk=1,2\n", "key 'methods': method 'grr' needs a per-node bound b"),
+        ("methods=greedy,\nk=1\n", "key 'methods': empty method name in 'greedy,'"),
+        ("methods=greedy,bogus\nk=1\n", "key 'methods': unknown method 'bogus'"),
+        ("methods=greedy\nk=\n", "key 'k': no values"),
+        ("methods=greedy\nk=2,0\n", "key 'k': value 0 is below 1"),
+        ("methods=greedy,grr\nk=1\nb=0\n", "key 'b': value 0 is below 1"),
+    ])
+    def test_config_is_checked_before_any_cell(self, tmp_path, capsys, monkeypatch, lines,
+                                               message):
+        gpath, apath, _, _ = _bench_files(tmp_path)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"graph={gpath}\nactions={apath}\ntarget_size=3\n{lines}",
+                       encoding="utf-8")
+        cells = []
+        monkeypatch.setattr(harness, "run_method", lambda *args: cells.append(args[0]))
+        out = tmp_path / "out.csv"
+        for command in ("report", "verify"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+        assert cells == [] and not out.exists()
 
     @pytest.mark.parametrize("line, key, token", [
         ("k=2,abc", "k", "abc"),

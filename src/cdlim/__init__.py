@@ -11,7 +11,7 @@ from .contgreedy import (CGConfig, FractionalSolution, cg_weights, continuous_gr
 from .credit import (CreditStore, compute_credit_store, compute_mc, delta_set,
                      kappa, oracle_set_credit, oracle_total_credit, remove_edge,
                      sigma_cd, sigma_cd_scratch)
-from .graph import (ActionDag, ActionLog, SocialGraph, assign_direct_credits,
+from .graph import (ActionDag, ActionDags, ActionLog, SocialGraph, assign_direct_credits,
                     build_action_dag, build_all_dags, generate_ic_actions,
                     load_action_log, load_graph)
 from .greedy import Solution, greedy_bil

@@ -19,6 +19,9 @@ v on and R from u back, and a marginal repairs only the part of a map it
 reads. An action with no target member has SC empty, so it adds no
 influence and no term: the kernel, :func:`sigma_cd_scratch` and
 :func:`delta_set` skip it, and their sums are unchanged to the bit. The
+target filter lives in one place, :meth:`ActionDags.holding`, which all
+three call through :func:`_holding`; on the :class:`ActionDags` that
+``build_all_dags`` returns it scans the DAGs once per target set. The
 whole-DAG passes :func:`_sc_map`, :func:`_r_map` and :func:`_edge_deltas`
 are references for the kernel; no solver calls them.
 
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import ActionDag
+from .graph import ActionDag, ActionDags
 
 # Sparse entries at or below this magnitude are deleted after updates.
 PRUNE_EPS = 1e-12
@@ -64,6 +67,15 @@ def counts_from_dags(dags) -> dict[int, int]:
         for u in dag.nodes:
             counts[u] = counts.get(u, 0) + 1
     return counts
+
+
+def _holding(dags, X) -> tuple[ActionDag, ...]:
+    """The DAGs with a target member, in DAG order, by
+    :meth:`ActionDags.holding`; any other iterable of DAGs is wrapped first,
+    which costs the scan the memo saves."""
+    if not isinstance(dags, ActionDags):
+        dags = ActionDags(dags)
+    return dags.holding(X)
 
 
 def _credit_row(dag: ActionDag, source: int, X, removed) -> dict[int, float]:
@@ -183,8 +195,8 @@ class CreditKernel:
         self.counts = counts
         self.removed: set[tuple[int, int]] = set()
         self.edge_actions: dict[tuple[int, int], list[list]] = {}
-        for dag in dags:
-            if dag.gamma and not self.X.isdisjoint(dag.times):
+        for dag in _holding(dags, self.X):
+            if dag.gamma:
                 nodes = dag.nodes
                 f = next(i for i, u in enumerate(nodes) if u in self.X)
                 pos = {u: i for i, u in enumerate(nodes[f:], f)}
@@ -412,14 +424,12 @@ def sigma_cd(store: CreditStore) -> float:
 
 def sigma_cd_scratch(dags, X, counts=None, removed=frozenset()) -> float:
     """From-scratch total influence on the DAGs with ``removed`` edges absent,
-    skipping the DAGs without a target member: their SC map is empty."""
+    over the DAGs :func:`_holding` gives: any other DAG's SC map is empty."""
     X = frozenset(X)
     if counts is None:
         counts = counts_from_dags(dags)
     total = 0.0
-    for dag in dags:
-        if X.isdisjoint(dag.times):
-            continue
+    for dag in _holding(dags, X):
         for u, val in _sc_map(dag, X, removed).items():
             total += val / counts[u]
     return total
@@ -436,13 +446,13 @@ def _influence(dag: ActionDag, X, counts, removed) -> float:
 def delta_set(dags, X, B, counts=None) -> float:
     """Influence drop of removing edge set B, computed from scratch.
 
-    Visits, in DAG order, only the DAGs holding an edge of B and a target
-    member, and adds each one's influence before the removal minus its
-    influence after, both from :func:`_sc_map`. Every other DAG contributes
-    exactly zero, because ``_sc_map`` consults the removed set only for the
-    DAG's own edges, and is empty in a DAG without a target member.
-    Summing per-DAG differences also avoids subtracting two totals of the
-    size of sigma. This is the reference implementation of the objective,
+    Visits, in DAG order, only the DAGs holding a target member
+    (:func:`_holding`) and an edge of B, and adds each one's influence
+    before the removal minus its influence after, both from
+    :func:`_sc_map`. Every other DAG contributes exactly zero, because
+    ``_sc_map`` consults the removed set only for the DAG's own edges, and
+    is empty in a DAG without a target member. Summing per-DAG differences
+    also avoids subtracting two totals of the size of sigma. This is the reference implementation of the objective,
     used by oracles and cross-checks; it never touches the kernel or an
     incremental store.
     """
@@ -451,8 +461,8 @@ def delta_set(dags, X, B, counts=None) -> float:
     if counts is None:
         counts = counts_from_dags(dags)
     total = 0.0
-    for dag in dags:
-        if B.isdisjoint(dag.gamma) or X.isdisjoint(dag.times):
+    for dag in _holding(dags, X):
+        if B.isdisjoint(dag.gamma):
             continue
         total += _influence(dag, X, counts, frozenset()) - _influence(dag, X, counts, B)
     return total

@@ -346,9 +346,38 @@ def assign_direct_credits(dag: ActionDag, scheme: str = "uniform", *, table=None
     return dag.with_gamma(gamma)
 
 
+class ActionDags(tuple):
+    """The credit-assigned DAGs of a log, in action order, as an immutable
+    tuple.
+
+    :meth:`holding` gives the DAGs in which a member of a target set takes
+    part: an action no target performed carries no set credit. It keeps the
+    answer for the last target set asked about, so a solver run and its
+    from-scratch evaluation, which all ask about one set, scan the DAGs
+    once between them.
+    """
+
+    def __new__(cls, dags):
+        self = super().__new__(cls, dags)
+        self._memo = (None, ())
+        return self
+
+    def holding(self, X) -> tuple[ActionDag, ...]:
+        """The DAGs with a member of ``X`` in ``times``, in DAG order. The
+        memo keys on a frozenset copy of ``X``, so changing a set after
+        passing it does not change a later answer."""
+        X = frozenset(X)
+        key, held = self._memo
+        if key != X:
+            held = tuple(dag for dag in self if not X.isdisjoint(dag.times))
+            self._memo = (X, held)
+        return held
+
+
 def build_all_dags(graph: SocialGraph, actionlog: ActionLog, scheme: str = "uniform",
-                   table=None) -> list[ActionDag]:
-    """Build and credit-assign the DAG of every action in the log."""
+                   table=None) -> ActionDags:
+    """Build and credit-assign the DAG of every action in the log; returns
+    them as an immutable :class:`ActionDags`, in action order."""
     prop_counts = None
     if scheme == "learned":
         prop_counts = propagation_counts(graph, actionlog)
@@ -363,7 +392,7 @@ def build_all_dags(graph: SocialGraph, actionlog: ActionLog, scheme: str = "unif
         tab = table if per_action is None else per_action.get(a, {})
         dags.append(assign_direct_credits(dag, scheme, table=tab, actionlog=actionlog,
                                           prop_counts=prop_counts))
-    return dags
+    return ActionDags(dags)
 
 
 def _is_per_action(table) -> bool:

@@ -209,9 +209,12 @@ def run_experiment(config_path, out_path=None, verify=False):
 
     The whole config is checked before any input is read: every method is
     known, ``grr`` has its bound ``b``, ``k`` lists at least one value, and
-    every value of ``k`` and ``b`` is at least 1. Raises on verification
-    mismatch: each reported delta is cross-checked against a from-scratch
-    recomputation when ``verify`` is set.
+    every value of ``k`` and ``b`` is at least 1. Once the candidate set C
+    is built, and before any cell runs, every ``k`` is checked against |C|
+    for the methods that need it: ``greedy`` takes k < |C| and ``random``
+    k <= |C|; ``grr`` and ``high-degree`` may return fewer edges. Raises on
+    verification mismatch: each reported delta is cross-checked against a
+    from-scratch recomputation when ``verify`` is set.
     """
     cfg = parse_config(config_path)
     for key in ("graph", "actions", "methods"):
@@ -251,6 +254,13 @@ def run_experiment(config_path, out_path=None, verify=False):
         X = pick_targets(counts, target_size, rng, pool_size=target_pool,
                          sampler=cfg.get("target_sampler", "top-actions"))
     C = sorted(default_candidates(dags))
+    k = max(ks)
+    if "greedy" in methods and k >= len(C):
+        raise ValueError(f"{config_path}: key 'k': value {k} must be smaller than "
+                         f"|C|={len(C)} for method 'greedy'")
+    if "random" in methods and k > len(C):
+        raise ValueError(f"{config_path}: key 'k': value {k} exceeds |C|={len(C)} "
+                         f"for method 'random'")
     before = sigma_before(dags, X, counts)
     reports = []
     for method in methods:

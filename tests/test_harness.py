@@ -235,6 +235,32 @@ class TestRunExperiment:
             assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
         assert cells == [] and not out.exists()
 
+    @pytest.mark.parametrize("method, over, message", [
+        ("greedy", 0, "must be smaller than |C|={c} for method 'greedy'"),
+        ("random", 1, "exceeds |C|={c} for method 'random'"),
+    ])
+    def test_k_beyond_candidates_is_rejected_before_any_cell(self, tmp_path, capsys,
+                                                             monkeypatch, method, over,
+                                                             message):
+        gpath, apath, graph, log = _bench_files(tmp_path)
+        c = len(default_candidates(build_all_dags(graph, log)))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"graph={gpath}\nactions={apath}\ntarget_size=3\n"
+                       f"methods=high-degree,{method}\nk=1,{c + over}\n", encoding="utf-8")
+        cells = []
+        monkeypatch.setattr(harness, "run_method", lambda *args: cells.append(args[0]))
+        out = tmp_path / "out.csv"
+        want = f"error: {cfg}: key 'k': value {c + over} {message.format(c=c)}\n"
+        for command in ("report", "verify"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == want
+        assert cells == [] and not out.exists()
+        # One edge less is the largest budget the method takes.
+        cfg.write_text(f"graph={gpath}\nactions={apath}\ntarget_size=3\n"
+                       f"methods=high-degree,{method}\nk=1,{c + over - 1}\n", encoding="utf-8")
+        run_experiment(str(cfg))
+        assert cells == ["high-degree", "high-degree", method, method]
+
     @pytest.mark.parametrize("line, key, token", [
         ("k=2,abc", "k", "abc"),
         ("seed=x", "seed", "x"),

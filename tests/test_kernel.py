@@ -7,9 +7,10 @@ kernel, the sampled continuous greedy's per-sample marginals (one
 ``_cg_weights`` sample: ``CreditKernel.scale`` to 0.0 on the sample, the
 marginals, and ``scale`` back to 1.0) against a from-scratch sum and the
 kernel's state after each sample, its pinned ``y`` on the criterion-12
-instance, and the exact continuous greedy (the kernel at credits
+instance, the exact continuous greedy (the kernel at credits
 gamma * (1 - y), updated by ``CreditKernel.scale``) against whole-DAG
-passes and against enumeration of the multilinear extension."""
+passes and against enumeration of the multilinear extension, and every
+reader of the target-holding DAGs on an ``ActionDags`` against a list."""
 
 import hashlib
 import heapq
@@ -23,7 +24,7 @@ from cdlim.contgreedy import (CGConfig, _cg_weights, continuous_greedy,
 from cdlim.credit import (CreditKernel, _credit_row, _edge_deltas, _r_map, _sc_map,
                           compute_credit_store, compute_mc, counts_from_dags, delta_set,
                           remove_edge, sigma_cd, sigma_cd_scratch)
-from cdlim.graph import ActionLog, SocialGraph, build_all_dags
+from cdlim.graph import ActionDags, ActionLog, SocialGraph, build_all_dags
 from cdlim.greedy import greedy_bil
 from conftest import make_f1, random_instance
 from test_acceptance import _best_feasible, _ic_benchmark
@@ -703,6 +704,36 @@ def test_greedy_equals_delta_kernel_chain_instance():
         assert all(entry[6] == min(entry[4].values()) - 1
                    for entries in kernel.edge_actions.values() for entry in entries), bound
         _assert_state_matches_scratch(kernel, dags, X)
+
+
+def _assert_same_on_action_dags_and_list(dags, counts, C, targets, k):
+    """Every reader of the target-holding DAGs gives the same floats on an
+    :class:`ActionDags`, whose memo answers for the last target set, as on
+    a plain list, which is scanned on every call. The target sets take
+    turns on the one ActionDags, so the memo changes between calls."""
+    assert isinstance(dags, ActionDags)
+    as_list = list(dags)
+    for X in targets:
+        sol = greedy_bil(dags, X, k, C, counts=counts)
+        want = greedy_bil(as_list, X, k, C, counts=counts)
+        assert (sol.edges, sol.gain_per_step) == (want.edges, want.gain_per_step)
+        B = frozenset(sol.edges)
+        for removed in (frozenset(), B):
+            assert (sigma_cd_scratch(dags, X, counts, removed=removed)
+                    == sigma_cd_scratch(as_list, X, counts, removed=removed))
+        assert delta_set(dags, X, B, counts) == delta_set(as_list, X, B, counts)
+        kernel, reference = CreditKernel(dags, X, counts), CreditKernel(as_list, X, counts)
+        assert [kernel.marginal(e) for e in C] == [reference.marginal(e) for e in C]
+
+
+def test_action_dags_memo_is_bit_identical_criterion_12_instance():
+    _, dags, counts, X, C = _ic_benchmark(1202)
+    _assert_same_on_action_dags_and_list(dags, counts, C, [X, set(range(10, 15)), X], 20)
+
+
+def test_action_dags_memo_is_bit_identical_chain_instance():
+    dags, X, counts, C = _chain_instance()
+    _assert_same_on_action_dags_and_list(dags, counts, C, [X, {5, 130}, X], 20)
 
 
 def reference_greedy(dags, X, k, C, counts, per_node_bound=None):

@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass
 
 from .credit import CreditKernel, counts_from_dags, delta_set, sigma_cd_scratch
+from .rounding import check_bound, max_weight_independent
 
 EXACT_GUARD = 20
 CURVATURE_GUARD = 15
@@ -124,27 +125,6 @@ def _cg_weights(kernel, C, held, y, s, rng) -> dict:
     return {e: max(acc[e] / s, 0.0) for e in C}
 
 
-def max_weight_independent(weights, b, y=None) -> set:
-    """Exact max-weight independent set of the per-head-node partition matroid.
-
-    Groups candidates by head node and keeps the b largest positive weights
-    per group (ties by smallest edge). Candidates already at probability 1
-    are excluded.
-    """
-    groups: dict[int, list] = {}
-    for e, w in weights.items():
-        if w <= 0.0:
-            continue
-        if y is not None and y.get(e, 0.0) >= 1.0:
-            continue
-        groups.setdefault(e[1], []).append(e)
-    chosen = set()
-    for v, edges in groups.items():
-        edges.sort(key=lambda e: (-weights[e], e))
-        chosen.update(edges[:b])
-    return chosen
-
-
 def continuous_greedy(dags, X, C, b, config: CGConfig, counts=None) -> FractionalSolution:
     """Fractional ascent: tau steps of 1/tau mass along a max-weight
     independent direction, staying inside the matroid polytope.
@@ -156,12 +136,13 @@ def continuous_greedy(dags, X, C, b, config: CGConfig, counts=None) -> Fractiona
     other weight is exactly 0.0, which ``max_weight_independent`` skips. The
     sampled path keeps the kernel at gamma between samples, and scores each
     sample on the same kernel with the sample's credits set to 0.0 (see
-    :func:`_cg_weights`)."""
+    :func:`_cg_weights`). An edge at y = 1.0 has weight exactly 0.0, so it
+    never moves again: each term c * 0.0 * r of its exact marginal is +0.0,
+    and ``random() < 1.0`` puts it in every sample, so no sample scores it."""
     C = sorted(set(C))
     if not C:
         raise ValueError("empty candidate set")
-    if b < 1:
-        raise ValueError(f"per-node bound b={b} must be at least 1")
+    check_bound(b)
     if counts is None:
         counts = counts_from_dags(dags)
     kernel = CreditKernel(dags, X, counts)
@@ -174,7 +155,7 @@ def continuous_greedy(dags, X, C, b, config: CGConfig, counts=None) -> Fractiona
             weights = {e: kernel.marginal(e) for e in held}
         else:
             weights = _cg_weights(kernel, C, held, y, config.s, rng)
-        moved = max_weight_independent(weights, b, y=y)
+        moved = max_weight_independent(weights, b)
         for e in moved:
             y[e] = min(y[e] + step, 1.0)
         if config.s is None:

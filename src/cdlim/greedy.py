@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 # compute_mc and remove_edge are re-exported for the benchmark's store probe.
 from .credit import CreditKernel, compute_mc, counts_from_dags, remove_edge  # noqa: F401
+from .rounding import check_bound
 
 
 @dataclass
@@ -55,8 +56,8 @@ def greedy_bil(dags, X, k, C=None, *, counts=None, use_lazy=False,
     """
     if k < 1:
         raise ValueError(f"budget k={k} must be at least 1")
-    if per_node_bound is not None and per_node_bound < 1:
-        raise ValueError(f"per-node bound b={per_node_bound} must be at least 1")
+    if per_node_bound is not None:
+        check_bound(per_node_bound)
     if counts is None:
         counts = counts_from_dags(dags)
     if C is None:

@@ -22,6 +22,8 @@ CSV_COLUMNS = ["method", "k", "b", "seed", "delta", "di_percent", "top3_share", 
                "eval_ms"]
 VERIFY_TOL = 1e-6
 METHODS = ("greedy", "grr", "high-degree", "random")
+CONFIG_KEYS = ("graph", "actions", "methods", "seed", "targets", "target_size",
+               "target_pool", "target_sampler", "k", "b", "scheme")
 
 
 def di_metric(sigma_before: float, sigma_after: float) -> float:
@@ -207,16 +209,21 @@ def pick_targets(counts, size: int, rng: random.Random, pool_size: int = 150,
 def run_experiment(config_path, out_path=None, verify=False):
     """Run every (method, k) cell in the config and emit one CSV row each.
 
-    The whole config is checked before any input is read: every method is
-    known, ``grr`` has its bound ``b``, ``k`` lists at least one value, and
-    every value of ``k`` and ``b`` is at least 1. Once the candidate set C
-    is built, and before any cell runs, every ``k`` is checked against |C|
-    for the methods that need it: ``greedy`` takes k < |C| and ``random``
-    k <= |C|; ``grr`` and ``high-degree`` may return fewer edges. Raises on
+    The whole config is checked before any input is read: every key is one
+    of ``CONFIG_KEYS``, every method is known, ``grr`` has its bound ``b``,
+    ``k`` lists at least one value, every value of ``k`` and ``b`` is at
+    least 1, ``scheme`` is uniform or learned, and ``target_sampler`` is
+    top-actions or uniform. Once the candidate set C is built, and
+    before any cell runs, every ``k`` is checked against |C| for the
+    methods that need it: ``greedy`` takes k < |C| and ``random`` k <= |C|;
+    ``grr`` and ``high-degree`` may return fewer edges. Raises on
     verification mismatch: each reported delta is cross-checked against a
     from-scratch recomputation when ``verify`` is set.
     """
     cfg = parse_config(config_path)
+    for key in cfg:
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"{config_path}: unknown key {key!r}")
     for key in ("graph", "actions", "methods"):
         if key not in cfg:
             raise ValueError(f"config missing required key {key!r}")
@@ -242,17 +249,28 @@ def run_experiment(config_path, out_path=None, verify=False):
             raise ValueError(f"{config_path}: key 'k': value {k} is below 1")
     if b is not None and b < 1:
         raise ValueError(f"{config_path}: key 'b': value {b} is below 1")
+    scheme = cfg.get("scheme", "uniform")
+    if scheme == "explicit":
+        raise ValueError(f"{config_path}: key 'scheme': credit scheme 'explicit' needs a "
+                         "gamma table, which a config cannot name")
+    if scheme not in ("uniform", "learned"):
+        raise ValueError(f"{config_path}: key 'scheme': unknown credit scheme {scheme!r}")
+    sampler = cfg.get("target_sampler", "top-actions")
+    if sampler not in ("top-actions", "uniform"):
+        raise ValueError(f"{config_path}: key 'target_sampler': unknown target sampler "
+                         f"{sampler!r}")
     graph = load_graph(cfg["graph"])
     actionlog = load_action_log(cfg["actions"], graph)
-    scheme = cfg.get("scheme", "uniform")
     dags = build_all_dags(graph, actionlog, scheme)
     counts = actionlog.counts
     rng = random.Random(seed)
     if labels is not None:
-        X = set(graph.id_of(t) for t in labels)
+        try:
+            X = {graph.id_of(t) for t in labels}
+        except ValueError as exc:
+            raise ValueError(f"{config_path}: key 'targets': {exc}") from None
     else:
-        X = pick_targets(counts, target_size, rng, pool_size=target_pool,
-                         sampler=cfg.get("target_sampler", "top-actions"))
+        X = pick_targets(counts, target_size, rng, pool_size=target_pool, sampler=sampler)
     C = sorted(default_candidates(dags))
     k = max(ks)
     if "greedy" in methods and k >= len(C):

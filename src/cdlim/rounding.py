@@ -1,5 +1,6 @@
-"""Rounding of fractional edge-removal solutions: feasibility-guarded
-randomized rounding and partition-matroid swap rounding.
+"""The per-node partition matroid (at most b removed edges into any node):
+its bound check, feasibility test and max-weight independent set, the
+decomposition of y into independent sets, and randomized and swap rounding.
 
 Repeated swap rounding of one fractional solution decomposes it once: the
 last decomposition is kept, keyed by the bound and the above-threshold
@@ -28,9 +29,29 @@ def feasible(B, b: int) -> bool:
     return True
 
 
-def _check_bound(b) -> None:
+def check_bound(b) -> None:
+    """Raise ValueError unless the per-node bound b is at least 1."""
     if b < 1:
         raise ValueError(f"per-node bound b={b} must be at least 1")
+
+
+def max_weight_independent(weights, b) -> frozenset:
+    """Exact max-weight independent set of the per-head-node partition matroid.
+
+    Keeps, per head node, the b largest positive weights (ties by smallest
+    edge), so a weight of 0.0, which continuous greedy gives every edge at
+    y_e = 1, is never chosen. A copy of the set could iterate in another
+    order, which swap rounding's draws follow, so :func:`decompose` keeps it.
+    """
+    groups: dict[int, list] = {}
+    for e, w in weights.items():
+        if w > 0.0:
+            groups.setdefault(e[1], []).append(e)
+    chosen = []
+    for edges in groups.values():
+        edges.sort(key=lambda e: (-weights[e], e))
+        chosen += edges[:b]
+    return frozenset(chosen)
 
 
 @dataclass
@@ -50,7 +71,7 @@ def randomized_round(y, C, b, trials, rng, evaluator) -> RoundedSolution:
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _check_bound(b)
+    check_bound(b)
     order = sorted(C, key=lambda e: (-y[e], e))
     trial_seeds = [rng.getrandbits(64) for _ in range(trials)]
     best_B, best_delta = None, None
@@ -76,40 +97,34 @@ def randomized_round(y, C, b, trials, rng, evaluator) -> RoundedSolution:
 def decompose(y, C, b):
     """Write y as a convex combination of independent sets.
 
-    Repeatedly extracts the set holding, per head node, the up-to-b
-    highest-residual edges. The coefficient is capped three ways: by the
-    smallest chosen residual, by the remaining mass, and so that no skipped
-    edge's residual exceeds the mass left after this step (otherwise that
-    edge could never be covered by the remaining coefficients). Pads with
-    the empty set so coefficients sum to 1.
+    Repeatedly extracts :func:`max_weight_independent` of the residuals
+    (all above ``DECOMP_EPS``): per head node, the up-to-b highest. The
+    coefficient is capped three ways: by the smallest chosen residual, by
+    the remaining mass, and so that no skipped edge's residual exceeds the
+    mass left after this step (otherwise that edge could never be covered
+    by the remaining coefficients). Pads with the empty set so coefficients
+    sum to 1.
 
     On a feasible y the caps can drive the coefficient to zero while
     residuals of float-rounding size (about 1e-9) remain. The extraction
     then stops if no residual exceeds ``DECOMP_SLACK``, and fails otherwise.
     """
-    _check_bound(b)
+    check_bound(b)
     residual = {e: y[e] for e in C if y[e] > DECOMP_EPS}
     parts = []
     total = 0.0
     while residual:
-        groups: dict[int, list] = {}
-        for e in residual:
-            groups.setdefault(e[1], []).append(e)
-        chosen = []
-        skipped = []
-        for v, edges in groups.items():
-            edges.sort(key=lambda e: (-residual[e], e))
-            chosen.extend(edges[:b])
-            skipped.extend(edges[b:])
+        chosen = max_weight_independent(residual, b)
         lam = min(residual[e] for e in chosen)
         lam = min(lam, 1.0 - total)
-        for e in skipped:
-            lam = min(lam, 1.0 - total - residual[e])
+        for e, r in residual.items():
+            if e not in chosen:
+                lam = min(lam, 1.0 - total - r)
         if lam <= DECOMP_EPS:
             if max(residual.values()) <= DECOMP_SLACK:
                 break
             raise ValueError("decomposition failure: residual mass exceeds 1 (infeasible y)")
-        parts.append((frozenset(chosen), lam))
+        parts.append((chosen, lam))
         total += lam
         for e in chosen:
             r = residual[e] - lam
@@ -190,6 +205,5 @@ def chernoff_epsilon(n: int, b: int) -> float:
     """Overflow slack for unconditioned independent rounding: sqrt(6 ln n / b)."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if b < 1:
-        raise ValueError("b must be >= 1")
+    check_bound(b)
     return math.sqrt(6.0 * math.log(n) / b)

@@ -150,6 +150,10 @@ class TestPickTargets:
             pick_targets({0: 1}, 1, random.Random(0), sampler="bogus")
 
 
+def _must_not_call(*args):
+    raise AssertionError("called after the run was rejected")
+
+
 def _bench_files(tmp_path, n=30, num_actions=40, seed=3):
     rng = random.Random(seed)
     edges = sorted({(rng.randrange(n), rng.randrange(n)) for _ in range(4 * n)}
@@ -220,6 +224,14 @@ class TestRunExperiment:
         ("methods=greedy\nk=\n", "key 'k': no values"),
         ("methods=greedy\nk=2,0\n", "key 'k': value 0 is below 1"),
         ("methods=greedy,grr\nk=1\nb=0\n", "key 'b': value 0 is below 1"),
+        ("methods=greedy\ntargest=0\n", "unknown key 'targest'"),
+        ("methods=greedy\nscheme=normalized-learned\n",
+         "key 'scheme': unknown credit scheme 'normalized-learned'"),
+        ("methods=greedy\nscheme=explicit\n",
+         "key 'scheme': credit scheme 'explicit' needs a gamma table, which a config "
+         "cannot name"),
+        ("methods=greedy\ntarget_sampler=bogus\n",
+         "key 'target_sampler': unknown target sampler 'bogus'"),
     ])
     def test_config_is_checked_before_any_cell(self, tmp_path, capsys, monkeypatch, lines,
                                                message):
@@ -228,6 +240,7 @@ class TestRunExperiment:
         cfg.write_text(f"graph={gpath}\nactions={apath}\ntarget_size=3\n{lines}",
                        encoding="utf-8")
         cells = []
+        monkeypatch.setattr(harness, "load_graph", _must_not_call)
         monkeypatch.setattr(harness, "run_method", lambda *args: cells.append(args[0]))
         out = tmp_path / "out.csv"
         for command in ("report", "verify"):
@@ -281,6 +294,19 @@ class TestRunExperiment:
         for command in ("report", "verify"):
             assert main([command, "--config", str(cfg)]) == 1
             assert capsys.readouterr().err == f"error: {want}\n"
+
+    def test_unknown_target_label_names_file_and_key(self, tmp_path, capsys, monkeypatch):
+        gpath, apath, _, _ = _bench_files(tmp_path)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"graph={gpath}\nactions={apath}\nmethods=greedy\ntargets=0,99\n",
+                       encoding="utf-8")
+        monkeypatch.setattr(harness, "run_method", _must_not_call)
+        out = tmp_path / "out.csv"
+        for command in ("report", "verify"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {cfg}: key 'targets': unknown node id 99\n")
+        assert not out.exists()
 
     def test_unknown_scheme(self, tmp_path, capsys):
         gpath, apath, _, _ = _bench_files(tmp_path)

@@ -19,13 +19,14 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdlim.contgreedy import (CGConfig, _cg_weights, continuous_greedy,
-                              max_weight_independent, multilinear_exact, sample_set)
+from cdlim.contgreedy import (CGConfig, _cg_weights, continuous_greedy, multilinear_exact,
+                              sample_set)
 from cdlim.credit import (CreditKernel, _credit_row, _edge_deltas, _r_map, _sc_map,
                           compute_credit_store, compute_mc, counts_from_dags, delta_set,
                           remove_edge, sigma_cd, sigma_cd_scratch)
 from cdlim.graph import ActionDags, ActionLog, SocialGraph, build_all_dags
 from cdlim.greedy import greedy_bil
+from cdlim.rounding import max_weight_independent
 from conftest import make_f1, random_instance
 from test_acceptance import _best_feasible, _ic_benchmark
 
@@ -546,6 +547,45 @@ def test_exact_continuous_greedy_matches_reference(inst, b, tau):
     _assert_cg_matches_reference(dags, X, C, b, CGConfig(tau=tau), counts_from_dags(dags))
 
 
+@settings(max_examples=100, deadline=None)
+@given(dense_instances(), st.data())
+def test_weight_at_y_one_is_zero(inst, data):
+    # Why max_weight_independent needs no y filter: on both paths the
+    # continuous-greedy weight of an edge at y = 1.0 is exactly 0.0.
+    dags, X, C = inst
+    probs = st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)
+    y = {e: data.draw(probs) for e in C}
+    full = data.draw(st.lists(st.sampled_from(C), unique=True, min_size=1))
+    y.update(dict.fromkeys(full, 1.0))
+    counts = counts_from_dags(dags)
+    kernel = CreditKernel(dags, X, counts)
+    kernel.scale({e: 1.0 - y[e] for e in C})
+    assert [kernel.marginal(e) for e in full] == [0.0] * len(full)
+    kernel = CreditKernel(dags, X, counts)
+    held = [e for e in C if e in kernel.edge_actions]
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    weights = _cg_weights(kernel, C, held, y, data.draw(st.integers(1, 4)), rng)
+    assert [weights[e] for e in full] == [0.0] * len(full)
+
+
+def test_continuous_greedy_matches_reference_when_y_reaches_one():
+    # At tau=2 and tau=4 the steps sum to exactly 1.0, so edges reach
+    # y = 1.0 and are then kept out of every step by their zero weight.
+    rng = random.Random(419)
+    saturated = 0
+    for i in range(30):
+        inst = random_instance(rng, max_nodes=8, max_actions=4)
+        counts = counts_from_dags(inst.dags)
+        b = 1 + i % 2
+        for tau in (2, 4):
+            for config in (CGConfig(tau=tau), CGConfig(tau=tau, s=3, seed=i)):
+                frac = continuous_greedy(inst.dags, inst.X, inst.C, b, config, counts=counts)
+                want = reference_continuous_greedy(inst.dags, inst.X, inst.C, b, config, counts)
+                assert repr(frac.y) == repr(want)
+                saturated += list(frac.y.values()).count(1.0)
+    assert saturated > 0
+
+
 @settings(max_examples=150, deadline=None)
 @given(dense_instances(), st.data())
 def test_kernel_marginal_matches_reference(inst, data):
@@ -900,7 +940,7 @@ def reference_continuous_greedy(dags, X, C, b, config, counts):
                     if e not in B:
                         acc[e] += marg[e]
             weights = {e: max(acc[e] / config.s, 0.0) for e in C}
-        for e in max_weight_independent(weights, b, y=y):
+        for e in max_weight_independent(weights, b):
             y[e] = min(y[e] + step, 1.0)
     return y
 

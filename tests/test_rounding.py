@@ -8,8 +8,8 @@ import pytest
 
 from cdlim.credit import delta_set
 from cdlim.contgreedy import FractionalSolution
-from cdlim.rounding import (_merge, chernoff_epsilon, decompose, feasible,
-                            randomized_round, swap_round)
+from cdlim.rounding import (DECOMP_EPS, DECOMP_SLACK, _merge, chernoff_epsilon, decompose,
+                            feasible, randomized_round, swap_round)
 
 TOL = 1e-9
 
@@ -125,6 +125,55 @@ class TestDecompose:
     def test_bound_below_one(self, b):
         with pytest.raises(ValueError, match=f"^per-node bound b={b} must be at least 1$"):
             decompose({(0, 1): 0.5}, [(0, 1)], b)
+
+    def test_matches_inline_selection_on_ties(self):
+        # Equal residuals within and across heads: the parts, and so the
+        # order swap rounding iterates them in, are those of a decomposition
+        # that groups and sorts the residuals itself.
+        rng = random.Random(19)
+        for _ in range(300):
+            edges = sorted({(rng.randrange(12), rng.randrange(4) + 12)
+                            for _ in range(rng.randint(1, 30))})
+            b = rng.randint(1, 3)
+            heads = [v for _, v in edges]
+            y = {e: min(1.0, b / heads.count(e[1])) * rng.choice((0.25, 0.5, 1.0))
+                 for e in edges}
+            assert repr(decompose(y, edges, b)) == repr(inline_decompose(y, edges, b))
+
+
+def inline_decompose(y, C, b):
+    """:func:`decompose` with the per-head top-b selection written out."""
+    residual = {e: y[e] for e in C if y[e] > DECOMP_EPS}
+    parts = []
+    total = 0.0
+    while residual:
+        groups = {}
+        for e in residual:
+            groups.setdefault(e[1], []).append(e)
+        chosen = []
+        skipped = []
+        for edges in groups.values():
+            edges.sort(key=lambda e: (-residual[e], e))
+            chosen.extend(edges[:b])
+            skipped.extend(edges[b:])
+        lam = min(min(residual[e] for e in chosen), 1.0 - total)
+        for e in skipped:
+            lam = min(lam, 1.0 - total - residual[e])
+        if lam <= DECOMP_EPS:
+            if max(residual.values()) <= DECOMP_SLACK:
+                break
+            raise ValueError("decomposition failure")
+        parts.append((frozenset(chosen), lam))
+        total += lam
+        for e in chosen:
+            r = residual[e] - lam
+            if r > DECOMP_EPS:
+                residual[e] = r
+            else:
+                del residual[e]
+    if total < 1.0 - DECOMP_EPS:
+        parts.append((frozenset(), 1.0 - total))
+    return parts
 
 
 def _random_feasible_y(edges, b, rng):

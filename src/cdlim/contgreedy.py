@@ -37,8 +37,10 @@ class CGConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.tau < 1 or (self.s is not None and self.s < 1):
-            raise ValueError("tau and s must be >= 1")
+        if self.tau < 1:
+            raise ValueError(f"tau={self.tau} must be at least 1")
+        if self.s is not None and self.s < 1:
+            raise ValueError(f"s={self.s} must be at least 1")
 
 
 @dataclass

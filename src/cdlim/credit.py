@@ -20,10 +20,21 @@ reads. An action with no target member has SC empty, so it adds no
 influence and no term: the kernel, :func:`sigma_cd_scratch` and
 :func:`delta_set` skip it, and their sums are unchanged to the bit. The
 target filter lives in one place, :meth:`ActionDags.holding`, which all
-three call through :func:`_holding`; on the :class:`ActionDags` that
-``build_all_dags`` returns it scans the DAGs once per target set. The
-whole-DAG passes :func:`_sc_map`, :func:`_r_map` and :func:`_edge_deltas`
-are references for the kernel; no solver calls them.
+three call; on the :class:`ActionDags` that ``build_all_dags`` returns it
+scans the DAGs once per target set. The whole-DAG passes :func:`_sc_map`,
+:func:`_r_map` and :func:`_edge_deltas` are references for the kernel; no
+solver calls them.
+
+The from-scratch evaluation (:func:`sigma_cd_scratch`, :func:`delta_set`)
+keeps the :func:`_sc_map` results it computes in a memo, ``scratch`` on
+the :class:`ActionDags`, for one target set at a time: each holding DAG's
+unremoved map, filled on first use, and the maps of the holding DAGs that
+the last non-empty removed set touches. :meth:`ActionDags.holding` drops
+the memo whenever it scans for a new target set, a new removed set
+replaces the touched maps, and a plain list of DAGs gets a fresh memo on
+each call. The influence sums are computed on every call, over the same
+maps in the same order, so each value equals a memo-free computation to
+the bit. :class:`CreditKernel` never reads the memo.
 
 Every pass, the oracles included, walks the DAG's ``in_edges`` and
 ``out_edges`` lists. Their tuples are the keys of ``dag.gamma``, so a pass
@@ -69,13 +80,11 @@ def counts_from_dags(dags) -> dict[int, int]:
     return counts
 
 
-def _holding(dags, X) -> tuple[ActionDag, ...]:
-    """The DAGs with a target member, in DAG order, by
-    :meth:`ActionDags.holding`; any other iterable of DAGs is wrapped first,
-    which costs the scan the memo saves."""
-    if not isinstance(dags, ActionDags):
-        dags = ActionDags(dags)
-    return dags.holding(X)
+def _action_dags(dags) -> ActionDags:
+    """``dags`` itself when it is an :class:`ActionDags`. Any other iterable
+    of DAGs is wrapped in a new one, which costs the scan and the maps its
+    memos save."""
+    return dags if isinstance(dags, ActionDags) else ActionDags(dags)
 
 
 def _credit_row(dag: ActionDag, source: int, X, removed) -> dict[int, float]:
@@ -195,7 +204,7 @@ class CreditKernel:
         self.counts = counts
         self.removed: set[tuple[int, int]] = set()
         self.edge_actions: dict[tuple[int, int], list[list]] = {}
-        for dag in _holding(dags, self.X):
+        for dag in _action_dags(dags).holding(self.X):
             if dag.gamma:
                 nodes = dag.nodes
                 f = next(i for i, u in enumerate(nodes) if u in self.X)
@@ -422,49 +431,109 @@ def sigma_cd(store: CreditStore) -> float:
     return total
 
 
-def sigma_cd_scratch(dags, X, counts=None, removed=frozenset()) -> float:
-    """From-scratch total influence on the DAGs with ``removed`` edges absent,
-    over the DAGs :func:`_holding` gives: any other DAG's SC map is empty."""
-    X = frozenset(X)
-    if counts is None:
-        counts = counts_from_dags(dags)
+class _ScratchMaps:
+    """The from-scratch SC maps of one target set's holding DAGs, kept as
+    ``scratch`` on their :class:`ActionDags` until
+    :meth:`ActionDags.holding` scans for another target set.
+
+    ``base[i]`` is the unremoved :func:`_sc_map` of ``held[i]``, filled on
+    first use. ``touched`` maps the position of each holding DAG that holds
+    an edge of ``removed``, the last non-empty removed set asked about, to
+    its SC map with that set absent; the next removed set replaces both.
+    Every other holding DAG's map with ``removed`` absent is its base map,
+    because :func:`_sc_map` consults the removed set only for the DAG's own
+    edges. So at most one map per holding DAG and one per touched DAG are
+    kept. :class:`CreditKernel` never reads them.
+    """
+
+    __slots__ = ("X", "held", "base", "removed", "touched")
+
+    def __init__(self, X, held):
+        self.X = X
+        self.held = held
+        self.base = [None] * len(held)
+        self.removed = frozenset()
+        self.touched: dict[int, dict[int, float]] = {}
+
+    def unremoved(self, i) -> dict[int, float]:
+        sc = self.base[i]
+        if sc is None:
+            sc = self.base[i] = _sc_map(self.held[i], self.X, frozenset())
+        return sc
+
+    def with_removed(self, removed) -> dict[int, dict[int, float]]:
+        """Position -> SC map with ``removed`` absent, in DAG order, for the
+        holding DAGs that hold an edge of ``removed``. An empty set touches
+        no DAG and leaves the kept maps as they are."""
+        B = frozenset(removed)
+        if not B:
+            return {}
+        if B != self.removed:
+            self.removed = B
+            self.touched = {i: _sc_map(dag, self.X, B) for i, dag in enumerate(self.held)
+                            if not B.isdisjoint(dag.gamma)}
+        return self.touched
+
+
+def _scratch_maps(dags, X) -> _ScratchMaps:
+    """The SC-map memo of ``dags`` for target set ``X``, made on first use
+    after :meth:`ActionDags.holding` last scanned."""
+    dags = _action_dags(dags)
+    held = dags.holding(X)
+    if dags.scratch is None:
+        dags.scratch = _ScratchMaps(frozenset(X), held)
+    return dags.scratch
+
+
+def _influence(sc, counts) -> float:
+    """Action-normalized set credit summed over one SC map's nodes."""
     total = 0.0
-    for dag in _holding(dags, X):
-        for u, val in _sc_map(dag, X, removed).items():
-            total += val / counts[u]
+    for u, val in sc.items():
+        total += val / counts[u]
     return total
 
 
-def _influence(dag: ActionDag, X, counts, removed) -> float:
-    """Action-normalized set credit summed over one DAG's nodes."""
+def sigma_cd_scratch(dags, X, counts=None, removed=frozenset()) -> float:
+    """From-scratch total influence on the DAGs with ``removed`` edges
+    absent, summed over the holding DAGs in DAG order: any other DAG's SC
+    map is empty. The SC maps come from the memo of :func:`_scratch_maps`,
+    which runs :func:`_sc_map` only for a DAG and removed set it has not
+    kept; the sum itself is computed on every call, with ``counts``."""
+    X = frozenset(X)
+    if counts is None:
+        counts = counts_from_dags(dags)
+    memo = _scratch_maps(dags, X)
+    touched = memo.with_removed(removed)
     total = 0.0
-    for u, val in _sc_map(dag, X, removed).items():
-        total += val / counts[u]
+    for i in range(len(memo.held)):
+        sc = touched[i] if i in touched else memo.unremoved(i)
+        for u, val in sc.items():
+            total += val / counts[u]
     return total
 
 
 def delta_set(dags, X, B, counts=None) -> float:
     """Influence drop of removing edge set B, computed from scratch.
 
-    Visits, in DAG order, only the DAGs holding a target member
-    (:func:`_holding`) and an edge of B, and adds each one's influence
-    before the removal minus its influence after, both from
-    :func:`_sc_map`. Every other DAG contributes exactly zero, because
-    ``_sc_map`` consults the removed set only for the DAG's own edges, and
-    is empty in a DAG without a target member. Summing per-DAG differences
-    also avoids subtracting two totals of the size of sigma. This is the reference implementation of the objective,
-    used by oracles and cross-checks; it never touches the kernel or an
-    incremental store.
+    Visits, in DAG order, only the DAGs holding a target member and an edge
+    of B, and adds each one's influence before the removal minus its
+    influence after, both from its :func:`_sc_map`. Every other DAG
+    contributes exactly zero, because ``_sc_map`` consults the removed set
+    only for the DAG's own edges, and is empty in a DAG without a target
+    member. Summing per-DAG differences also avoids subtracting two totals
+    of the size of sigma. The maps come from the same memo as in
+    :func:`sigma_cd_scratch`, so a ``delta_set(B)`` after
+    ``sigma_cd_scratch(removed=B)`` runs no pass. This is the reference
+    implementation of the objective, used by oracles and cross-checks; it
+    never touches the kernel or an incremental store.
     """
     X = frozenset(X)
-    B = frozenset(B)
     if counts is None:
         counts = counts_from_dags(dags)
+    memo = _scratch_maps(dags, X)
     total = 0.0
-    for dag in _holding(dags, X):
-        if B.isdisjoint(dag.gamma):
-            continue
-        total += _influence(dag, X, counts, frozenset()) - _influence(dag, X, counts, B)
+    for i, sc in memo.with_removed(B).items():
+        total += _influence(memo.unremoved(i), counts) - _influence(sc, counts)
     return total
 
 

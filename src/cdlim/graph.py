@@ -354,12 +354,15 @@ class ActionDags(tuple):
     part: an action no target performed carries no set credit. It keeps the
     answer for the last target set asked about, so a solver run and its
     from-scratch evaluation, which all ask about one set, scan the DAGs
-    once between them.
+    once between them. ``scratch`` holds the from-scratch SC maps that
+    :mod:`cdlim.credit` keeps for that same set; :meth:`holding` drops
+    them whenever it scans for a new set.
     """
 
     def __new__(cls, dags):
         self = super().__new__(cls, dags)
         self._memo = (None, ())
+        self.scratch = None
         return self
 
     def holding(self, X) -> tuple[ActionDag, ...]:
@@ -371,6 +374,7 @@ class ActionDags(tuple):
         if key != X:
             held = tuple(dag for dag in self if not X.isdisjoint(dag.times))
             self._memo = (X, held)
+            self.scratch = None
         return held
 
 

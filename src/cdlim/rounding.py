@@ -64,15 +64,16 @@ class RoundedSolution:
 def randomized_round(y, C, b, trials, rng, evaluator) -> RoundedSolution:
     """Best-of-``trials`` randomized rounding with a feasibility guard.
 
-    Each trial scans candidates in descending probability (ties by smallest
-    edge) and includes an edge with its probability unless that would push
-    its head node past the bound. ``evaluator`` maps an edge set to its
-    influence drop; the best feasible trial is returned.
+    Each trial scans the distinct candidates in descending probability
+    (ties by smallest edge) and includes an edge with its probability unless
+    that would push its head node past the bound, so a candidate listed
+    twice in ``C`` still gets one draw. ``evaluator`` maps an edge set to
+    its influence drop; the best feasible trial is returned.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     check_bound(b)
-    order = sorted(C, key=lambda e: (-y[e], e))
+    order = sorted(set(C), key=lambda e: (-y[e], e))
     trial_seeds = [rng.getrandbits(64) for _ in range(trials)]
     best_B, best_delta = None, None
     trial_deltas = []

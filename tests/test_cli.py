@@ -244,6 +244,13 @@ class TestIlm:
             ys.append([row for row in rows[1:] if row[0] == "y"])
         assert ys[0] == ys[1] and len(ys[0]) == 3
 
+    def test_bad_tau_or_samples_is_an_error(self, f1_files, capsys):
+        for flag, message in (("--tau", "tau=0 must be at least 1"),
+                              ("--samples", "s=0 must be at least 1")):
+            rc = main(["ilm", *_base_args(f1_files), "-b", "1", flag, "0"])
+            assert rc == 1, flag
+            assert capsys.readouterr().err == f"error: {message}\n", flag
+
     def test_swap(self, f1_files):
         out = f1_files / "ilm2.csv"
         rc = main(["ilm", *_base_args(f1_files), "-b", "1", "--tau", "30",

@@ -170,11 +170,12 @@ class TestContinuousGreedy:
             frac.check(b)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        # Each message names the bad field and its value.
+        with pytest.raises(ValueError, match="^tau=0 must be at least 1$"):
             CGConfig(tau=0, s=5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^s=0 must be at least 1$"):
             CGConfig(tau=5, s=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^tau=0 must be at least 1$"):
             CGConfig(tau=0)
         assert CGConfig().s is None
 

@@ -1,14 +1,17 @@
-"""Credit stores, influence totals, edge deltas, and the path oracles."""
+"""Credit stores, influence totals, edge deltas, the path oracles, and the
+from-scratch evaluation's SC-map memo against memo-free copies."""
 
 import random
 
 import pytest
 
-from cdlim.credit import (compute_credit_store, compute_mc, counts_from_dags,
-                          delta_set, kappa, oracle_set_credit,
+from cdlim.credit import (CreditKernel, _sc_map, compute_credit_store, compute_mc,
+                          counts_from_dags, delta_set, kappa, oracle_set_credit,
                           oracle_total_credit, sigma_cd, sigma_cd_scratch)
-from cdlim.graph import ActionLog, SocialGraph, build_action_dag
+from cdlim.graph import ActionDags, ActionLog, SocialGraph, build_action_dag
+from cdlim.greedy import greedy_bil
 from conftest import make_branch7, make_f1, random_instance
+from test_acceptance import _ic_benchmark
 
 TOL = 1e-9
 
@@ -207,3 +210,131 @@ class TestDeltas:
             base = delta_set(inst.dags, inst.X, S, counts=counts)
             grown = delta_set(inst.dags, inst.X, S | {e}, counts=counts)
             assert grown >= base - TOL
+
+
+def reference_sigma_cd_scratch(dags, X, counts, removed=frozenset()):
+    """The from-scratch total influence without the memo: one
+    :func:`_sc_map` pass per target-holding DAG on every call."""
+    X = frozenset(X)
+    total = 0.0
+    for dag in dags:
+        if X.isdisjoint(dag.times):
+            continue
+        for u, val in _sc_map(dag, X, removed).items():
+            total += val / counts[u]
+    return total
+
+
+def _reference_influence(dag, X, counts, removed):
+    total = 0.0
+    for u, val in _sc_map(dag, X, removed).items():
+        total += val / counts[u]
+    return total
+
+
+def reference_delta_set(dags, X, B, counts):
+    """:func:`delta_set` without the memo: both passes of every DAG holding
+    a target member and an edge of B, on every call."""
+    X = frozenset(X)
+    B = frozenset(B)
+    total = 0.0
+    for dag in dags:
+        if X.isdisjoint(dag.times) or B.isdisjoint(dag.gamma):
+            continue
+        total += (_reference_influence(dag, X, counts, frozenset())
+                  - _reference_influence(dag, X, counts, B))
+    return total
+
+
+def _assert_memo_is_bounded(dags, X):
+    """The memo answers for ``X`` and keeps only the maps it may: each
+    holding DAG's unremoved map (or nothing yet), and the maps with one
+    removed set absent, for exactly the holding DAGs that hold an edge of
+    it. Every kept map equals a fresh pass."""
+    memo = dags.scratch
+    held = dags.holding(X)
+    assert memo.held is held and memo.X == frozenset(X)
+    assert len(memo.base) == len(held)
+    for dag, sc in zip(held, memo.base):
+        assert sc is None or sc == _sc_map(dag, memo.X, frozenset())
+    assert isinstance(memo.removed, frozenset)
+    assert set(memo.touched) == {i for i, dag in enumerate(held)
+                                 if not memo.removed.isdisjoint(dag.gamma)}
+    for i, sc in memo.touched.items():
+        assert sc == _sc_map(held[i], memo.X, memo.removed)
+
+
+class TestScratchMemo:
+    FORMS = (set, list, tuple, frozenset)
+
+    def _schedule(self, rng, inst):
+        """Removed sets for one instance: repeated, alternated, empty, every
+        candidate (so every holding DAG with an edge is touched), edges in
+        no DAG, and DAG edges mixed with such edges."""
+        n = inst.graph.n
+        C = inst.C
+        B1 = rng.sample(C, rng.randint(1, len(C)))
+        B2 = rng.sample(C, rng.randint(1, len(C)))
+        stray = [(0, 0), (n, n + 1)]
+        sets = [B1, B1, B2, B1, B2, [], B1, list(C), stray, B1 + stray, B2]
+        return sets + rng.sample(sets, len(sets))
+
+    def test_equals_reference_on_interleaved_calls(self):
+        for seed in range(60):
+            rng = random.Random(seed)
+            inst = random_instance(rng, max_nodes=8, max_actions=5)
+            counts = counts_from_dags(inst.dags)
+            active = sorted({u for d in inst.dags for u in d.nodes})
+            targets = (inst.X, set(rng.sample(active, rng.randint(1, len(active)))))
+            for dags in (ActionDags(inst.dags), list(inst.dags)):
+                kernel = None
+                for step, B in enumerate(self._schedule(rng, inst)):
+                    # The two target sets take turns every one to three calls.
+                    X = targets[(step // rng.randint(1, 3)) % 2]
+                    if step == 4:
+                        # A kernel built here scans for its own target set.
+                        kernel = CreditKernel(dags, targets[1], counts)
+                    if kernel is not None and rng.random() < 0.3:
+                        # kernel.removed is one mutable set, passed as is
+                        # and changed between calls.
+                        kernel.remove(rng.choice(inst.C))
+                        removed = kernel.removed
+                    else:
+                        removed = rng.choice(self.FORMS)(B)
+                    calls = rng.choice(("sigma", "delta", "sigma-delta", "delta-sigma"))
+                    for call in calls.split("-"):
+                        if call == "sigma":
+                            c = rng.choice((counts, None))
+                            got = sigma_cd_scratch(dags, X, c, removed=removed)
+                            assert got == reference_sigma_cd_scratch(inst.dags, X, counts,
+                                                                     removed), (seed, step)
+                        else:
+                            got = delta_set(dags, X, removed, counts=counts)
+                            assert got == reference_delta_set(inst.dags, X, removed,
+                                                              counts), (seed, step)
+                        if isinstance(dags, ActionDags):
+                            _assert_memo_is_bounded(dags, X)
+                        else:
+                            assert type(dags) is list
+
+    def test_greedy_bil_ignores_the_memo(self):
+        # The kernel reads nothing from the memo: greedy on an ActionDags
+        # whose memo the from-scratch calls (memoized and reference) filled,
+        # or whose kept maps are wrong, picks as on a fresh one.
+        _, dags, counts, X, C = _ic_benchmark(1202)
+        want = greedy_bil(ActionDags(dags), X, 20, C, counts=counts)
+        primed = ActionDags(dags)
+        B = want.edges
+        for removed in (frozenset(), B, B[:5]):
+            assert (sigma_cd_scratch(primed, X, counts, removed=removed)
+                    == reference_sigma_cd_scratch(dags, X, counts, removed))
+            assert (delta_set(primed, X, removed, counts)
+                    == reference_delta_set(dags, X, removed, counts))
+        got = greedy_bil(primed, X, 20, C, counts=counts)
+        assert (got.edges, got.gain_per_step) == (want.edges, want.gain_per_step)
+        memo = primed.scratch
+        assert memo.touched and all(sc is not None for sc in memo.base)
+        memo.base = [{} for _ in memo.base]
+        memo.touched = dict.fromkeys(memo.touched, {})
+        got = greedy_bil(primed, X, 20, C, counts=counts)
+        assert (got.edges, got.gain_per_step) == (want.edges, want.gain_per_step)

@@ -70,6 +70,16 @@ class TestRandomizedRound:
         long = randomized_round(y, f1.C, 1, 9, random.Random(7), ev)
         assert long.trial_deltas[:4] == short.trial_deltas
 
+    def test_duplicated_candidates_draw_once(self):
+        # A candidate listed twice gets one draw and fills one slot of its
+        # head, so the result is the deduplicated list's under the same seed.
+        y = {(0, 1): 0.6, (2, 1): 0.4}
+        for seed in range(20):
+            dup = randomized_round(y, [(0, 1), (0, 1), (2, 1)], 2, 3, random.Random(seed), len)
+            plain = randomized_round(y, [(2, 1), (0, 1)], 2, 3, random.Random(seed), len)
+            assert dup == plain, seed
+            assert len(set(dup.edges)) == len(dup.edges), seed
+
     def test_zero_trials(self, f1):
         with pytest.raises(ValueError):
             randomized_round({}, [], 1, 0, random.Random(0), lambda B: 0.0)

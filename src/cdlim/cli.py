@@ -39,9 +39,13 @@ def _parse_candidates(raw, graph):
         if len(parts) != 2:
             raise ValueError(f"{raw}:{lineno}: expected 'u v', got {line!r}")
         try:
-            edges.add((graph.id_of(_int_token(parts[0])), graph.id_of(_int_token(parts[1]))))
+            u, v = (_int_token(tok) for tok in parts)
+            e = (graph.id_of(u), graph.id_of(v))
         except ValueError as exc:
             raise ValueError(f"{raw}:{lineno}: {exc}") from None
+        if not graph.has_edge(*e):
+            raise ValueError(f"{raw}:{lineno}: edge {u}->{v} is not in the graph")
+        edges.add(e)
     return edges
 
 
@@ -68,6 +72,8 @@ def _add_problem_flags(sub):
 
 def cmd_gen(args):
     graph = load_graph(args.graph)
+    if graph.m == 0:
+        raise ValueError(f"{args.graph}: the graph has no edges")
     actionlog = generate_ic_actions(graph, args.num_actions, args.seeds_per_action,
                                     args.edge_prob, seed=args.seed)
     write_action_log(actionlog, args.out, labels=graph.labels)

@@ -100,7 +100,7 @@ def cg_weights(dags, X, C, y, s, rng, counts=None) -> dict:
     means are clamped to zero (the true expectations are non-negative).
     """
     if s < 1:
-        raise ValueError("s must be >= 1")
+        raise ValueError(f"s={s} must be at least 1")
     if counts is None:
         counts = counts_from_dags(dags)
     kernel = CreditKernel(dags, X, counts)

@@ -1,13 +1,21 @@
-"""Social graph, action log, and per-action propagation DAG construction."""
+"""Social graph, action log, and per-action propagation DAG construction.
+
+The action log is streamed from its file into per-action groups.
+:func:`build_all_dags` builds each action's DAG in one pass and writes its
+credits into it once. The edge lists are tuples of ``(u, v)`` edge objects
+that every DAG of the call shares, one per social edge, and the learned
+scheme counts each edge's propagations from the DAGs that hold it.
+"""
 
 from __future__ import annotations
 
 import logging
 import random
 from bisect import bisect_left
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 log = logging.getLogger(__name__)
 
@@ -225,10 +233,11 @@ def load_action_log(path, graph: SocialGraph) -> ActionLog:
         t = min(values[2::3])
         return f"negative time {t}" if t < 0 else None
 
-    tuples = []
-    for values in _int_rows(path, "user action time", check):
-        tuples += zip(map(id_of.__getitem__, values[::3]), values[1::3], values[2::3])
-    return ActionLog(tuples)
+    def tuples():
+        for values in _int_rows(path, "user action time", check):
+            yield from zip(map(id_of.__getitem__, values[::3]), values[1::3], values[2::3])
+
+    return ActionLog(tuples())
 
 
 @dataclass
@@ -236,13 +245,17 @@ class ActionDag:
     """Propagation DAG of a single action.
 
     ``nodes`` is a valid topological order (sorted by performance time, ties
-    by id). ``in_edges[u]`` lists the edges (w, u) into u in the order their
-    tails come in ``nodes``, and ``out_edges[u]`` the edges (u, w) out of u
-    by ascending head id. ``gamma`` maps each DAG edge to its direct credit;
-    all zeros until :func:`assign_direct_credits` runs, which keys it by the
-    very tuples the edge lists hold. The credit passes therefore look an
-    edge up in ``gamma`` and in a removed set without building a tuple.
-    ``times`` (user -> performance time) is the action log's own
+    by id). ``in_edges[u]`` is a tuple of the edges (w, u) into u in the
+    order their tails come in ``nodes``, and ``out_edges[u]`` a tuple of the
+    edges (u, w) out of u by ascending head id; a node without such edges
+    holds the empty tuple. An edge is a ``(u, v)`` tuple, and the DAGs of one
+    :func:`build_all_dags` call share one tuple object per social edge.
+    ``gamma`` maps each DAG edge to its direct credit, keyed by the very
+    tuples the edge lists hold, so the credit passes look an edge up in
+    ``gamma`` and in a removed set without building a tuple. The credits
+    are written into ``gamma`` once, by :func:`build_all_dags` or
+    :func:`assign_direct_credits`; :func:`build_action_dag` leaves them all
+    zero. ``times`` (user -> performance time) is the action log's own
     ``by_action[action]`` dict, shared and not copied: treat it as
     read-only.
     """
@@ -250,8 +263,8 @@ class ActionDag:
     action: int
     nodes: list[int]
     times: dict[int, int]
-    in_edges: dict[int, list[tuple[int, int]]]
-    out_edges: dict[int, list[tuple[int, int]]]
+    in_edges: dict[int, tuple[tuple[int, int], ...]]
+    out_edges: dict[int, tuple[tuple[int, int], ...]]
     gamma: dict[tuple[int, int], float] = field(default_factory=dict)
 
     @property
@@ -265,42 +278,83 @@ class ActionDag:
         return ActionDag(self.action, self.nodes, self.times, self.in_edges, self.out_edges, gamma)
 
 
+def _bare_dag(graph: SocialGraph, times: dict[int, int], action: int, shared: dict) -> ActionDag:
+    """The DAG of one action with an empty ``gamma``. Each edge is the tuple
+    ``shared`` holds for it; an edge not seen before is added there."""
+    if len(times) == 1:
+        # One performer, so no edge to look for: a cascade that stopped at
+        # its seed, which is common.
+        nodes = list(times)
+        return ActionDag(action, nodes, times, {nodes[0]: ()}, {nodes[0]: ()})
+    nodes = sorted(times, key=lambda u: (times[u], u))
+    in_lists: dict[int, list[tuple[int, int]]] = {}
+    out_edges = {}
+    for u in nodes:
+        tu = times[u]
+        outs = []
+        # Times are non-negative, so -1 keeps out a head that did not act.
+        for v in graph.out_nbrs[u]:
+            if tu < times.get(v, -1):
+                e = (u, v)
+                e = shared.setdefault(e, e)
+                outs.append(e)
+                if v in in_lists:
+                    in_lists[v].append(e)
+                else:
+                    in_lists[v] = [e]
+        out_edges[u] = tuple(outs)
+    in_edges = {u: tuple(in_lists.get(u, ())) for u in nodes}
+    return ActionDag(action, nodes, times, in_edges, out_edges)
+
+
+def _edges_in_order(dag: ActionDag):
+    """The DAG's edges by tail in ``nodes`` order, then by head id."""
+    return chain.from_iterable(dag.out_edges.values())
+
+
 def build_action_dag(graph: SocialGraph, actionlog: ActionLog, action: int) -> ActionDag:
-    """Build the propagation DAG of one action.
+    """Build the propagation DAG of one action, every credit zero.
 
     An edge (u, v) is included iff it is a social edge, both endpoints
     performed the action, and u performed it strictly before v.
     """
     if action not in actionlog.by_action:
         raise ValueError(f"unknown action id {action}")
-    times = actionlog.by_action[action]
-    nodes = sorted(times, key=lambda u: (times[u], u))
-    in_edges = {u: [] for u in nodes}
-    out_edges = {u: [] for u in nodes}
-    gamma = {}
-    for u in nodes:
-        tu = times[u]
-        for v in graph.out_nbrs[u]:
-            tv = times.get(v)
-            if tv is not None and tu < tv:
-                e = (u, v)
-                out_edges[u].append(e)
-                in_edges[v].append(e)
-                gamma[e] = 0.0
-    return ActionDag(action, nodes, times, in_edges, out_edges, gamma)
+    dag = _bare_dag(graph, actionlog.by_action[action], action, {})
+    dag.gamma = dict.fromkeys(_edges_in_order(dag), 0.0)
+    return dag
 
 
-def propagation_counts(graph: SocialGraph, actionlog: ActionLog) -> dict[tuple[int, int], int]:
-    """Count, per social edge (v, u), the actions that propagated v -> u."""
-    counts: dict[tuple[int, int], int] = defaultdict(int)
-    for a, times in actionlog.by_action.items():
-        for v in times:
-            tv = times[v]
-            for u in graph.out_nbrs[v]:
-                tu = times.get(u)
-                if tu is not None and tv < tu:
-                    counts[(v, u)] += 1
-    return dict(counts)
+def _fill_credits(dag: ActionDag, edges, scheme: str, table, actionlog, prop_counts):
+    """Write the direct credits of ``edges`` (all of ``dag``'s, in the order
+    given; the learned scheme takes them head by head in ``nodes`` order)
+    into ``dag.gamma``. :func:`assign_direct_credits` documents the schemes."""
+    gamma = dag.gamma
+    in_edges = dag.in_edges
+    if scheme == "uniform":
+        for e in edges:
+            gamma[e] = 1.0 / len(in_edges[e[1]])
+    elif scheme == "learned":
+        user_counts = actionlog.counts
+        for u in dag.nodes:
+            incoming = in_edges[u]
+            raw = [prop_counts.get(e, 0) / user_counts[e[0]] for e in incoming]
+            total = sum(raw)
+            scale = 1.0 / total if total > 1.0 else 1.0
+            for e, r in zip(incoming, raw):
+                gamma[e] = r * scale
+    elif scheme == "explicit":
+        if table is None:
+            raise ValueError("explicit scheme needs a gamma table")
+        for e in edges:
+            if e not in table:
+                raise ValueError(f"gamma table missing edge {e} for action {dag.action}")
+            g = table[e]
+            if not 0.0 <= g <= 1.0:
+                raise ValueError(f"gamma {g} outside [0, 1] for edge {e}")
+            gamma[e] = g
+    else:
+        raise ValueError(f"unknown credit scheme {scheme!r}")
 
 
 def assign_direct_credits(dag: ActionDag, scheme: str = "uniform", *, table=None,
@@ -313,37 +367,17 @@ def assign_direct_credits(dag: ActionDag, scheme: str = "uniform", *, table=None
       - ``uniform``: gamma_(v,u) = 1 / d_in(u).
       - ``learned``: raw frequency |actions propagated v->u| / |A_v| over the
         whole log, normalized per head node so incoming credit sums to <= 1.
-        Needs ``actionlog`` and its ``prop_counts`` (:func:`propagation_counts`).
+        Needs ``actionlog`` and ``prop_counts``, the number of actions that
+        propagated along each edge, which is the number of the log's DAGs
+        that hold it.
       - ``explicit``: values copied from ``table`` ({(u, v): gamma}), which
         must cover every DAG edge with values in [0, 1].
     """
-    gamma: dict[tuple[int, int], float] = {}
-    if scheme == "uniform":
-        for e in dag.edges:
-            gamma[e] = 1.0 / dag.d_in(e[1])
-    elif scheme == "learned":
-        if actionlog is None or prop_counts is None:
-            raise ValueError("learned scheme needs the action log and its propagation counts")
-        raw = {e: prop_counts.get(e, 0) / actionlog.counts[e[0]] for e in dag.edges}
-        for u in dag.nodes:
-            incoming = dag.in_edges[u]
-            total = sum(raw[e] for e in incoming)
-            scale = 1.0 / total if total > 1.0 else 1.0
-            for e in incoming:
-                gamma[e] = raw[e] * scale
-    elif scheme == "explicit":
-        if table is None:
-            raise ValueError("explicit scheme needs a gamma table")
-        for e in dag.edges:
-            if e not in table:
-                raise ValueError(f"gamma table missing edge {e} for action {dag.action}")
-            g = table[e]
-            if not 0.0 <= g <= 1.0:
-                raise ValueError(f"gamma {g} outside [0, 1] for edge {e}")
-            gamma[e] = g
-    else:
-        raise ValueError(f"unknown credit scheme {scheme!r}")
-    return dag.with_gamma(gamma)
+    if scheme == "learned" and (actionlog is None or prop_counts is None):
+        raise ValueError("learned scheme needs the action log and its propagation counts")
+    credited = dag.with_gamma({})
+    _fill_credits(credited, dag.gamma, scheme, table, actionlog, prop_counts)
+    return credited
 
 
 class ActionDags(tuple):
@@ -381,21 +415,25 @@ class ActionDags(tuple):
 def build_all_dags(graph: SocialGraph, actionlog: ActionLog, scheme: str = "uniform",
                    table=None) -> ActionDags:
     """Build and credit-assign the DAG of every action in the log; returns
-    them as an immutable :class:`ActionDags`, in action order."""
+    them as an immutable :class:`ActionDags`, in action order.
+
+    Each DAG is built once and its credits are written into it. The DAGs
+    share one tuple object per edge, and the learned scheme counts each
+    edge's propagations from the DAGs that hold it."""
+    shared: dict[tuple[int, int], tuple[int, int]] = {}
+    by_action = actionlog.by_action
+    dags = [_bare_dag(graph, by_action[a], a, shared) for a in actionlog.actions()]
     prop_counts = None
     if scheme == "learned":
-        prop_counts = propagation_counts(graph, actionlog)
+        prop_counts = Counter(chain.from_iterable(map(_edges_in_order, dags)))
     per_action = None
     if scheme == "explicit" and _is_per_action(table):
         per_action = {}
         for (u, v, a), g in table.items():
             per_action.setdefault(a, {})[(u, v)] = g
-    dags = []
-    for a in actionlog.actions():
-        dag = build_action_dag(graph, actionlog, a)
-        tab = table if per_action is None else per_action.get(a, {})
-        dags.append(assign_direct_credits(dag, scheme, table=tab, actionlog=actionlog,
-                                          prop_counts=prop_counts))
+    for dag in dags:
+        tab = table if per_action is None else per_action.get(dag.action, {})
+        _fill_credits(dag, _edges_in_order(dag), scheme, tab, actionlog, prop_counts)
     return ActionDags(dags)
 
 

@@ -211,14 +211,15 @@ def run_experiment(config_path, out_path=None, verify=False):
 
     The whole config is checked before any input is read: every key is one
     of ``CONFIG_KEYS``, every method is known, ``grr`` has its bound ``b``,
-    ``k`` lists at least one value, every value of ``k`` and ``b`` is at
-    least 1, ``scheme`` is uniform or learned, and ``target_sampler`` is
-    top-actions or uniform. Once the candidate set C is built, and
-    before any cell runs, every ``k`` is checked against |C| for the
-    methods that need it: ``greedy`` takes k < |C| and ``random`` k <= |C|;
-    ``grr`` and ``high-degree`` may return fewer edges. Raises on
-    verification mismatch: each reported delta is cross-checked against a
-    from-scratch recomputation when ``verify`` is set.
+    ``k`` lists at least one value, every value of ``k``, ``b``,
+    ``target_size`` and ``target_pool`` is at least 1, ``scheme`` is
+    uniform or learned, and ``target_sampler`` is top-actions or uniform.
+    Once the candidate set C is built, and before any cell runs, every
+    ``k`` is checked against |C| for the methods that need it: ``greedy``
+    takes k < |C| and ``random`` k <= |C|; ``grr`` and ``high-degree`` may
+    return fewer edges. Raises on verification mismatch: each reported
+    delta is cross-checked against a from-scratch recomputation when
+    ``verify`` is set.
     """
     cfg = parse_config(config_path)
     for key in cfg:
@@ -247,8 +248,9 @@ def run_experiment(config_path, out_path=None, verify=False):
     for k in ks:
         if k < 1:
             raise ValueError(f"{config_path}: key 'k': value {k} is below 1")
-    if b is not None and b < 1:
-        raise ValueError(f"{config_path}: key 'b': value {b} is below 1")
+    for key, value in (("b", b), ("target_size", target_size), ("target_pool", target_pool)):
+        if value is not None and value < 1:
+            raise ValueError(f"{config_path}: key {key!r}: value {value} is below 1")
     scheme = cfg.get("scheme", "uniform")
     if scheme == "explicit":
         raise ValueError(f"{config_path}: key 'scheme': credit scheme 'explicit' needs a "

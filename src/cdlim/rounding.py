@@ -71,7 +71,7 @@ def randomized_round(y, C, b, trials, rng, evaluator) -> RoundedSolution:
     its influence drop; the best feasible trial is returned.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ValueError(f"trials={trials} must be at least 1")
     check_bound(b)
     order = sorted(set(C), key=lambda e: (-y[e], e))
     trial_seeds = [rng.getrandbits(64) for _ in range(trials)]

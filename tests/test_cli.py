@@ -168,6 +168,14 @@ class TestBil:
         assert main(["bil", *_base_args(f1_files), "--candidates", str(cfile), "-k", "1"]) == 1
         assert capsys.readouterr().err == f"error: {cfile}:3: unknown node id 9\n"
 
+    def test_candidate_not_in_graph(self, f1_files, capsys):
+        cfile = f1_files / "cands.txt"
+        cfile.write_text("0 1\n2 0\n", encoding="utf-8")
+        for command in (["bil", "-k", "1"], ["ilm", "-b", "1"]):
+            assert main([command[0], *_base_args(f1_files), "--candidates", str(cfile),
+                         *command[1:]]) == 1
+            assert capsys.readouterr().err == f"error: {cfile}:2: edge 2->0 is not in the graph\n"
+
     def test_three_column_gamma_table(self, f1_files, capsys):
         (f1_files / "gamma.txt").write_text("0 1 0.5\n1 2 0.4\n0 2 0.3\n",
                                             encoding="utf-8")
@@ -326,6 +334,15 @@ class TestGen:
                      "--num-actions", num_actions]) == 1
         assert capsys.readouterr().err == (
             f"error: num_actions {num_actions} must be at least 1\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["", "# no edges\n", "4 4\n"])
+    def test_graph_without_edges(self, tmp_path, capsys, text):
+        g = tmp_path / "graph.txt"
+        g.write_text(text, encoding="utf-8")
+        out = tmp_path / "actions.txt"
+        assert main(["gen", "--graph", str(g), "--out", str(out), "--num-actions", "3"]) == 1
+        assert capsys.readouterr().err == f"error: {g}: the graph has no edges\n"
         assert not out.exists()
 
     def test_gen_deterministic(self, tmp_path):

@@ -94,6 +94,11 @@ class TestWeights:
         w = cg_weights(inst.dags, inst.X, inst.C, y, 10, rng)
         assert all(v >= 0.0 for v in w.values())
 
+    @pytest.mark.parametrize("s", [0, -3])
+    def test_samples_below_one(self, f1, s):
+        with pytest.raises(ValueError, match=f"^s={s} must be at least 1$"):
+            cg_weights(f1.dags, f1.X, f1.C, dict.fromkeys(f1.C, 0.5), s, random.Random(0))
+
 
 class TestMaxWeightIndependent:
     def test_f1_b1(self):

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdlim.graph import (ActionDags, ActionLog, SocialGraph, assign_direct_credits,
+from cdlim.graph import (ActionDag, ActionDags, ActionLog, SocialGraph, assign_direct_credits,
                          build_action_dag, build_all_dags, generate_ic_actions,
-                         load_action_log, load_gamma_table, load_graph,
-                         propagation_counts, write_action_log)
+                         load_action_log, load_gamma_table, load_graph, write_action_log)
 from conftest import make_f1, random_instance
 
 
@@ -150,7 +149,7 @@ class TestBuildActionDag:
         log = ActionLog([(0, 0, 1), (1, 0, 2), (2, 0, 1)])
         dag = build_action_dag(g, log, 0)
         assert 2 in dag.nodes
-        assert dag.in_edges[2] == [] and dag.out_edges[2] == []
+        assert dag.in_edges[2] == () and dag.out_edges[2] == ()
 
     def test_unknown_action(self):
         inst = make_f1()
@@ -305,6 +304,125 @@ class TestAssignDirectCredits:
         table[(0, 1, 2)] = 0.5
         dags = build_all_dags(g, log, "explicit", table=table)
         assert [dag.gamma for dag in dags] == [{(0, 1): 0.25}, {(0, 1): 0.75}, {(0, 1): 0.5}]
+
+
+# --- the two-step build that build_all_dags replaced, kept as a reference ---
+
+def _reference_dag(graph, actionlog, action):
+    """The DAG of one action with zero credits, edge lists as lists."""
+    times = actionlog.by_action[action]
+    nodes = sorted(times, key=lambda u: (times[u], u))
+    in_edges = {u: [] for u in nodes}
+    out_edges = {u: [] for u in nodes}
+    gamma = {}
+    for u in nodes:
+        tu = times[u]
+        for v in graph.out_nbrs[u]:
+            tv = times.get(v)
+            if tv is not None and tu < tv:
+                e = (u, v)
+                out_edges[u].append(e)
+                in_edges[v].append(e)
+                gamma[e] = 0.0
+    return ActionDag(action, nodes, times, in_edges, out_edges, gamma)
+
+
+def propagation_counts(graph, actionlog):
+    """Count, per social edge (v, u), the actions that propagated v -> u,
+    from a second scan of every performer's out-neighbours."""
+    counts = {}
+    for times in actionlog.by_action.values():
+        for v, tv in times.items():
+            for u in graph.out_nbrs[v]:
+                tu = times.get(u)
+                if tu is not None and tv < tu:
+                    counts[(v, u)] = counts.get((v, u), 0) + 1
+    return counts
+
+
+def _reference_credits(dag, scheme, table, actionlog, prop_counts):
+    """A copy of ``dag`` with its credits in a second, new dict."""
+    gamma = {}
+    if scheme == "uniform":
+        for e in dag.edges:
+            gamma[e] = 1.0 / dag.d_in(e[1])
+    elif scheme == "learned":
+        raw = {e: prop_counts.get(e, 0) / actionlog.counts[e[0]] for e in dag.edges}
+        for u in dag.nodes:
+            incoming = dag.in_edges[u]
+            total = sum(raw[e] for e in incoming)
+            scale = 1.0 / total if total > 1.0 else 1.0
+            for e in incoming:
+                gamma[e] = raw[e] * scale
+    else:
+        for e in dag.edges:
+            gamma[e] = table[e]
+    return dag.with_gamma(gamma)
+
+
+def _reference_build(graph, actionlog, scheme, table=None):
+    counts = propagation_counts(graph, actionlog) if scheme == "learned" else None
+    dags = []
+    for a in actionlog.actions():
+        tab = table
+        if table and len(next(iter(table))) == 3:
+            tab = {(u, v): g for (u, v, b), g in table.items() if b == a}
+        dags.append(_reference_credits(_reference_dag(graph, actionlog, a), scheme, tab,
+                                       actionlog, counts))
+    return dags
+
+
+def _random_credit_case(rng, scheme):
+    n = rng.randint(2, 12)
+    g = SocialGraph(n, [(u, v) for u in range(n) for v in range(n)
+                        if u != v and rng.random() < 0.35])
+    log = ActionLog([(u, a, rng.randint(0, 5)) for a in range(rng.randint(1, 6))
+                     for u in range(n) if rng.random() < 0.7])
+    table = None
+    if scheme == "explicit":
+        table = {(u, v): rng.random() for u in range(n) for v in g.out_nbrs[u]}
+    elif scheme == "explicit-per-action":
+        table = {(u, v, a): rng.random() for a in log.actions()
+                 for u in range(n) for v in g.out_nbrs[u]}
+    return g, log, table
+
+
+def _assert_same_dag(dag, ref):
+    assert dag.action == ref.action and dag.nodes == ref.nodes and dag.times is ref.times
+    for new_lists, ref_lists in ((dag.in_edges, ref.in_edges), (dag.out_edges, ref.out_edges)):
+        assert list(new_lists) == list(ref_lists)
+        for u, edges in new_lists.items():
+            assert type(edges) is tuple and list(edges) == ref_lists[u]
+    # Bit-equal credits, keyed in the same order.
+    assert ([(e, g.hex()) for e, g in dag.gamma.items()]
+            == [(e, g.hex()) for e, g in ref.gamma.items()])
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "learned", "explicit", "explicit-per-action"])
+def test_build_all_dags_equals_the_two_step_reference(scheme):
+    lib_scheme = scheme.split("-")[0]
+    for seed in range(40):
+        rng = random.Random(seed)
+        g, log, table = _random_credit_case(rng, scheme)
+        dags = build_all_dags(g, log, lib_scheme, table=table)
+        ref = _reference_build(g, log, lib_scheme, table)
+        assert len(dags) == len(ref)
+        one = {}
+        for dag, want in zip(dags, ref):
+            _assert_same_dag(dag, want)
+            for edges in (*dag.in_edges.values(), *dag.out_edges.values(), dag.gamma):
+                for e in edges:
+                    assert one.setdefault(e, e) is e, (seed, e)
+        # The per-action API gives the same DAGs, and leaves the bare one bare.
+        if scheme != "explicit-per-action":
+            counts = propagation_counts(g, log)
+            for want in ref:
+                bare = build_action_dag(g, log, want.action)
+                _assert_same_dag(bare, _reference_dag(g, log, want.action))
+                credited = assign_direct_credits(bare, scheme, table=table, actionlog=log,
+                                                 prop_counts=counts)
+                _assert_same_dag(credited, want)
+                assert all(c == 0.0 for c in bare.gamma.values())
 
 
 def test_dags_share_the_log_times():

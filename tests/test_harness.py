@@ -232,6 +232,8 @@ class TestRunExperiment:
          "cannot name"),
         ("methods=greedy\ntarget_sampler=bogus\n",
          "key 'target_sampler': unknown target sampler 'bogus'"),
+        ("methods=greedy\ntarget_size=0\n", "key 'target_size': value 0 is below 1"),
+        ("methods=greedy\ntarget_pool=-3\n", "key 'target_pool': value -3 is below 1"),
     ])
     def test_config_is_checked_before_any_cell(self, tmp_path, capsys, monkeypatch, lines,
                                                message):

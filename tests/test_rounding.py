@@ -81,7 +81,7 @@ class TestRandomizedRound:
             assert len(set(dup.edges)) == len(dup.edges), seed
 
     def test_zero_trials(self, f1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^trials=0 must be at least 1$"):
             randomized_round({}, [], 1, 0, random.Random(0), lambda B: 0.0)
 
     @pytest.mark.parametrize("b", [0, -1])

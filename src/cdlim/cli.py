@@ -6,6 +6,7 @@ Subcommands: gen, bil, grr, ilm, baseline, report, verify.
 from __future__ import annotations
 
 import argparse
+import logging.handlers
 import os
 import random
 import sys
@@ -217,12 +218,24 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand. The library's log records are held until it ends:
+    handled as usual if it succeeds, dropped if it ends in its one
+    ``error:`` line."""
     args = build_parser().parse_args(argv)
+    lib = logging.getLogger("cdlim")
+    held = logging.handlers.BufferingHandler(capacity=sys.maxsize)  # never flushes itself
+    lib.addHandler(held)
+    propagate, lib.propagate = lib.propagate, False
     try:
         args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        lib.removeHandler(held)
+        lib.propagate = propagate
+    for record in held.buffer:
+        lib.handle(record)
     return 0
 
 

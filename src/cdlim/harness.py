@@ -54,7 +54,7 @@ def baseline_high_degree(graph: SocialGraph, X, k: int) -> list:
     graph keeps no in-adjacency, so the in-degrees are counted here.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ValueError(f"k={k} must be at least 1")
     X = set(X)
     out_nbrs = graph.out_nbrs
     in_degree = Counter(v for nbrs in out_nbrs for v in nbrs)
@@ -75,7 +75,7 @@ def baseline_high_degree(graph: SocialGraph, X, k: int) -> list:
 def baseline_random(C, k: int, rng: random.Random) -> list:
     """Uniform k-subset of the candidate set."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ValueError(f"k={k} must be at least 1")
     C = sorted(C)
     if k > len(C):
         raise ValueError(f"k={k} exceeds |C|={len(C)}")

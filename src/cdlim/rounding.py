@@ -4,7 +4,11 @@ decomposition of y into independent sets, and randomized and swap rounding.
 
 Repeated swap rounding of one fractional solution decomposes it once: the
 last decomposition is kept, keyed by the bound and the above-threshold
-entries of ``y`` that :func:`decompose` reads."""
+entries of ``y`` that :func:`decompose` reads. The cache holds the first
+set and, for each later set, its coefficient and its edges grouped by head
+node, so a fold groups only the running set. A call's draws follow the
+folds, then the heads in the order the running set iterates them, then
+ascending edges inside a head."""
 
 from __future__ import annotations
 
@@ -12,6 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 
 DECOMP_EPS = 1e-9
 # Residuals left over when the coefficients run out; up to this size they
@@ -140,47 +145,78 @@ def decompose(y, C, b):
 
 @lru_cache(maxsize=1)
 def _decomposition(b, entries):
-    """:func:`decompose` of the ``(edge, y)`` pairs in ``entries``."""
-    return tuple(decompose(dict(entries), [e for e, _ in entries], b))
+    """:func:`decompose` of the ``(edge, y)`` pairs in ``entries``, as its
+    first set and, per later set, its edges grouped by head node (head ->
+    frozenset) with its coefficient.
+
+    Equal groups of different sets are one object, so the groups take about
+    the space the sets did.
+    """
+    parts = decompose(dict(entries), [e for e, _ in entries], b)
+    shared: dict[frozenset, frozenset] = {}
+    folds = []
+    for nxt, lam in parts[1:]:
+        groups = {}
+        for e in nxt:
+            groups.setdefault(e[1], []).append(e)
+        for v, edges in groups.items():
+            g = frozenset(edges)
+            groups[v] = shared.setdefault(g, g)
+        folds.append((groups, lam))
+    return parts[0], tuple(folds)
 
 
 def _merge(I, lam_i, J, lam_j, rng):
-    """Probabilistically merge two independent sets, partition by partition."""
-    groups: dict[int, tuple[set, set]] = {}
+    """Probabilistically merge the independent set ``I`` with the one whose
+    head groups are ``J``, head by head, in the order ``I`` iterates them.
+
+    Inside a head, the k-th smallest edge only ``I`` holds is paired with
+    the k-th smallest only ``J`` holds (either may be missing), and each
+    pair draws once: below ``lam_i / (lam_i + lam_j)`` ``I``'s choice
+    stands, otherwise ``J``'s edge replaces ``I``'s. ``J`` holds no head
+    that ``I`` lacks: every head of a later set of the decomposition is a
+    head of the first (each set takes every head with residual left, and
+    residuals only fall), and a head both sets hold keeps an edge.
+    """
+    # The next fold meets heads in the order the merged set iterates, which
+    # follows the exact adds and discards on each head's set and the order
+    # of the updates; the per-head shortcuts below keep all three.
+    groups: dict[int, set] = {}
     get = groups.get
     for e in I:
         g = get(e[1])
         if g is None:
-            groups[e[1]] = ({e}, set())
+            groups[e[1]] = {e}
         else:
-            g[0].add(e)
-    for e in J:
-        g = get(e[1])
-        if g is None:
-            groups[e[1]] = (set(), {e})
-        else:
-            g[1].add(e)
+            g.add(e)
     merged = set()
+    update = merged.update
     p_keep_i = lam_i / (lam_i + lam_j)
     draw = rng.random
-    for a, bset in groups.values():
-        while a != bset:
+    get_j = J.get
+    for v, a in groups.items():
+        bset = get_j(v)
+        if bset is None:
+            for i in sorted(a):
+                if draw() >= p_keep_i:
+                    a.discard(i)
+        elif a != bset:
             only_a = a - bset
             only_b = bset - a
-            i = min(only_a) if only_a else None
-            j = min(only_b) if only_b else None
-            if draw() < p_keep_i:
-                # adopt I's choice for this pair
-                if i is not None:
-                    bset.add(i)
-                if j is not None:
-                    bset.discard(j)
+            if len(only_a) < 2 and len(only_b) < 2:
+                if draw() >= p_keep_i:
+                    if only_b:
+                        a.add(*only_b)
+                    if only_a:
+                        a.discard(*only_a)
             else:
-                if j is not None:
-                    a.add(j)
-                if i is not None:
-                    a.discard(i)
-        merged.update(a)
+                for i, j in zip_longest(sorted(only_a), sorted(only_b)):
+                    if draw() >= p_keep_i:
+                        if j is not None:
+                            a.add(j)
+                        if i is not None:
+                            a.discard(i)
+        update(a)
     return merged
 
 
@@ -190,14 +226,17 @@ def swap_round(y, C, b, rng) -> frozenset:
     Decomposes y into a convex combination of independent sets, then folds
     the sets pairwise with probabilistic element swaps per head-node
     partition. Marginals are preserved: Pr[e in output] equals y[e]. The
-    output is always feasible. The decomposition is reused while ``b`` and
-    the entries of ``y`` above ``DECOMP_EPS`` stay the same.
+    output is always feasible.
+
+    The decomposition, with each later set's edges grouped by head, is
+    reused while ``b`` and the entries of ``y`` above ``DECOMP_EPS`` stay
+    the same. The draws follow the folds, then the heads in the order the
+    running set iterates them, then ascending edges inside a head.
     """
-    parts = _decomposition(b, tuple((e, y[e]) for e in C if y[e] > DECOMP_EPS))
-    cur, lam = parts[0]
+    (cur, lam), folds = _decomposition(b, tuple([(e, y[e]) for e in C if y[e] > DECOMP_EPS]))
     cur = set(cur)
-    for nxt, lam_n in parts[1:]:
-        cur = _merge(cur, lam, set(nxt), lam_n, rng)
+    for nxt, lam_n in folds:
+        cur = _merge(cur, lam, nxt, lam_n, rng)
         lam += lam_n
     return frozenset(cur)
 

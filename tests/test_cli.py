@@ -1,13 +1,17 @@
 """Command-line front end, exercised end to end through main()."""
 
 import csv
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import cdlim
 from cdlim import harness
 from cdlim.cli import build_parser, main
 from cdlim.harness import CSV_SCHEMA
@@ -54,6 +58,13 @@ def _never_acting_target_args(d):
 
 def _must_not_run(*args):
     raise AssertionError("a method ran on targets that never act")
+
+
+def _run_cli(*args):
+    """``python -m cdlim.cli`` in a fresh interpreter, output captured."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cdlim.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "cdlim.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env, check=False)
 
 
 class TestBil:
@@ -167,6 +178,14 @@ class TestBil:
         cfile.write_text("0 1\n# comment\n1 9\n", encoding="utf-8")
         assert main(["bil", *_base_args(f1_files), "--candidates", str(cfile), "-k", "1"]) == 1
         assert capsys.readouterr().err == f"error: {cfile}:3: unknown node id 9\n"
+
+    def test_self_loop_then_unknown_user_in_a_shell(self, f1_files):
+        # One stderr line: the self-loop warning goes with the error.
+        (f1_files / "graph.txt").write_text("0 1\n1 2\n0 2\n2 2\n", encoding="utf-8")
+        log = f1_files / "actions.txt"
+        log.write_text("0 0 1\n7 0 2\n", encoding="utf-8")
+        got = _run_cli("bil", *_base_args(f1_files), "-k", "1")
+        assert (got.returncode, got.stderr) == (1, f"error: {log}:2: unknown user id 7\n")
 
     def test_candidate_not_in_graph(self, f1_files, capsys):
         cfile = f1_files / "cands.txt"
@@ -300,7 +319,7 @@ class TestBaselineCmd:
         for method in ("high-degree", "random"):
             rc = main(["baseline", *_base_args(f1_files), "--method", method, "-k", "0"])
             assert rc == 1, method
-            assert capsys.readouterr().err == "error: k must be >= 1\n", method
+            assert capsys.readouterr().err == "error: k=0 must be at least 1\n", method
 
     def test_target_that_never_acts(self, f1_files, capsys, monkeypatch):
         # The same one-line error as bil, raised before the baseline runs.
@@ -344,6 +363,24 @@ class TestGen:
         assert main(["gen", "--graph", str(g), "--out", str(out), "--num-actions", "3"]) == 1
         assert capsys.readouterr().err == f"error: {g}: the graph has no edges\n"
         assert not out.exists()
+
+    def test_graph_of_one_self_loop_in_a_shell(self, tmp_path):
+        # The dropped-self-loop warning is held while the command runs and
+        # dropped with the error, so stderr is the one 'error:' line. Run in
+        # a subprocess: pytest's log capture hides the handler that prints it.
+        g = tmp_path / "graph.txt"
+        g.write_text("4 4\n", encoding="utf-8")
+        out = tmp_path / "actions.txt"
+        got = _run_cli("gen", "--graph", g, "--out", out, "--num-actions", "3")
+        assert (got.returncode, got.stderr) == (1, f"error: {g}: the graph has no edges\n")
+        assert not out.exists()
+
+    def test_self_loop_warning_kept_on_success(self, tmp_path):
+        g = tmp_path / "graph.txt"
+        g.write_text("0 1\n1 1\n", encoding="utf-8")
+        got = _run_cli("gen", "--graph", g, "--out", tmp_path / "actions.txt",
+                       "--num-actions", "3")
+        assert (got.returncode, got.stderr) == (0, f"{g}: dropped 1 self-loop(s)\n")
 
     def test_gen_deterministic(self, tmp_path):
         g = tmp_path / "graph.txt"

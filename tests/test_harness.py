@@ -69,7 +69,7 @@ class TestBaselines:
 
     def test_random_rejects_k_below_one(self, f1):
         for k in (0, -1):
-            with pytest.raises(ValueError, match="k must be >= 1"):
+            with pytest.raises(ValueError, match=f"^k={k} must be at least 1$"):
                 baseline_random(f1.C, k, random.Random(0))
 
     def test_random_reproducible(self, f1):

@@ -5,11 +5,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdlim.credit import delta_set
 from cdlim.contgreedy import FractionalSolution
-from cdlim.rounding import (DECOMP_EPS, DECOMP_SLACK, _merge, chernoff_epsilon, decompose,
-                            feasible, randomized_round, swap_round)
+from cdlim.rounding import (DECOMP_EPS, DECOMP_SLACK, chernoff_epsilon, decompose, feasible,
+                            randomized_round, swap_round)
 
 TOL = 1e-9
 
@@ -187,11 +189,15 @@ def inline_decompose(y, C, b):
 
 
 def _random_feasible_y(edges, b, rng):
-    y = {e: rng.random() for e in edges}
+    return _within_bound({e: rng.random() for e in edges}, b)
+
+
+def _within_bound(y, b):
+    """Scale y down, head by head, where a head's total exceeds b."""
     load = {}
-    for (_, v), val in ((e, y[e]) for e in edges):
+    for (_, v), val in y.items():
         load[v] = load.get(v, 0.0) + val
-    for e in edges:
+    for e in y:
         v = e[1]
         if load[v] > b:
             y[e] *= b / load[v]
@@ -246,15 +252,91 @@ class TestSwapRound:
             decompose(y, sorted(y), 1)
 
 
-def reference_swap_round(y, C, b, rng):
-    """Swap rounding with a fresh decomposition on every call."""
+def _merge(I, lam_i, J, lam_j, rng):
+    """Probabilistically merge two independent sets, partition by partition."""
+    groups: dict[int, tuple[set, set]] = {}
+    get = groups.get
+    for e in I:
+        g = get(e[1])
+        if g is None:
+            groups[e[1]] = ({e}, set())
+        else:
+            g[0].add(e)
+    for e in J:
+        g = get(e[1])
+        if g is None:
+            groups[e[1]] = (set(), {e})
+        else:
+            g[1].add(e)
+    merged = set()
+    p_keep_i = lam_i / (lam_i + lam_j)
+    draw = rng.random
+    for a, bset in groups.values():
+        while a != bset:
+            only_a = a - bset
+            only_b = bset - a
+            i = min(only_a) if only_a else None
+            j = min(only_b) if only_b else None
+            if draw() < p_keep_i:
+                # adopt I's choice for this pair
+                if i is not None:
+                    bset.add(i)
+                if j is not None:
+                    bset.discard(j)
+            else:
+                if j is not None:
+                    a.add(j)
+                if i is not None:
+                    a.discard(i)
+        merged.update(a)
+    return merged
+
+
+def reference_swap_round(y, C, b, rng, cases=None):
+    """Swap rounding with a fresh decomposition on every call, folding with
+    the group-as-you-go merge above. ``cases``, if given, collects the
+    :func:`fold_cases` of every fold."""
     parts = decompose(y, C, b)
     cur, lam = parts[0]
     cur = set(cur)
     for nxt, lam_n in parts[1:]:
+        if cases is not None:
+            cases |= fold_cases(cur, nxt)
         cur = _merge(cur, lam, set(nxt), lam_n, rng)
         lam += lam_n
     return frozenset(cur)
+
+
+def fold_cases(I, J):
+    """The per-head cases one fold of running set I with set J meets."""
+    cases = set() if J else {"padding"}
+    for v in {v for _, v in I} | {v for _, v in J}:
+        a = {e for e in I if e[1] == v}
+        bset = {e for e in J if e[1] == v}
+        if not bset:
+            cases.add("only I")
+        elif not a:
+            cases.add("only J")
+        elif a == bset:
+            cases.add("identical")
+        elif len(a - bset) < 2 and len(bset - a) < 2:
+            cases.add("one draw")
+        else:
+            cases.add("pairs")
+    return cases
+
+
+@st.composite
+def swap_inputs(draw):
+    """A feasible y over up to six heads with up to five candidate edges
+    each, its bound b in 1..4, and an RNG seed."""
+    b = draw(st.integers(1, 4))
+    value = st.one_of(st.sampled_from((0.0, 0.25, 0.5, 1.0)), st.floats(0.0, 1.0))
+    y = {}
+    for v in range(10, 10 + draw(st.integers(1, 6))):
+        for u in sorted(draw(st.sets(st.integers(0, 9), min_size=1, max_size=5))):
+            y[(u, v)] = draw(value)
+    return _within_bound(y, b), b, draw(st.integers(0, 2**32 - 1))
 
 
 class TestSwapRoundReuse:
@@ -305,6 +387,26 @@ class TestSwapRoundReuse:
         assert swap_round(y, edges, 2, random.Random(0)) == frozenset(edges)
         with pytest.raises(ValueError, match="decomposition failure"):
             swap_round(y, edges, 1, random.Random(0))
+
+    def test_matches_frozen_merge_on_random_y(self):
+        # 20 consecutive calls, and the RNG state after them, equal those of
+        # the merge that regroups both sets on every fold. The examples reach
+        # every per-head case; none has a head that only the later set holds.
+        seen = set()
+
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        @given(swap_inputs())
+        def check(case):
+            y, b, seed = case
+            edges = sorted(y)
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            got = [swap_round(y, edges, b, got_rng) for _ in range(20)]
+            want = [reference_swap_round(y, edges, b, want_rng, seen) for _ in range(20)]
+            assert got == want
+            assert got_rng.getstate() == want_rng.getstate()
+
+        check()
+        assert seen == {"identical", "only I", "one draw", "pairs", "padding"}
 
     def test_changed_candidates_are_seen(self):
         y = {(0, 2): 1.0, (1, 3): 1.0}

@@ -10,13 +10,11 @@ from .contgreedy import (CGConfig, FractionalSolution, cg_weights, continuous_gr
 from .credit import (CreditStore, compute_credit_store, compute_mc, delta_set,
                      kappa, oracle_set_credit, oracle_total_credit, remove_edge,
                      sigma_cd, sigma_cd_scratch)
-from .graph import (ActionDag, ActionDags, ActionLog, SocialGraph, assign_direct_credits,
-                    build_action_dag, build_all_dags, generate_ic_actions,
-                    load_action_log, load_graph)
+from .graph import (ActionDag, ActionDags, ActionLog, SocialGraph, build_all_dags,
+                    default_candidates, generate_ic_actions, load_action_log, load_graph)
 from .greedy import Solution, greedy_bil
 from .harness import (ExperimentReport, baseline_high_degree, baseline_random,
-                      concentration_report, default_candidates, di_metric,
-                      run_experiment)
+                      concentration_report, di_metric, run_experiment)
 from .rounding import (chernoff_epsilon, feasible, max_weight_independent,
                        randomized_round, swap_round)
 

@@ -13,8 +13,9 @@ import sys
 
 from . import contgreedy, harness, rounding
 from .credit import delta_set
-from .graph import (_int_token, _records, build_all_dags, generate_ic_actions,
-                    load_action_log, load_gamma_table, load_graph, write_action_log)
+from .graph import (_int_token, _records, build_all_dags, default_candidates,
+                    generate_ic_actions, load_action_log, load_gamma_table, load_graph,
+                    write_action_log)
 from .greedy import greedy_bil
 
 
@@ -29,6 +30,8 @@ def _node_id(graph, tok, where) -> int:
 def _parse_targets(raw, graph):
     if os.path.exists(raw):
         where, tokens = raw, [tok for _, _, fields in _records(raw) for tok in fields]
+        if not tokens:
+            raise ValueError(f"--targets: {raw} holds no target ids")
     else:
         where, tokens = "--targets", raw.split(",")
     return {_node_id(graph, tok, where) for tok in tokens}
@@ -51,13 +54,17 @@ def _parse_candidates(raw, graph):
 
 
 def _load_problem(args):
+    if args.gamma_table is not None and args.scheme != "explicit":
+        raise ValueError(f"--gamma-table needs --scheme explicit, not --scheme {args.scheme}")
+    if args.scheme == "explicit" and not args.gamma_table:
+        raise ValueError("--scheme explicit needs --gamma-table")
     graph = load_graph(args.graph)
     actionlog = load_action_log(args.actions, graph)
     table = load_gamma_table(args.gamma_table, graph) if args.gamma_table else None
     dags = build_all_dags(graph, actionlog, args.scheme, table=table)
     X = _parse_targets(args.targets, graph)
     C = (_parse_candidates(args.candidates, graph) if args.candidates
-         else harness.default_candidates(dags))
+         else default_candidates(dags))
     return graph, actionlog, dags, X, sorted(C)
 
 

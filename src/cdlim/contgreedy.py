@@ -111,19 +111,20 @@ def cg_weights(dags, X, C, y, s, rng, counts=None) -> dict:
 def _cg_weights(kernel, C, held, y, s, rng) -> dict:
     """:func:`cg_weights` on sorted ``C`` and a kernel shared across calls;
     ``held`` is the part of ``C`` some stored action holds. Per sample B,
-    :meth:`CreditKernel.scale` sets the edges of B that the kernel has not
-    removed to credit 0.0, and back to gamma (exactly, by a factor of 1.0)
-    once the held candidates outside B are scored. Any other candidate's
-    marginal is exactly 0.0, so skipping it leaves ``acc`` bit-identical."""
+    :meth:`CreditKernel.scale` sets the edges of B to credit 0.0 (removes
+    them), and back to gamma (exactly, by a factor of 1.0) once the held
+    candidates outside B are scored. So the kernel must hold gamma on
+    every candidate, as both callers' kernels do: nothing else scales
+    them. Any other candidate's marginal is exactly 0.0, so skipping it
+    leaves ``acc`` bit-identical."""
     acc = dict.fromkeys(C, 0.0)
     for _ in range(s):
         B = sample_set(C, y, rng)
-        zeroed = B - kernel.removed
-        kernel.scale(dict.fromkeys(zeroed, 0.0))
+        kernel.scale(dict.fromkeys(B, 0.0))
         for e in held:
             if e not in B:
                 acc[e] += kernel.marginal(e)
-        kernel.scale(dict.fromkeys(zeroed, 1.0))
+        kernel.scale(dict.fromkeys(B, 1.0))
     return {e: max(acc[e] / s, 0.0) for e in C}
 
 

@@ -10,7 +10,8 @@ on demand. It keeps each map only from the action's first target member on,
 since no earlier node carries set credit. Each stored action also keeps its
 own effective credits ``g``: ``dag.gamma`` restricted to the edges whose
 tail comes at or after that first target member, the only ones a pass or a
-marginal reads. The kernel's passes read only ``g``: a removal sets
+marginal reads. The kernel's passes read only ``g``, and
+:meth:`CreditKernel.scale` is the one call that changes it: a removal sets
 ``g[e] = 0.0``, exact continuous greedy sets ``g[e] = gamma * (1 - y_e)``,
 and a sample of the sampled path sets its edges to 0.0 and, once its
 marginals are read, back to gamma. None of these changes repairs anything
@@ -169,8 +170,11 @@ def _edge_deltas(dag: ActionDag, X, counts, removed) -> dict[tuple[int, int], fl
 
 class CreditKernel:
     """SC and R maps per target-holding action, for the marginals of greedy
-    (:meth:`remove` per pick) and continuous greedy (:meth:`scale` per step
-    on the exact path, and per sample on the sampled one).
+    and continuous greedy. :meth:`scale` is the one way to change credits:
+    greedy removes each pick by scaling it to 0.0, and continuous greedy
+    scales per step on the exact path and per sample on the sampled one.
+    The kernel keeps no removed set: a removed edge is one whose credit is
+    0.0 in ``g``.
 
     ``marginal(e)`` is the influence drop of removing ``e`` on top of the
     kernel's current credits: SC[u] * g[e] * R[v] summed over the stored
@@ -202,7 +206,6 @@ class CreditKernel:
     def __init__(self, dags, X, counts):
         self.X = frozenset(X)
         self.counts = counts
-        self.removed: set[tuple[int, int]] = set()
         self.edge_actions: dict[tuple[int, int], list[list]] = {}
         for dag in _action_dags(dags).holding(self.X):
             if dag.gamma:
@@ -221,12 +224,11 @@ class CreditKernel:
 
     def marginal(self, e) -> float:
         """The sum of SC[u] * g[e] * R[v] over the stored actions holding
-        ``e`` (0.0 once ``e`` is removed). Per action it first repairs what
+        ``e``: 0.0 once ``e`` is scaled to 0.0, since every term is then
+        ``c * 0.0 * r`` with c and r finite. Per action it first repairs what
         the term reads and is stale: SC from ``s`` through u, and, when u has
         set credit, R from ``t`` down to v. Both marks then move past the
         values read; everything beyond them stays stale."""
-        if e in self.removed:
-            return 0.0
         u, v = e
         mc = 0.0
         for entry in self.edge_actions.get(e, ()):
@@ -244,20 +246,14 @@ class CreditKernel:
                 mc += c * g[e] * r.get(v, 0.0)
         return mc
 
-    def remove(self, e) -> None:
-        """Delete ``e``: its credit becomes 0.0 in every stored action holding
-        it, by :meth:`scale`. A repeated removal is a no-op."""
-        if e in self.removed:
-            return
-        self.removed.add(e)
-        self.scale({e: 0.0})
-
     def scale(self, keep) -> None:
         """Set the credit of each edge ``e`` of ``keep`` to gamma * keep[e]
         in every stored action holding it, and mark what that makes stale.
-        Exact continuous greedy passes keep = 1 - y; a sample of the sampled
-        path passes 0.0 on its edges and then 1.0, which puts back gamma
-        exactly. No pass runs here.
+        Greedy passes 0.0 on each pick; exact continuous greedy passes
+        keep = 1 - y; a sample of the sampled path passes 0.0 on its edges
+        and then 1.0, which puts back gamma exactly. Scaling an edge to the
+        factor it already has leaves every credit and, once repaired, every
+        map value as it was. No pass runs here.
 
         Changing the credit of (u, v) can change SC only at v and its
         descendants, which come after v, and R only at u and its ancestors,
@@ -423,12 +419,7 @@ def kappa(store: CreditStore, u: int) -> float:
 
 def sigma_cd(store: CreditStore) -> float:
     """Total influence of the target set: sum of kappa over active users."""
-    total = 0.0
-    counts = store.counts
-    for sc_a in store.sc.values():
-        for u, val in sc_a.items():
-            total += val / counts[u]
-    return total
+    return _influence(store.sc.values(), store.counts)
 
 
 class _ScratchMaps:
@@ -485,11 +476,13 @@ def _scratch_maps(dags, X) -> _ScratchMaps:
     return dags.scratch
 
 
-def _influence(sc, counts) -> float:
-    """Action-normalized set credit summed over one SC map's nodes."""
+def _influence(maps, counts) -> float:
+    """Action-normalized set credit summed over the nodes of the SC maps
+    ``maps``, in order, into one running total."""
     total = 0.0
-    for u, val in sc.items():
-        total += val / counts[u]
+    for sc in maps:
+        for u, val in sc.items():
+            total += val / counts[u]
     return total
 
 
@@ -504,12 +497,8 @@ def sigma_cd_scratch(dags, X, counts=None, removed=frozenset()) -> float:
         counts = counts_from_dags(dags)
     memo = _scratch_maps(dags, X)
     touched = memo.with_removed(removed)
-    total = 0.0
-    for i in range(len(memo.held)):
-        sc = touched[i] if i in touched else memo.unremoved(i)
-        for u, val in sc.items():
-            total += val / counts[u]
-    return total
+    return _influence((touched[i] if i in touched else memo.unremoved(i)
+                       for i in range(len(memo.held))), counts)
 
 
 def delta_set(dags, X, B, counts=None) -> float:
@@ -533,7 +522,7 @@ def delta_set(dags, X, B, counts=None) -> float:
     memo = _scratch_maps(dags, X)
     total = 0.0
     for i, sc in memo.with_removed(B).items():
-        total += _influence(memo.unremoved(i), counts) - _influence(sc, counts)
+        total += _influence((memo.unremoved(i),), counts) - _influence((sc,), counts)
     return total
 
 

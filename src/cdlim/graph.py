@@ -1,10 +1,11 @@
 """Social graph, action log, and per-action propagation DAG construction.
 
 The action log is streamed from its file into per-action groups.
-:func:`build_all_dags` builds each action's DAG in one pass and writes its
-credits into it once. The edge lists are tuples of ``(u, v)`` edge objects
-that every DAG of the call shares, one per social edge, and the learned
-scheme counts each edge's propagations from the DAGs that hold it.
+:func:`build_all_dags` is the one DAG builder: it builds each action's DAG
+in one pass and writes its credits into it once. The edge lists are tuples
+of ``(u, v)`` edge objects that every DAG of the call shares, one per
+social edge, and the learned scheme counts each edge's propagations from
+the DAGs that hold it.
 """
 
 from __future__ import annotations
@@ -253,11 +254,10 @@ class ActionDag:
     ``gamma`` maps each DAG edge to its direct credit, keyed by the very
     tuples the edge lists hold, so the credit passes look an edge up in
     ``gamma`` and in a removed set without building a tuple. The credits
-    are written into ``gamma`` once, by :func:`build_all_dags` or
-    :func:`assign_direct_credits`; :func:`build_action_dag` leaves them all
-    zero. ``times`` (user -> performance time) is the action log's own
-    ``by_action[action]`` dict, shared and not copied: treat it as
-    read-only.
+    are written into ``gamma`` once, by :func:`build_all_dags`;
+    :meth:`with_gamma` gives a copy with other credits. ``times`` (user ->
+    performance time) is the action log's own ``by_action[action]`` dict,
+    shared and not copied: treat it as read-only.
     """
 
     action: int
@@ -266,13 +266,6 @@ class ActionDag:
     in_edges: dict[int, tuple[tuple[int, int], ...]]
     out_edges: dict[int, tuple[tuple[int, int], ...]]
     gamma: dict[tuple[int, int], float] = field(default_factory=dict)
-
-    @property
-    def edges(self):
-        return self.gamma.keys()
-
-    def d_in(self, u: int) -> int:
-        return len(self.in_edges[u])
 
     def with_gamma(self, gamma: dict[tuple[int, int], float]) -> "ActionDag":
         return ActionDag(self.action, self.nodes, self.times, self.in_edges, self.out_edges, gamma)
@@ -312,27 +305,15 @@ def _edges_in_order(dag: ActionDag):
     return chain.from_iterable(dag.out_edges.values())
 
 
-def build_action_dag(graph: SocialGraph, actionlog: ActionLog, action: int) -> ActionDag:
-    """Build the propagation DAG of one action, every credit zero.
-
-    An edge (u, v) is included iff it is a social edge, both endpoints
-    performed the action, and u performed it strictly before v.
-    """
-    if action not in actionlog.by_action:
-        raise ValueError(f"unknown action id {action}")
-    dag = _bare_dag(graph, actionlog.by_action[action], action, {})
-    dag.gamma = dict.fromkeys(_edges_in_order(dag), 0.0)
-    return dag
-
-
-def _fill_credits(dag: ActionDag, edges, scheme: str, table, actionlog, prop_counts):
-    """Write the direct credits of ``edges`` (all of ``dag``'s, in the order
-    given; the learned scheme takes them head by head in ``nodes`` order)
-    into ``dag.gamma``. :func:`assign_direct_credits` documents the schemes."""
+def _fill_credits(dag: ActionDag, scheme: str, table, actionlog, prop_counts):
+    """Write the direct credits of ``dag``'s edges into ``dag.gamma``, in
+    the order of :func:`_edges_in_order` (the learned scheme takes them head
+    by head in ``nodes`` order). :func:`build_all_dags` documents the
+    schemes."""
     gamma = dag.gamma
     in_edges = dag.in_edges
     if scheme == "uniform":
-        for e in edges:
+        for e in _edges_in_order(dag):
             gamma[e] = 1.0 / len(in_edges[e[1]])
     elif scheme == "learned":
         user_counts = actionlog.counts
@@ -346,7 +327,7 @@ def _fill_credits(dag: ActionDag, edges, scheme: str, table, actionlog, prop_cou
     elif scheme == "explicit":
         if table is None:
             raise ValueError("explicit scheme needs a gamma table")
-        for e in edges:
+        for e in _edges_in_order(dag):
             if e not in table:
                 raise ValueError(f"gamma table missing edge {e} for action {dag.action}")
             g = table[e]
@@ -355,29 +336,6 @@ def _fill_credits(dag: ActionDag, edges, scheme: str, table, actionlog, prop_cou
             gamma[e] = g
     else:
         raise ValueError(f"unknown credit scheme {scheme!r}")
-
-
-def assign_direct_credits(dag: ActionDag, scheme: str = "uniform", *, table=None,
-                          actionlog: ActionLog | None = None,
-                          prop_counts=None) -> ActionDag:
-    """Return a copy of ``dag`` with direct credits filled in, keyed by the
-    DAG's own edge tuples.
-
-    Schemes:
-      - ``uniform``: gamma_(v,u) = 1 / d_in(u).
-      - ``learned``: raw frequency |actions propagated v->u| / |A_v| over the
-        whole log, normalized per head node so incoming credit sums to <= 1.
-        Needs ``actionlog`` and ``prop_counts``, the number of actions that
-        propagated along each edge, which is the number of the log's DAGs
-        that hold it.
-      - ``explicit``: values copied from ``table`` ({(u, v): gamma}), which
-        must cover every DAG edge with values in [0, 1].
-    """
-    if scheme == "learned" and (actionlog is None or prop_counts is None):
-        raise ValueError("learned scheme needs the action log and its propagation counts")
-    credited = dag.with_gamma({})
-    _fill_credits(credited, dag.gamma, scheme, table, actionlog, prop_counts)
-    return credited
 
 
 class ActionDags(tuple):
@@ -417,9 +375,21 @@ def build_all_dags(graph: SocialGraph, actionlog: ActionLog, scheme: str = "unif
     """Build and credit-assign the DAG of every action in the log; returns
     them as an immutable :class:`ActionDags`, in action order.
 
+    An edge (u, v) is in an action's DAG iff it is a social edge, both
+    endpoints performed the action, and u performed it strictly before v.
     Each DAG is built once and its credits are written into it. The DAGs
-    share one tuple object per edge, and the learned scheme counts each
-    edge's propagations from the DAGs that hold it."""
+    share one tuple object per edge.
+
+    Schemes:
+      - ``uniform``: gamma_(v,u) = 1 / d_in(u), the number of u's DAG
+        in-edges.
+      - ``learned``: raw frequency |actions propagated v->u| / |A_v| over the
+        whole log, normalized per head node so incoming credit sums to <= 1.
+        The propagations of an edge are counted from the DAGs that hold it.
+      - ``explicit``: values copied from ``table``, which must cover every
+        DAG edge with values in [0, 1]: either ``{(u, v): gamma}``, shared
+        by every action, or ``{(u, v, action): gamma}``.
+    """
     shared: dict[tuple[int, int], tuple[int, int]] = {}
     by_action = actionlog.by_action
     dags = [_bare_dag(graph, by_action[a], a, shared) for a in actionlog.actions()]
@@ -433,8 +403,13 @@ def build_all_dags(graph: SocialGraph, actionlog: ActionLog, scheme: str = "unif
             per_action.setdefault(a, {})[(u, v)] = g
     for dag in dags:
         tab = table if per_action is None else per_action.get(dag.action, {})
-        _fill_credits(dag, _edges_in_order(dag), scheme, tab, actionlog, prop_counts)
+        _fill_credits(dag, scheme, tab, actionlog, prop_counts)
     return ActionDags(dags)
+
+
+def default_candidates(dags) -> set:
+    """Edges that appear in at least one action graph."""
+    return {e for dag in dags for e in dag.gamma}
 
 
 def _is_per_action(table) -> bool:

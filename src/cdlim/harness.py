@@ -11,8 +11,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .credit import delta_set, sigma_cd_scratch
-from .graph import (SocialGraph, _int_token, _records, build_all_dags, load_action_log,
-                    load_graph)
+from .graph import (SocialGraph, _int_token, _records, build_all_dags,
+                    default_candidates, load_action_log, load_graph)
 from .greedy import greedy_bil
 
 log = logging.getLogger(__name__)
@@ -39,11 +39,6 @@ def sigma_before(dags, X, counts) -> float:
     if before <= 0.0:
         raise ValueError("no target user performs any action: nothing to limit")
     return before
-
-
-def default_candidates(dags) -> set:
-    """Edges that appear in at least one action graph."""
-    return {e for dag in dags for e in dag.gamma}
 
 
 def baseline_high_degree(graph: SocialGraph, X, k: int) -> list:
@@ -211,9 +206,10 @@ def run_experiment(config_path, out_path=None, verify=False):
 
     The whole config is checked before any input is read: every key is one
     of ``CONFIG_KEYS``, every method is known, ``grr`` has its bound ``b``,
-    ``k`` lists at least one value, every value of ``k``, ``b``,
-    ``target_size`` and ``target_pool`` is at least 1, ``scheme`` is
-    uniform or learned, and ``target_sampler`` is top-actions or uniform.
+    ``k``, and ``targets`` when given, list at least one value, every value
+    of ``k``, ``b``, ``target_size`` and ``target_pool`` is at least 1,
+    ``scheme`` is uniform or learned, and ``target_sampler`` is
+    top-actions or uniform.
     Once the candidate set C is built, and before any cell runs, every
     ``k`` is checked against |C| for the methods that need it: ``greedy``
     takes k < |C| and ``random`` k <= |C|; ``grr`` and ``high-degree`` may
@@ -230,6 +226,8 @@ def run_experiment(config_path, out_path=None, verify=False):
             raise ValueError(f"config missing required key {key!r}")
     seed = _int_value(config_path, cfg, "seed", 0)
     labels = _int_list(config_path, cfg, "targets") if "targets" in cfg else None
+    if labels == []:
+        raise ValueError(f"{config_path}: key 'targets': no values")
     target_size = _int_value(config_path, cfg, "target_size", 10)
     target_pool = _int_value(config_path, cfg, "target_pool", 150)
     ks = _int_list(config_path, cfg, "k") if "k" in cfg else [10]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from cdlim.graph import ActionLog, SocialGraph, build_action_dag, build_all_dags
+from cdlim.graph import ActionLog, SocialGraph, build_all_dags
 
 
 @dataclass
@@ -73,9 +73,8 @@ def random_instance(rng, max_nodes=8, max_actions=3, min_nodes=3) -> Instance:
                 tuples.append((u, a, rng.randint(0, 5)))
         log = ActionLog(tuples)
         dags = []
-        for a in log.actions():
-            dag = build_action_dag(graph, log, a)
-            gamma = {e: rng.uniform(0.05, 1.0) / dag.d_in(e[1]) for e in dag.gamma}
+        for dag in build_all_dags(graph, log):
+            gamma = {e: rng.uniform(0.05, 1.0) / len(dag.in_edges[e[1]]) for e in dag.gamma}
             dags.append(dag.with_gamma(gamma))
         C = sorted({e for d in dags for e in d.gamma})
         if not C:

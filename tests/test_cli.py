@@ -220,6 +220,44 @@ class TestBil:
         assert main(["bil", *args, "-k", "1"]) == 0
         assert capsys.readouterr().out == plain
 
+    def test_targets_file_without_ids(self, f1_files, capsys, monkeypatch):
+        # Rejected where it is read, not as targets that never act.
+        tfile = f1_files / "targets.txt"
+        tfile.write_text("# targets\r\n\n# none yet\n", encoding="utf-8")
+        args = _base_args(f1_files)
+        args[args.index("--targets") + 1] = str(tfile)
+        monkeypatch.setattr(harness, "sigma_before", _must_not_run)
+        for command in (["bil", "-k", "1"], ["ilm", "-b", "1"]):
+            assert main([command[0], *args, *command[1:]]) == 1
+            assert capsys.readouterr().err == f"error: --targets: {tfile} holds no target ids\n"
+
+    @pytest.mark.parametrize("scheme", [[], ["--scheme", "uniform"], ["--scheme", "learned"]])
+    def test_gamma_table_needs_the_explicit_scheme(self, f1_files, capsys, scheme):
+        # Otherwise the table would be read, checked and then ignored.
+        args = [*_base_args(f1_files)[:6], *scheme, "--gamma-table",
+                str(f1_files / "gamma.txt")]
+        name = scheme[1] if scheme else "uniform"
+        for command in (["bil", "-k", "1"], ["grr", "-k", "1", "-b", "1"], ["ilm", "-b", "1"],
+                        ["baseline", "--method", "random", "-k", "1"]):
+            assert main([command[0], *args, *command[1:]]) == 1
+            assert capsys.readouterr().err == (
+                f"error: --gamma-table needs --scheme explicit, not --scheme {name}\n")
+
+    def test_explicit_scheme_needs_a_gamma_table(self, f1_files, capsys):
+        args = _base_args(f1_files)[:8]
+        assert args[-2:] == ["--scheme", "explicit"]
+        assert main(["bil", *args, "-k", "1"]) == 1
+        assert capsys.readouterr().err == "error: --scheme explicit needs --gamma-table\n"
+
+    def test_gamma_table_flag_error_in_a_shell(self, f1_files):
+        # One stderr line and exit 1, before any input is read: the graph
+        # file is missing.
+        (f1_files / "graph.txt").unlink()
+        args = _base_args(f1_files)
+        got = _run_cli("bil", *args[:6], "--gamma-table", args[-1], "-k", "1")
+        assert (got.returncode, got.stdout) == (1, "")
+        assert got.stderr == "error: --gamma-table needs --scheme explicit, not --scheme uniform\n"
+
 
 class TestGrr:
     def test_bound(self, f1_files):

@@ -8,7 +8,7 @@ import pytest
 from cdlim.credit import (CreditKernel, _sc_map, compute_credit_store, compute_mc,
                           counts_from_dags, delta_set, kappa, oracle_set_credit,
                           oracle_total_credit, sigma_cd, sigma_cd_scratch)
-from cdlim.graph import ActionDags, ActionLog, SocialGraph, build_action_dag
+from cdlim.graph import ActionDags, ActionLog, SocialGraph, build_all_dags
 from cdlim.greedy import greedy_bil
 from conftest import make_branch7, make_f1, random_instance
 from test_acceptance import _ic_benchmark
@@ -39,7 +39,8 @@ class TestComputeStore:
         assert store.sc[0] == {0: 1.0, 1: 1.0, 2: 1.0}
 
     def test_zero_gamma_no_propagation(self, f1):
-        bare = build_action_dag(f1.graph, f1.log, 0)  # gammas all zero
+        (dag,) = build_all_dags(f1.graph, f1.log)
+        bare = dag.with_gamma(dict.fromkeys(dag.gamma, 0.0))  # gammas all zero
         store = compute_credit_store([bare], f1.X)
         assert store.sc[0] == {0: 1.0}  # nothing propagates
 
@@ -69,7 +70,7 @@ class TestKappaSigma:
     def test_zero_credit_kappa(self):
         g = SocialGraph(2, [(0, 1)])
         log = ActionLog([(0, 0, 1), (1, 0, 2)])
-        dag = build_action_dag(g, log, 0).with_gamma({(0, 1): 0.5})
+        dag = build_all_dags(g, log)[0].with_gamma({(0, 1): 0.5})
         store = compute_credit_store([dag], {1})
         assert kappa(store, 0) == 0.0  # no path from {1} back to 0
 
@@ -95,7 +96,7 @@ class TestOracles:
         # counts at 2; the longer 0 -> 1 -> 2 walk passes another target
         g = SocialGraph(3, [(0, 1), (1, 2)])
         log = ActionLog([(0, 0, 1), (1, 0, 2), (2, 0, 3)])
-        dag = build_action_dag(g, log, 0).with_gamma({(0, 1): 0.5, (1, 2): 0.5})
+        dag = build_all_dags(g, log)[0].with_gamma({(0, 1): 0.5, (1, 2): 0.5})
         assert abs(oracle_set_credit(dag, {0, 1}, 2) - 0.5) < TOL
 
     def test_total_credit(self, f1):
@@ -108,7 +109,7 @@ class TestOracles:
         n = 25
         g = SocialGraph(n, [(u, u + 1) for u in range(n - 1)])
         log = ActionLog([(u, 0, u) for u in range(n)])
-        dag = build_action_dag(g, log, 0).with_gamma(
+        dag = build_all_dags(g, log)[0].with_gamma(
             {(u, u + 1): 0.5 for u in range(n - 1)})
         with pytest.raises(ValueError, match="guard"):
             oracle_set_credit(dag, {0}, n - 1)
@@ -178,7 +179,7 @@ class TestDeltas:
         # must not count credit continuing past the second target
         g = SocialGraph(5, [(u, u + 1) for u in range(4)])
         log = ActionLog([(u, 0, u) for u in range(5)])
-        dag = build_action_dag(g, log, 0).with_gamma(
+        dag = build_all_dags(g, log)[0].with_gamma(
             {(u, u + 1): 1.0 for u in range(4)})
         X = {0, 3}
         store = compute_credit_store([dag], X)
@@ -287,7 +288,7 @@ class TestScratchMemo:
             active = sorted({u for d in inst.dags for u in d.nodes})
             targets = (inst.X, set(rng.sample(active, rng.randint(1, len(active)))))
             for dags in (ActionDags(inst.dags), list(inst.dags)):
-                kernel = None
+                kernel, kernel_removed = None, set()
                 for step, B in enumerate(self._schedule(rng, inst)):
                     # The two target sets take turns every one to three calls.
                     X = targets[(step // rng.randint(1, 3)) % 2]
@@ -295,10 +296,12 @@ class TestScratchMemo:
                         # A kernel built here scans for its own target set.
                         kernel = CreditKernel(dags, targets[1], counts)
                     if kernel is not None and rng.random() < 0.3:
-                        # kernel.removed is one mutable set, passed as is
-                        # and changed between calls.
-                        kernel.remove(rng.choice(inst.C))
-                        removed = kernel.removed
+                        # The kernel's removals, kept in one mutable set
+                        # that is passed as is and changed between calls.
+                        e = rng.choice(inst.C)
+                        kernel.scale({e: 0.0})
+                        kernel_removed.add(e)
+                        removed = kernel_removed
                     else:
                         removed = rng.choice(self.FORMS)(B)
                     calls = rng.choice(("sigma", "delta", "sigma-delta", "delta-sigma"))

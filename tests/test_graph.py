@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdlim.graph import (ActionDag, ActionDags, ActionLog, SocialGraph, assign_direct_credits,
-                         build_action_dag, build_all_dags, generate_ic_actions,
-                         load_action_log, load_gamma_table, load_graph, write_action_log)
+from cdlim.graph import (ActionDag, ActionDags, ActionLog, SocialGraph, build_all_dags,
+                         generate_ic_actions, load_action_log, load_gamma_table, load_graph,
+                         write_action_log)
 from conftest import make_f1, random_instance
 
 
@@ -132,29 +132,30 @@ class TestActionLog:
         assert load_action_log(str(path), g).tuples == log.tuples
 
 
+def _one_dag(graph, log, scheme="uniform"):
+    """The DAG of a log's only action, built by :func:`build_all_dags`."""
+    (dag,) = build_all_dags(graph, log, scheme)
+    return dag
+
+
 class TestBuildActionDag:
     def test_f1_all_edges(self):
         inst = make_f1()
-        dag = build_action_dag(inst.graph, inst.log, 0)
+        dag = _one_dag(inst.graph, inst.log)
         assert set(dag.gamma) == {(0, 1), (1, 2), (0, 2)}
 
     def test_equal_times_no_edge(self):
         g = SocialGraph(2, [(0, 1)])
         log = ActionLog([(0, 0, 3), (1, 0, 3)])
-        dag = build_action_dag(g, log, 0)
+        dag = _one_dag(g, log)
         assert not dag.gamma
 
     def test_isolated_performer(self):
         g = SocialGraph(3, [(0, 1)])
         log = ActionLog([(0, 0, 1), (1, 0, 2), (2, 0, 1)])
-        dag = build_action_dag(g, log, 0)
+        dag = _one_dag(g, log)
         assert 2 in dag.nodes
         assert dag.in_edges[2] == () and dag.out_edges[2] == ()
-
-    def test_unknown_action(self):
-        inst = make_f1()
-        with pytest.raises(ValueError, match="unknown action"):
-            build_action_dag(inst.graph, inst.log, 99)
 
     def test_times_strictly_increase_along_edges(self):
         rng = random.Random(5)
@@ -163,7 +164,7 @@ class TestBuildActionDag:
             g = SocialGraph(n, [(u, v) for u in range(n) for v in range(n)
                                 if u != v and rng.random() < 0.4])
             log = ActionLog([(u, 0, rng.randint(0, 4)) for u in range(n)])
-            dag = build_action_dag(g, log, 0)
+            dag = _one_dag(g, log)
             for (u, v) in dag.gamma:
                 assert dag.times[u] < dag.times[v]
 
@@ -177,7 +178,7 @@ class TestBuildActionDag:
             if not performers:
                 continue
             log = ActionLog([(u, 0, t) for u, t in performers.items()])
-            dag = build_action_dag(g, log, 0)
+            dag = _one_dag(g, log)
             expect = {(u, v) for u in performers for v in performers
                       if g.has_edge(u, v) and performers[u] < performers[v]}
             assert set(dag.gamma) == expect
@@ -191,7 +192,7 @@ class TestBuildActionDag:
             g = SocialGraph(n, [(u, v) for u in range(n) for v in range(n)
                                 if u != v and rng.random() < 0.4])
             log = ActionLog([(u, 0, rng.randint(0, 4)) for u in range(n)])
-            dag = build_action_dag(g, log, 0)
+            dag = _one_dag(g, log)
             pos = {u: i for i, u in enumerate(dag.nodes)}
             assert sorted(dag.in_edges) == sorted(dag.out_edges) == sorted(dag.nodes)
             for u in dag.nodes:
@@ -234,13 +235,13 @@ class TestAssignDirectCredits:
     def test_uniform_two_parents(self):
         g = SocialGraph(3, [(0, 2), (1, 2)])
         log = ActionLog([(0, 0, 1), (1, 0, 1), (2, 0, 2)])
-        dag = assign_direct_credits(build_action_dag(g, log, 0), "uniform")
+        dag = _one_dag(g, log, "uniform")
         assert dag.gamma == {(0, 2): 0.5, (1, 2): 0.5}
 
     def test_uniform_single_parent(self):
         g = SocialGraph(2, [(0, 1)])
         log = ActionLog([(0, 0, 1), (1, 0, 2)])
-        dag = assign_direct_credits(build_action_dag(g, log, 0), "uniform")
+        dag = _one_dag(g, log, "uniform")
         assert dag.gamma == {(0, 1): 1.0}
 
     def test_uniform_incoming_sums_to_one(self):
@@ -250,24 +251,22 @@ class TestAssignDirectCredits:
             g = SocialGraph(n, [(u, v) for u in range(n) for v in range(n)
                                 if u != v and rng.random() < 0.5])
             log = ActionLog([(u, 0, rng.randint(0, 3)) for u in range(n)])
-            dag = assign_direct_credits(build_action_dag(g, log, 0), "uniform")
+            dag = _one_dag(g, log, "uniform")
             for u in dag.nodes:
-                if dag.d_in(u):
+                if dag.in_edges[u]:
                     total = sum(dag.gamma[e] for e in dag.in_edges[u])
                     assert abs(total - 1.0) < 1e-12
 
     def test_explicit_missing_edge(self):
         inst = make_f1()
-        bare = build_action_dag(inst.graph, inst.log, 0)
         with pytest.raises(ValueError, match="missing edge"):
-            assign_direct_credits(bare, "explicit", table={(0, 1): 0.5})
+            build_all_dags(inst.graph, inst.log, "explicit", table={(0, 1): 0.5})
 
     def test_explicit_out_of_range(self):
         inst = make_f1()
-        bare = build_action_dag(inst.graph, inst.log, 0)
         table = {(0, 1): 1.5, (1, 2): 0.4, (0, 2): 0.3}
         with pytest.raises(ValueError, match="outside"):
-            assign_direct_credits(bare, "explicit", table=table)
+            build_all_dags(inst.graph, inst.log, "explicit", table=table)
 
     def test_learned_normalized(self):
         g = SocialGraph(3, [(0, 2), (1, 2)])
@@ -285,15 +284,7 @@ class TestAssignDirectCredits:
     def test_unknown_scheme(self):
         inst = make_f1()
         with pytest.raises(ValueError, match="unknown credit scheme"):
-            assign_direct_credits(inst.dags[0], "bogus")
-
-    def test_learned_needs_propagation_counts(self):
-        g = SocialGraph(2, [(0, 1)])
-        log = ActionLog([(0, 0, 1), (1, 0, 2)])
-        bare = build_action_dag(g, log, 0)
-        for kwargs in ({"actionlog": log}, {"prop_counts": propagation_counts(g, log)}):
-            with pytest.raises(ValueError, match="needs the action log and its propagation counts"):
-                assign_direct_credits(bare, "learned", **kwargs)
+            build_all_dags(inst.graph, inst.log, "bogus")
 
     def test_per_action_table_through_build_all_dags(self):
         g = SocialGraph(2, [(0, 1)])
@@ -344,10 +335,10 @@ def _reference_credits(dag, scheme, table, actionlog, prop_counts):
     """A copy of ``dag`` with its credits in a second, new dict."""
     gamma = {}
     if scheme == "uniform":
-        for e in dag.edges:
-            gamma[e] = 1.0 / dag.d_in(e[1])
+        for e in dag.gamma:
+            gamma[e] = 1.0 / len(dag.in_edges[e[1]])
     elif scheme == "learned":
-        raw = {e: prop_counts.get(e, 0) / actionlog.counts[e[0]] for e in dag.edges}
+        raw = {e: prop_counts.get(e, 0) / actionlog.counts[e[0]] for e in dag.gamma}
         for u in dag.nodes:
             incoming = dag.in_edges[u]
             total = sum(raw[e] for e in incoming)
@@ -355,7 +346,7 @@ def _reference_credits(dag, scheme, table, actionlog, prop_counts):
             for e in incoming:
                 gamma[e] = raw[e] * scale
     else:
-        for e in dag.edges:
+        for e in dag.gamma:
             gamma[e] = table[e]
     return dag.with_gamma(gamma)
 
@@ -413,16 +404,6 @@ def test_build_all_dags_equals_the_two_step_reference(scheme):
             for edges in (*dag.in_edges.values(), *dag.out_edges.values(), dag.gamma):
                 for e in edges:
                     assert one.setdefault(e, e) is e, (seed, e)
-        # The per-action API gives the same DAGs, and leaves the bare one bare.
-        if scheme != "explicit-per-action":
-            counts = propagation_counts(g, log)
-            for want in ref:
-                bare = build_action_dag(g, log, want.action)
-                _assert_same_dag(bare, _reference_dag(g, log, want.action))
-                credited = assign_direct_credits(bare, scheme, table=table, actionlog=log,
-                                                 prop_counts=counts)
-                _assert_same_dag(credited, want)
-                assert all(c == 0.0 for c in bare.gamma.values())
 
 
 def test_dags_share_the_log_times():

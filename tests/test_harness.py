@@ -297,6 +297,22 @@ class TestRunExperiment:
             assert main([command, "--config", str(cfg)]) == 1
             assert capsys.readouterr().err == f"error: {want}\n"
 
+    @pytest.mark.parametrize("line", ["targets=", "targets= , "])
+    def test_targets_without_ids_is_rejected_before_any_input(self, tmp_path, capsys,
+                                                               monkeypatch, line):
+        # An empty list would otherwise end in "no target user performs any
+        # action", after the inputs are read.
+        gpath, apath, _, _ = _bench_files(tmp_path)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"graph={gpath}\nactions={apath}\nmethods=greedy\n{line}\n",
+                       encoding="utf-8")
+        monkeypatch.setattr(harness, "load_graph", _must_not_call)
+        out = tmp_path / "out.csv"
+        for command in ("report", "verify"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: {cfg}: key 'targets': no values\n"
+        assert not out.exists()
+
     def test_unknown_target_label_names_file_and_key(self, tmp_path, capsys, monkeypatch):
         gpath, apath, _, _ = _bench_files(tmp_path)
         cfg = tmp_path / "cfg.txt"

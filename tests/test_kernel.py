@@ -45,7 +45,7 @@ def dense_instances(draw):
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     inst = random_instance(rng, max_nodes=8, max_actions=4)
     if draw(st.booleans()):
-        inst.dags = [d.with_gamma({e: rng.choice((0.25, 0.5, 1.0)) / d.d_in(e[1])
+        inst.dags = [d.with_gamma({e: rng.choice((0.25, 0.5, 1.0)) / len(d.in_edges[e[1]])
                                    for e in d.gamma}) for d in inst.dags]
     return inst.dags, inst.X, inst.C
 
@@ -65,7 +65,7 @@ def target_free_instances(draw):
     X = set(rng.sample(rare, rng.randint(1, len(rare))))
     dags = inst.dags
     if draw(st.booleans()):
-        dags = [d.with_gamma({e: rng.choice((0.25, 0.5, 1.0)) / d.d_in(e[1])
+        dags = [d.with_gamma({e: rng.choice((0.25, 0.5, 1.0)) / len(d.in_edges[e[1]])
                               for e in d.gamma}) for d in dags]
     return dags, X, inst.C
 
@@ -122,7 +122,7 @@ def _assert_kernel_equals_delta_kernel(inst, data):
         for e in C:
             assert kernel.marginal(e) == ref.marginal(e), (removed[:i], e)
         if i < len(removed):
-            kernel.remove(removed[i])
+            kernel.scale({removed[i]: 0.0})
             ref.remove(removed[i])
 
 
@@ -176,32 +176,33 @@ def _held_gamma(dag, X):
     return {e: c for e, c in dag.gamma.items() if e[0] in after}
 
 
-def _assert_state_matches_scratch(kernel, dags, X):
+def _assert_state_matches_scratch(kernel, dags, X, removed):
     # SC everywhere, R from the action's first target member on, and the
-    # effective credits: gamma with the removed edges at zero, on the edges
-    # whose tail comes at or after that member.
+    # effective credits: gamma with the edges of ``removed`` (the ones
+    # scaled to 0.0) at zero, on the edges whose tail comes at or after
+    # that member.
     X = frozenset(X)
     stored = _stored_actions(kernel)
     assert sorted(stored) == [d.action for d in dags if _held_gamma(d, X)]
     for dag, g, sc, r, f in stored.values():
         assert dag.nodes[f] in X and X.isdisjoint(dag.nodes[:f]), dag.action
-        assert g == {e: 0.0 if e in kernel.removed else c
+        assert g == {e: 0.0 if e in removed else c
                      for e, c in _held_gamma(dag, X).items()}
-        assert sc == _sc_map(dag, X, kernel.removed), (dag.action, sorted(kernel.removed))
+        assert sc == _sc_map(dag, X, removed), (dag.action, sorted(removed))
         after_f = set(dag.nodes[f:])
-        want_r = {n: val for n, val in _r_map(dag, X, kernel.counts, kernel.removed).items()
+        want_r = {n: val for n, val in _r_map(dag, X, kernel.counts, removed).items()
                   if n in after_f}
-        assert r == want_r, (dag.action, sorted(kernel.removed))
+        assert r == want_r, (dag.action, sorted(removed))
 
 
 def _assert_kernel_state_after_every_prefix(inst, data):
     dags, X, C = inst
     removed = data.draw(st.lists(st.sampled_from(C), unique=True, max_size=len(C))) if C else []
     kernel = CreditKernel(dags, X, counts_from_dags(dags))
-    _assert_state_matches_scratch(kernel, dags, X)
-    for e in removed:
-        kernel.remove(e)
-        _assert_state_matches_scratch(kernel, dags, X)
+    _assert_state_matches_scratch(kernel, dags, X, set())
+    for i, e in enumerate(removed):
+        kernel.scale({e: 0.0})
+        _assert_state_matches_scratch(kernel, dags, X, set(removed[:i + 1]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -258,14 +259,15 @@ def test_scaled_kernel_state_equals_scratch_maps_target_free(inst, data):
 
 
 def _assert_lazy_repair_matches_scratch(dags, X, C, rng, steps):
-    # One kernel under a random interleaving of removals (one to three in a
-    # row, some repeated), scale batches on edges not removed, and marginal
-    # queries. Every marginal equals the from-scratch sum on the DAGs with
-    # the current credits, bit for bit, and every fully repaired map equals
-    # the whole-DAG passes, now and then along the way and at the end. A
-    # third of the draws come from the edges into a target member and the
-    # edges whose tail comes before the first target member of a
-    # target-holding action that holds them, when there are any.
+    # One kernel under a random interleaving of removals (scales to 0.0, one
+    # to three in a row, some repeated), scale batches on edges not removed,
+    # and marginal queries. Every marginal equals the from-scratch sum on
+    # the DAGs with the current credits, bit for bit, and every fully
+    # repaired map equals the whole-DAG passes, now and then along the way
+    # and at the end. A third of the draws come from the edges into a
+    # target member and the edges whose tail comes before the first target
+    # member of a target-holding action that holds them, when there are
+    # any.
     X = frozenset(X)
     counts = counts_from_dags(dags)
     kernel = CreditKernel(dags, X, counts)
@@ -276,20 +278,21 @@ def _assert_lazy_repair_matches_scratch(dags, X, C, rng, steps):
     def draw():
         return rng.choice(special if special and rng.random() < 0.3 else C)
 
-    keep, ref = {}, None
+    keep, ref, removed = {}, None, set()
     for _ in range(steps):
         op = rng.random()
         if op < 0.35:
             for _ in range(rng.randint(1, 3)):
-                again = kernel.removed and rng.random() < 0.2
-                e = rng.choice(sorted(kernel.removed)) if again else draw()
-                kernel.remove(e)
+                again = removed and rng.random() < 0.2
+                e = rng.choice(sorted(removed)) if again else draw()
+                kernel.scale({e: 0.0})
+                removed.add(e)
                 keep[e] = 0.0
             ref = None
         elif op < 0.5:
             step = {e: rng.choice((0.0, 0.3, 0.5, 1.0))
                     for e in (draw() for _ in range(rng.randint(1, 3)))
-                    if e not in kernel.removed}
+                    if e not in removed}
             kernel.scale(step)
             keep.update(step)
             ref = None
@@ -302,7 +305,7 @@ def _assert_lazy_repair_matches_scratch(dags, X, C, rng, steps):
                 ref = reference_marginals(scaled, X, C, counts, ())
             for _ in range(rng.randint(1, 4)):
                 e = draw()
-                want = 0.0 if e in kernel.removed else ref[e]
+                want = 0.0 if e in removed else ref[e]
                 assert kernel.marginal(e) == want, (e, sorted(keep.items()))
     _assert_maps_match_credits(kernel, X, keep)
 
@@ -326,7 +329,7 @@ def test_lazy_repair_matches_scratch_chain_instance():
     for seed in range(6):
         rng = random.Random(seed)
         if seed % 2:
-            dags = [d.with_gamma({e: rng.choice((0.25, 0.5, 1.0)) / d.d_in(e[1])
+            dags = [d.with_gamma({e: rng.choice((0.25, 0.5, 1.0)) / len(d.in_edges[e[1]])
                                   for e in d.gamma}) for d in dags]
         _assert_lazy_repair_matches_scratch(dags, X, C, rng, steps=80)
 
@@ -375,17 +378,29 @@ def _skip_instance():
     return dags, {2, 5}, log.counts
 
 
+def _bits(kernel, edges):
+    """The kernel's repaired maps and the marginals of ``edges``, as the
+    ``float.hex`` strings of their values in map order."""
+    maps = [[(n, val.hex()) for n, val in m.items()]
+            for _, _, sc, r, _ in _stored_actions(kernel).values() for m in (sc, r)]
+    return maps, [kernel.marginal(e).hex() for e in edges]
+
+
 def _remove_and_diff(e, times=1):
-    """Remove ``e`` and return which of the action's SC and R maps changed;
-    both must equal the from-scratch maps afterwards."""
+    """Remove ``e`` (scale it to 0.0) and return which of the action's SC
+    and R maps changed; both must equal the from-scratch maps afterwards.
+    Every repeated removal leaves the maps and every marginal bit-identical."""
     dags, X, counts = _skip_instance()
     kernel = CreditKernel(dags, X, counts)
     (_, _, sc, r, f), = _stored_actions(kernel).values()
     assert f == 2
     before = dict(sc), dict(r)
-    for _ in range(times):
-        kernel.remove(e)
-    _assert_state_matches_scratch(kernel, dags, X)
+    kernel.scale({e: 0.0})
+    once = _bits(kernel, sorted(kernel.edge_actions))
+    for _ in range(times - 1):
+        kernel.scale({e: 0.0})
+        assert _bits(kernel, sorted(kernel.edge_actions)) == once
+    _assert_state_matches_scratch(kernel, dags, X, {e})
     return sc != before[0], r != before[1]
 
 
@@ -403,7 +418,9 @@ def test_remove_tail_before_first_target_changes_nothing():
 
 
 def test_repeated_removal_is_a_no_op():
+    # A repeated zero-scale leaves maps and marginals bit-identical.
     assert _remove_and_diff((4, 6), times=2) == (True, True)
+    assert _remove_and_diff((3, 4), times=3) == (False, True)
 
 
 def _nbr_lists(dag):
@@ -502,7 +519,7 @@ def _assert_edge_list_passes_equal_tuple_passes(inst, data):
             assert r == {n: val for n, val in
                          tuple_r_map(dag, X, counts, cut, out_nbrs).items() if n in after_f}
         if i < len(removed):
-            kernel.remove(removed[i])
+            kernel.scale({removed[i]: 0.0})
 
 
 @settings(max_examples=150, deadline=None)
@@ -596,7 +613,7 @@ def test_kernel_marginal_matches_reference(inst, data):
     kernel = CreditKernel(dags, X, counts)
     for e in removed:
         remove_edge(store, e)
-        kernel.remove(e)
+        kernel.scale({e: 0.0})
     # The same removals as zero credits, for the from-scratch single-edge delta.
     cut = [d.with_gamma({e: 0.0 if e in removed else g for e, g in d.gamma.items()})
            for d in dags]
@@ -619,7 +636,7 @@ def test_kernel_marginals_never_rise(inst, data):
     kernel = CreditKernel(dags, X, counts)
     prev = {e: kernel.marginal(e) for e in C}
     for e in data.draw(st.permutations(C)):
-        kernel.remove(e)
+        kernel.scale({e: 0.0})
         now = {f: kernel.marginal(f) for f in C}
         for f in C:
             assert now[f] <= prev[f], (e, f, now[f], prev[f])
@@ -646,7 +663,7 @@ def eager_greedy(dags, X, k, C, counts, per_node_bound=None):
         gains.append(best_mc)
         load[best_e[1]] = load.get(best_e[1], 0) + 1
         pool.remove(best_e)
-        kernel.remove(best_e)
+        kernel.scale({best_e: 0.0})
     return edges, gains
 
 
@@ -740,10 +757,10 @@ def test_greedy_equals_delta_kernel_chain_instance():
         assert not any(e[0] in entry[3] for e in sol.edges
                        for entry in kernel.edge_actions.get(e, ())), bound
         for e in sol.edges:
-            kernel.remove(e)
+            kernel.scale({e: 0.0})
         assert all(entry[6] == min(entry[4].values()) - 1
                    for entries in kernel.edge_actions.values() for entry in entries), bound
-        _assert_state_matches_scratch(kernel, dags, X)
+        _assert_state_matches_scratch(kernel, dags, X, set(sol.edges))
 
 
 def _assert_same_on_action_dags_and_list(dags, counts, C, targets, k):
@@ -862,7 +879,7 @@ def reference_marginals(dags, X, C, counts, removed):
 
 def _sample_marginals(kernel, C, B):
     """The marginals of ``C`` with ``B`` removed on top of the kernel's
-    removals, as one sample of :func:`_cg_weights` scores them: with s=1
+    credits, as one sample of :func:`_cg_weights` scores them: with s=1
     and y 1.0 on B and 0.0 elsewhere, ``random() < y`` draws exactly B.
     Checks that the weights cover exactly C, in its order."""
     held = [e for e in C if e in kernel.edge_actions]
@@ -886,10 +903,11 @@ def test_cached_marginals_equal_from_scratch_sum(inst, data):
 
 
 def _assert_sample_marginals_match_scratch(inst, data):
-    # Several samples B on one kernel after a removal prefix P: each sample
-    # equals the from-scratch sum with P | B removed and leaves the kernel's
-    # removed set and every stored map as they were: the edges of P at 0.0
-    # and every other edge at gamma.
+    # Several samples B on one kernel after a removal prefix P (scales to
+    # 0.0): each sample equals the from-scratch sum with P | B removed. It
+    # then sets the edges of B back to gamma, removed or not, since the
+    # kernel keeps no removed set; so afterwards the edges of P - B read
+    # 0.0 and every other edge gamma, in the credits and every stored map.
     dags, X, C = inst
     edges = st.sampled_from(C) if C else st.nothing()
     prefix = data.draw(st.lists(edges, unique=True, max_size=len(C)))
@@ -897,13 +915,13 @@ def _assert_sample_marginals_match_scratch(inst, data):
     counts = counts_from_dags(dags)
     kernel = CreditKernel(dags, X, counts)
     for e in prefix:
-        kernel.remove(e)
+        kernel.scale({e: 0.0})
     P = set(prefix)
     for B in samples:
         got = _sample_marginals(kernel, C, B)
         assert got == reference_marginals(dags, X, C, counts, P | B), (prefix, sorted(B))
-        assert kernel.removed == P
-        _assert_state_matches_scratch(kernel, dags, X)
+        P -= B
+        _assert_state_matches_scratch(kernel, dags, X, P)
 
 
 @settings(max_examples=150, deadline=None)

@@ -11,6 +11,9 @@ needs no samples. ``s >= 1`` selects the sampled path, which estimates
 each weight as a mean over s shared draws of R. It scores each draw on the
 same kernel through the same two calls: ``scale`` sets the credits of R to
 0.0, ``marginal`` reads the weights, and ``scale`` sets them back to gamma.
+Both paths, and :func:`cg_weights`, take the kernel from
+:func:`~cdlim.credit._shared_kernel`, so on one target set they share
+greedy's, and each puts back every credit it scaled before it returns.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .credit import CreditKernel, counts_from_dags, delta_set, sigma_cd_scratch
+from .credit import _shared_kernel, counts_from_dags, delta_set, sigma_cd_scratch
 from .rounding import check_bound, max_weight_independent
 
 EXACT_GUARD = 20
@@ -94,7 +97,8 @@ def sample_set(C, y, rng) -> frozenset:
 
 def cg_weights(dags, X, C, y, s, rng, counts=None) -> dict:
     """Mean marginal gain of each candidate over s shared samples from y,
-    scored on one :class:`CreditKernel` built for the call.
+    scored on the kernel of :func:`~cdlim.credit._shared_kernel`, the one
+    its target set's solvers share, which the call leaves at gamma.
 
     Samples are shared across candidates for variance reduction; negative
     means are clamped to zero (the true expectations are non-negative).
@@ -103,7 +107,7 @@ def cg_weights(dags, X, C, y, s, rng, counts=None) -> dict:
         raise ValueError(f"s={s} must be at least 1")
     if counts is None:
         counts = counts_from_dags(dags)
-    kernel = CreditKernel(dags, X, counts)
+    kernel = _shared_kernel(dags, X, counts)
     C = sorted(C)
     return _cg_weights(kernel, C, [e for e in C if e in kernel.edge_actions], y, s, rng)
 
@@ -113,18 +117,22 @@ def _cg_weights(kernel, C, held, y, s, rng) -> dict:
     ``held`` is the part of ``C`` some stored action holds. Per sample B,
     :meth:`CreditKernel.scale` sets the edges of B to credit 0.0 (removes
     them), and back to gamma (exactly, by a factor of 1.0) once the held
-    candidates outside B are scored. So the kernel must hold gamma on
-    every candidate, as both callers' kernels do: nothing else scales
-    them. Any other candidate's marginal is exactly 0.0, so skipping it
-    leaves ``acc`` bit-identical."""
+    candidates outside B are scored, in a ``finally``, so an exception
+    leaves the kernel at gamma too. So the kernel must hold gamma on every
+    candidate, as a shared kernel does between solver runs and the sampled
+    path of :func:`continuous_greedy` keeps it: nothing else scales them
+    while this runs. Any other candidate's marginal is exactly 0.0, so
+    skipping it leaves ``acc`` bit-identical."""
     acc = dict.fromkeys(C, 0.0)
     for _ in range(s):
         B = sample_set(C, y, rng)
         kernel.scale(dict.fromkeys(B, 0.0))
-        for e in held:
-            if e not in B:
-                acc[e] += kernel.marginal(e)
-        kernel.scale(dict.fromkeys(B, 1.0))
+        try:
+            for e in held:
+                if e not in B:
+                    acc[e] += kernel.marginal(e)
+        finally:
+            kernel.scale(dict.fromkeys(B, 1.0))
     return {e: max(acc[e] / s, 0.0) for e in C}
 
 
@@ -132,11 +140,16 @@ def continuous_greedy(dags, X, C, b, config: CGConfig, counts=None) -> Fractiona
     """Fractional ascent: tau steps of 1/tau mass along a max-weight
     independent direction, staying inside the matroid polytope.
 
-    On the exact path the kernel's credits are gamma * (1 - y) throughout:
-    after each step, :meth:`CreditKernel.scale` marks only the actions
-    holding an edge whose y moved, and each weight is the kernel's
-    marginal. Only the candidates some stored action holds are scored: every
-    other weight is exactly 0.0, which ``max_weight_independent`` skips. The
+    The kernel comes from :func:`~cdlim.credit._shared_kernel`, so it is
+    the one its target set's solvers share, and they must run one at a
+    time. On the exact path the
+    kernel's credits are gamma * (1 - y) during the run, and a ``finally``
+    scales every edge with y > 0 back by 1.0, so the kernel holds gamma
+    again on return, normal or by an exception. After each step,
+    :meth:`CreditKernel.scale` marks only the actions holding an edge whose
+    y moved, and each weight is the kernel's marginal. Only the candidates
+    some stored action holds are scored: every other weight is exactly 0.0,
+    which ``max_weight_independent`` skips. The
     sampled path keeps the kernel at gamma between samples, and scores each
     sample on the same kernel with the sample's credits set to 0.0 (see
     :func:`_cg_weights`). An edge at y = 1.0 has weight exactly 0.0, so it
@@ -148,21 +161,25 @@ def continuous_greedy(dags, X, C, b, config: CGConfig, counts=None) -> Fractiona
     check_bound(b)
     if counts is None:
         counts = counts_from_dags(dags)
-    kernel = CreditKernel(dags, X, counts)
+    kernel = _shared_kernel(dags, X, counts)
     held = [e for e in C if e in kernel.edge_actions]
     rng = random.Random(config.seed)
     y = dict.fromkeys(C, 0.0)
     step = 1.0 / config.tau
-    for _ in range(config.tau):
+    try:
+        for _ in range(config.tau):
+            if config.s is None:
+                weights = {e: kernel.marginal(e) for e in held}
+            else:
+                weights = _cg_weights(kernel, C, held, y, config.s, rng)
+            moved = max_weight_independent(weights, b)
+            for e in moved:
+                y[e] = min(y[e] + step, 1.0)
+            if config.s is None:
+                kernel.scale({e: 1.0 - y[e] for e in moved})
+    finally:
         if config.s is None:
-            weights = {e: kernel.marginal(e) for e in held}
-        else:
-            weights = _cg_weights(kernel, C, held, y, config.s, rng)
-        moved = max_weight_independent(weights, b)
-        for e in moved:
-            y[e] = min(y[e] + step, 1.0)
-        if config.s is None:
-            kernel.scale({e: 1.0 - y[e] for e in moved})
+            kernel.scale({e: 1.0 for e, ye in y.items() if ye > 0.0})
     return FractionalSolution(y=y)
 
 

@@ -26,6 +26,23 @@ scans the DAGs once per target set. The whole-DAG passes :func:`_sc_map`,
 :func:`_r_map` and :func:`_edge_deltas` are references for the kernel; no
 solver calls them.
 
+The solvers take their kernel from :func:`_shared_kernel`. It is built
+once per target set and ``counts``, and kept as ``kernel`` on the
+:class:`ActionDags`: :meth:`ActionDags.holding` drops it when it scans for
+a new target set, and :func:`_shared_kernel` replaces it when ``counts``
+differs from the kernel's own copy. Every solver puts back each credit it
+scaled, by a factor of 1.0 in a ``finally`` (gamma * 1.0 is gamma
+exactly), so the kept kernel holds gamma whenever no solver runs, and its
+maps, once repaired, equal a new kernel's bit for bit. The kernel checks
+this itself: ``off`` holds each edge a :meth:`CreditKernel.scale` left off
+gamma, and :func:`_shared_kernel` replaces a kernel whose ``off`` is not
+empty, so a caller that does not put a credit back, or a restore cut
+short, costs a rebuild and not a wrong result. A kept kernel's marginals
+at gamma then depend only on the DAGs, the target set and ``counts``:
+:meth:`CreditKernel.start_marginals` keeps each one it computes, and every
+greedy run on that kernel seeds its heap from them. Solvers on one
+:class:`ActionDags` must run one at a time, since they scale one kernel.
+
 The from-scratch evaluation (:func:`sigma_cd_scratch`, :func:`delta_set`)
 keeps the :func:`_sc_map` results it computes in a memo, ``scratch`` on
 the :class:`ActionDags`, for one target set at a time: each holding DAG's
@@ -174,7 +191,10 @@ class CreditKernel:
     greedy removes each pick by scaling it to 0.0, and continuous greedy
     scales per step on the exact path and per sample on the sampled one.
     The kernel keeps no removed set: a removed edge is one whose credit is
-    0.0 in ``g``.
+    0.0 in ``g``. It keeps a copy of ``counts``, which :func:`_shared_kernel`
+    compares with the caller's; ``off``, the edges whose credit is not
+    gamma; and ``start``, the marginals at gamma that
+    :meth:`start_marginals` has computed.
 
     ``marginal(e)`` is the influence drop of removing ``e`` on top of the
     kernel's current credits: SC[u] * g[e] * R[v] summed over the stored
@@ -205,7 +225,9 @@ class CreditKernel:
 
     def __init__(self, dags, X, counts):
         self.X = frozenset(X)
-        self.counts = counts
+        self.counts = dict(counts)
+        self.off: set[tuple[int, int]] = set()
+        self.start: dict[tuple[int, int], float] = {}
         self.edge_actions: dict[tuple[int, int], list[list]] = {}
         for dag in _action_dags(dags).holding(self.X):
             if dag.gamma:
@@ -246,6 +268,21 @@ class CreditKernel:
                 mc += c * g[e] * r.get(v, 0.0)
         return mc
 
+    def start_marginals(self, C) -> list[float]:
+        """``marginal(e)`` at gamma for each edge of ``C``, in order. Each
+        value is kept in ``start`` once computed, so only an edge no earlier
+        call asked about costs a marginal. Every credit must be at gamma
+        (``off`` empty), as on a new kernel or a shared one between solver
+        runs."""
+        if self.off:
+            raise ValueError("start_marginals needs every credit at gamma")
+        start = self.start
+        mc_of = self.marginal
+        for e in C:
+            if e not in start:
+                start[e] = mc_of(e)
+        return [start[e] for e in C]
+
     def scale(self, keep) -> None:
         """Set the credit of each edge ``e`` of ``keep`` to gamma * keep[e]
         in every stored action holding it, and mark what that makes stale.
@@ -253,7 +290,10 @@ class CreditKernel:
         keep = 1 - y; a sample of the sampled path passes 0.0 on its edges
         and then 1.0, which puts back gamma exactly. Scaling an edge to the
         factor it already has leaves every credit and, once repaired, every
-        map value as it was. No pass runs here.
+        map value as it was. No pass runs here. ``off`` gains each edge
+        scaled by a factor other than 1.0 before its credits change, and
+        loses one scaled by 1.0 only after they are all back, so a scale cut
+        short leaves the edge in ``off``.
 
         Changing the credit of (u, v) can change SC only at v and its
         descendants, which come after v, and R only at u and its ancestors,
@@ -265,7 +305,10 @@ class CreditKernel:
         reads it. Greedy's best picks are often such edges.
         """
         X = self.X
+        off = self.off
         for e, k in keep.items():
+            if k != 1.0:
+                off.add(e)
             u, v = e
             marks = v not in X
             moves_t = marks and u not in X
@@ -277,6 +320,8 @@ class CreditKernel:
                         entry[5] = pos[v]
                     if moves_t and pos[u] > entry[6]:
                         entry[6] = pos[u]
+            if k == 1.0:
+                off.discard(e)
 
     def _sc_pass(self, dag, g, sc, lo, hi) -> None:
         """Recompute SC in place at ``dag.nodes[lo:hi + 1]``, in topological
@@ -312,6 +357,22 @@ class CreditKernel:
                 if rw is not None:
                     acc += g[e] * rw
             r[v] = acc
+
+
+def _shared_kernel(dags, X, counts) -> CreditKernel:
+    """The :class:`CreditKernel` of ``dags`` for target set ``X`` and
+    ``counts``, at gamma: the one kept as ``kernel`` on the
+    :class:`ActionDags` while :meth:`ActionDags.holding` answers for ``X``,
+    the kernel's copy of ``counts`` equals ``counts`` and no credit is off
+    gamma; otherwise a new one, which is kept. The caller must put back
+    every credit it scales before it returns; a kernel it leaves off gamma
+    is replaced on the next call."""
+    dags = _action_dags(dags)
+    dags.holding(X)
+    kernel = dags.kernel
+    if kernel is None or kernel.off or kernel.counts != counts:
+        kernel = dags.kernel = CreditKernel(dags, X, counts)
+    return kernel
 
 
 def compute_credit_store(dags, X, counts=None, sources=None,

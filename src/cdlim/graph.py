@@ -347,14 +347,19 @@ class ActionDags(tuple):
     answer for the last target set asked about, so a solver run and its
     from-scratch evaluation, which all ask about one set, scan the DAGs
     once between them. ``scratch`` holds the from-scratch SC maps that
-    :mod:`cdlim.credit` keeps for that same set; :meth:`holding` drops
-    them whenever it scans for a new set.
+    :mod:`cdlim.credit` keeps for that same set, and ``kernel`` the
+    :class:`~cdlim.credit.CreditKernel` that every solver on that set shares
+    (see :func:`cdlim.credit._shared_kernel`); :meth:`holding` drops both
+    whenever it scans for a new set. The kernel holds gamma between solver
+    runs, since each solver puts back every credit it scales, so solvers on
+    one :class:`ActionDags` must run one at a time.
     """
 
     def __new__(cls, dags):
         self = super().__new__(cls, dags)
         self._memo = (None, ())
         self.scratch = None
+        self.kernel = None
         return self
 
     def holding(self, X) -> tuple[ActionDag, ...]:
@@ -367,6 +372,7 @@ class ActionDags(tuple):
             held = tuple(dag for dag in self if not X.isdisjoint(dag.times))
             self._memo = (X, held)
             self.scratch = None
+            self.kernel = None
         return held
 
 

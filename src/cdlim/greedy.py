@@ -6,7 +6,7 @@ import heapq
 from dataclasses import dataclass
 
 # compute_mc and remove_edge are re-exported for the benchmark's store probe.
-from .credit import CreditKernel, compute_mc, counts_from_dags, remove_edge  # noqa: F401
+from .credit import _shared_kernel, compute_mc, counts_from_dags, remove_edge  # noqa: F401
 from .graph import default_candidates
 from .rounding import check_bound
 
@@ -28,11 +28,17 @@ def greedy_bil(dags, X, k, C=None, *, counts=None, use_lazy=False,
     """Greedy edge removal maximizing the influence drop of the target set.
 
     Picks, k times, the remaining candidate with the largest marginal
-    contribution (ties broken by smallest (u, v) pair) from a
-    :class:`CreditKernel`. A pick is removed by scaling its credit to 0.0,
-    which marks stale only the actions holding it, and in each only the
-    nodes the removal can reach; a marginal repairs only the values it
-    reads. The kernel keeps no removed set, and needs none: ``C`` is
+    contribution (ties broken by smallest (u, v) pair) from the kernel of
+    :func:`~cdlim.credit._shared_kernel`, shared by every solver run on one
+    :class:`~cdlim.graph.ActionDags` and target set. The heap starts from
+    the kernel's marginals at gamma
+    (:meth:`~cdlim.credit.CreditKernel.start_marginals`), which a shared
+    kernel computes once for all its greedy runs. A pick is removed by
+    scaling its credit to 0.0, which marks stale only the actions holding
+    it, and in each only the nodes the removal can reach; a marginal
+    repairs only the values it reads. On return, normal or by an exception,
+    every pick is scaled back by 1.0, so the kernel holds gamma again. The
+    kernel keeps no removed set, and needs none: ``C`` is
     deduplicated and a pick is never pushed back onto the heap, so no
     marginal of a removed edge is read. ``per_node_bound`` adds a
     per-head-node feasibility filter (the restricted-greedy ILM baseline).
@@ -72,23 +78,26 @@ def greedy_bil(dags, X, k, C=None, *, counts=None, use_lazy=False,
     if per_node_bound is None and k >= len(C):
         raise ValueError(f"budget k={k} must be smaller than |C|={len(C)}")
 
-    kernel = CreditKernel(dags, X, counts)
+    kernel = _shared_kernel(dags, X, counts)
     mc_of = kernel.marginal
     picked: list[tuple[int, int]] = []
     gains: list[float] = []
     head_load: dict[int, int] = {}
-    heap = [(-mc_of(e), e) for e in C]
-    heapq.heapify(heap)
-    while heap and len(picked) < k:
-        negmc, e = heapq.heappop(heap)
-        if per_node_bound is not None and head_load.get(e[1], 0) >= per_node_bound:
-            continue
-        mc = mc_of(e)
-        if mc != -negmc:
-            heapq.heappush(heap, (-mc, e))
-            continue
-        picked.append(e)
-        gains.append(mc)
-        head_load[e[1]] = head_load.get(e[1], 0) + 1
-        kernel.scale({e: 0.0})
+    try:
+        heap = [(-mc, e) for mc, e in zip(kernel.start_marginals(C), C)]
+        heapq.heapify(heap)
+        while heap and len(picked) < k:
+            negmc, e = heapq.heappop(heap)
+            if per_node_bound is not None and head_load.get(e[1], 0) >= per_node_bound:
+                continue
+            mc = mc_of(e)
+            if mc != -negmc:
+                heapq.heappush(heap, (-mc, e))
+                continue
+            picked.append(e)
+            gains.append(mc)
+            head_load[e[1]] = head_load.get(e[1], 0) + 1
+            kernel.scale({e: 0.0})
+    finally:
+        kernel.scale(dict.fromkeys(picked, 1.0))
     return Solution(edges=picked, gain_per_step=gains)

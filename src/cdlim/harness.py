@@ -160,7 +160,9 @@ def run_method(method: str, graph, dags, counts, X, C, k: int, b, seed,
     ``before`` is the targets' influence with nothing removed, from
     :func:`sigma_before`, computed once for every cell of an experiment.
     ``wall_ms`` times the method call; ``eval_ms`` times the from-scratch
-    influence after its removals.
+    influence after its removals. The greedy and grr cells of one target
+    set run on one shared credit kernel, so only the first of them times
+    its build.
     """
     _check_method(method, b)
     start = time.perf_counter()

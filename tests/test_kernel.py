@@ -10,20 +10,24 @@ kernel's state after each sample, its pinned ``y`` on the criterion-12
 instance, the exact continuous greedy (the kernel at credits
 gamma * (1 - y), updated by ``CreditKernel.scale``) against whole-DAG
 passes and against enumeration of the multilinear extension, and every
-reader of the target-holding DAGs on an ``ActionDags`` against a list."""
+reader of the target-holding DAGs on an ``ActionDags`` against a list,
+and every solver on the kernel an ``ActionDags`` shares, stopped by an
+exception or not, against the same call on a plain list."""
 
 import hashlib
 import heapq
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdlim.contgreedy import (CGConfig, _cg_weights, continuous_greedy, multilinear_exact,
-                              sample_set)
+from cdlim.contgreedy import (CGConfig, _cg_weights, cg_weights, continuous_greedy,
+                              multilinear_exact, sample_set)
 from cdlim.credit import (CreditKernel, _credit_row, _edge_deltas, _r_map, _sc_map,
-                          compute_credit_store, compute_mc, counts_from_dags, delta_set,
-                          remove_edge, sigma_cd, sigma_cd_scratch)
+                          _shared_kernel, compute_credit_store, compute_mc,
+                          counts_from_dags, delta_set, remove_edge, sigma_cd,
+                          sigma_cd_scratch)
 from cdlim.graph import ActionDags, ActionLog, SocialGraph, build_all_dags
 from cdlim.greedy import greedy_bil
 from cdlim.rounding import max_weight_independent
@@ -791,6 +795,158 @@ def test_action_dags_memo_is_bit_identical_criterion_12_instance():
 def test_action_dags_memo_is_bit_identical_chain_instance():
     dags, X, counts, C = _chain_instance()
     _assert_same_on_action_dags_and_list(dags, counts, C, [X, {5, 130}, X], 20)
+
+
+class _Stop(Exception):
+    pass
+
+
+def _solver_runs(X, C, counts, k, b):
+    """Every solver on target set ``X`` as (name, call), where ``call(dags)``
+    returns its output in exact form: edges and gains by ``float.hex``, or
+    ``y`` by ``float.hex``. Greedy comes first and last, so its second run
+    reads the kernel every other solver left behind."""
+    y = {e: (i % 5) / 4.0 for i, e in enumerate(C)}
+
+    def greedy(bound):
+        def run(dags):
+            sol = greedy_bil(dags, X, k, C, counts=counts, per_node_bound=bound)
+            return sol.edges, [g.hex() for g in sol.gain_per_step]
+        return run
+
+    def cg(s):
+        def run(dags):
+            frac = continuous_greedy(dags, X, C, b, CGConfig(tau=4, s=s, seed=3), counts=counts)
+            return {e: v.hex() for e, v in frac.y.items()}
+        return run
+
+    def weights(dags):
+        got = cg_weights(dags, X, C, y, 3, random.Random(4), counts=counts)
+        return {e: v.hex() for e, v in got.items()}
+
+    return [("greedy", greedy(None)), ("grr", greedy(b)), ("exact cg", cg(None)),
+            ("sampled cg", cg(3)), ("cg_weights", weights), ("greedy again", greedy(None))]
+
+
+def _assert_runs_equal_fresh(shared, X, C, counts, k, b):
+    """Each solver on ``shared`` equals the same call on a fresh list, and
+    all of them read one kernel, which holds gamma after each."""
+    fresh = list(shared)
+    kernel = None
+    for name, run in _solver_runs(X, C, counts, k, b):
+        assert run(shared) == run(fresh), name
+        kernel = kernel or shared.kernel
+        assert shared.kernel is kernel, name
+        assert all(entry[1] == {e: entry[0].gamma[e] for e in entry[1]}
+                   for entries in kernel.edge_actions.values() for entry in entries), name
+
+
+def _marginal_calls(monkeypatch, run, dags, stop_at=None):
+    """Run ``run(dags)`` counting ``CreditKernel.marginal`` calls; with
+    ``stop_at``, the call of that number raises instead."""
+    calls = [0]
+    real = CreditKernel.marginal
+
+    def counted(kernel, e):
+        calls[0] += 1
+        if calls[0] == stop_at:
+            raise _Stop
+        return real(kernel, e)
+
+    with monkeypatch.context() as m:
+        m.setattr(CreditKernel, "marginal", counted)
+        run(dags)
+    return calls[0]
+
+
+def _solver_sharing_instances():
+    dags, X, counts, C = _chain_instance()
+    yield dags, X, counts, C, {5, 130}, 12
+    rng = random.Random(424)
+    for _ in range(6):
+        inst = random_instance(rng, max_nodes=9, max_actions=5)
+        if len(inst.C) < 4:
+            continue
+        active = sorted({u for d in inst.dags for u in d.nodes})
+        yield (inst.dags, inst.X, counts_from_dags(inst.dags), inst.C,
+               set(rng.sample(active, 1)), len(inst.C) // 2)
+
+
+def test_solvers_on_one_action_dags_equal_fresh_kernels(monkeypatch):
+    for dags, X, counts, C, other_X, k in _solver_sharing_instances():
+        shared = ActionDags(dags)
+        _assert_runs_equal_fresh(shared, X, C, counts, k, 2)
+        # Each solver stopped by an exception three quarters of the way
+        # through its marginals, after greedy's first picks, inside exact
+        # continuous greedy's steps and inside a sample: the next runs on
+        # the same kernel, which the stopped run left at gamma, still equal
+        # fresh ones.
+        for name, run in _solver_runs(X, C, counts, k, 2):
+            kernel = shared.kernel
+            total = _marginal_calls(monkeypatch, run, shared)
+            if total:
+                with pytest.raises(_Stop):
+                    _marginal_calls(monkeypatch, run, shared, stop_at=total * 3 // 4 + 1)
+            assert shared.kernel is kernel and not kernel.off, name
+            _assert_runs_equal_fresh(shared, X, C, counts, k, 2)
+        # A new target set, then a changed ``counts``, each get their own
+        # kernel; the first set's runs after them still equal fresh ones.
+        kernel = shared.kernel
+        _assert_runs_equal_fresh(shared, other_X, C, counts, k, 2)
+        assert shared.kernel is not kernel
+        changed = {u: c + u % 3 for u, c in counts.items()}
+        for cnt in (changed, counts):
+            kernel = shared.kernel
+            _assert_runs_equal_fresh(shared, X, C, cnt, k, 2)
+            assert shared.kernel is not kernel and shared.kernel.counts == cnt
+
+
+def test_shared_kernel_keeps_a_copy_of_counts():
+    dags, X, counts, C = _chain_instance()
+    shared = ActionDags(dags)
+    mine = dict(counts)
+    kernel = _shared_kernel(shared, X, mine)
+    assert kernel.counts == mine and kernel.counts is not mine
+    assert _shared_kernel(shared, set(X), dict(counts)) is kernel
+    mine[next(iter(mine))] += 1
+    assert _shared_kernel(shared, X, mine) is not kernel
+    assert _shared_kernel(list(shared), X, counts) is not _shared_kernel(list(shared), X, counts)
+
+
+def test_shared_kernel_left_off_gamma_is_replaced(monkeypatch):
+    dags, X, counts, C = _chain_instance()
+    shared = ActionDags(dags)
+    kernel = _shared_kernel(shared, X, counts)
+    e = next(e for e in C if e in kernel.edge_actions)
+    # A direct caller that scales and does not put the credit back.
+    kernel.scale({e: 0.0})
+    assert kernel.off == {e}
+    with pytest.raises(ValueError):
+        kernel.start_marginals(C)
+    left = kernel
+    kernel = _shared_kernel(shared, X, counts)
+    assert kernel is not left and not kernel.off
+    kernel.scale({e: 0.5})
+    kernel.scale({e: 1.0})
+    assert _shared_kernel(shared, X, counts) is kernel
+    # A greedy run whose restore raises leaves its picks in ``off``, so the
+    # next run builds a new kernel and still equals a fresh one.
+    real = CreditKernel.scale
+
+    def cut(kern, keep):
+        if 1.0 in keep.values():
+            raise _Stop
+        real(kern, keep)
+
+    with monkeypatch.context() as m:
+        m.setattr(CreditKernel, "scale", cut)
+        with pytest.raises(_Stop):
+            greedy_bil(shared, X, 3, C, counts=counts)
+    assert shared.kernel is kernel and len(kernel.off) == 3
+    got, want = (greedy_bil(d, X, 3, C, counts=counts) for d in (shared, list(shared)))
+    assert got.edges == want.edges
+    assert [g.hex() for g in got.gain_per_step] == [g.hex() for g in want.gain_per_step]
+    assert shared.kernel is not kernel and not shared.kernel.off
 
 
 def reference_greedy(dags, X, k, C, counts, per_node_bound=None):

@@ -89,6 +89,10 @@ def cmd_gen(args):
 
 
 def cmd_bil(args, per_node_bound=None):
+    if args.k < 1:
+        raise ValueError(f"budget k={args.k} must be at least 1")
+    if per_node_bound is not None:
+        rounding.check_bound(per_node_bound)
     graph, actionlog, dags, X, C = _load_problem(args)
     counts = actionlog.counts
     before = harness.sigma_before(dags, X, counts)
@@ -111,10 +115,13 @@ def cmd_grr(args):
 
 
 def cmd_ilm(args):
+    config = contgreedy.CGConfig(tau=args.tau, s=args.samples, seed=args.seed)
+    rounding.check_bound(args.b)
+    if args.trials < 1:
+        raise ValueError(f"trials={args.trials} must be at least 1")
     graph, actionlog, dags, X, C = _load_problem(args)
     counts = actionlog.counts
     before = harness.sigma_before(dags, X, counts)
-    config = contgreedy.CGConfig(tau=args.tau, s=args.samples, seed=args.seed)
     frac = contgreedy.continuous_greedy(dags, X, C, args.b, config, counts=counts)
     frac.check(args.b)
     rng = random.Random(args.seed)
@@ -138,6 +145,8 @@ def cmd_ilm(args):
 
 
 def cmd_baseline(args):
+    if args.k < 1:
+        raise ValueError(f"k={args.k} must be at least 1")
     graph, actionlog, dags, X, C = _load_problem(args)
     counts = actionlog.counts
     rep = harness.run_method(args.method, graph, dags, counts, X, C, args.k, None, args.seed,

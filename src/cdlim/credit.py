@@ -20,39 +20,26 @@ v on and R from u back, and a marginal repairs only the part of a map it
 reads. An action with no target member has SC empty, so it adds no
 influence and no term: the kernel, :func:`sigma_cd_scratch` and
 :func:`delta_set` skip it, and their sums are unchanged to the bit. The
-target filter lives in one place, :meth:`ActionDags.holding`, which all
-three call; on the :class:`ActionDags` that ``build_all_dags`` returns it
-scans the DAGs once per target set. The whole-DAG passes :func:`_sc_map`,
-:func:`_r_map` and :func:`_edge_deltas` are references for the kernel; no
-solver calls them.
+whole-DAG passes :func:`_sc_map`, :func:`_r_map` and :func:`_edge_deltas`
+are references for the kernel; no solver calls them.
 
-The solvers take their kernel from :func:`_shared_kernel`. It is built
-once per target set and ``counts``, and kept as ``kernel`` on the
-:class:`ActionDags`: :meth:`ActionDags.holding` drops it when it scans for
-a new target set, and :func:`_shared_kernel` replaces it when ``counts``
-differs from the kernel's own copy. Every solver puts back each credit it
-scaled, by a factor of 1.0 in a ``finally`` (gamma * 1.0 is gamma
-exactly), so the kept kernel holds gamma whenever no solver runs, and its
-maps, once repaired, equal a new kernel's bit for bit. The kernel checks
-this itself: ``off`` holds each edge a :meth:`CreditKernel.scale` left off
-gamma, and :func:`_shared_kernel` replaces a kernel whose ``off`` is not
-empty, so a caller that does not put a credit back, or a restore cut
-short, costs a rebuild and not a wrong result. A kept kernel's marginals
-at gamma then depend only on the DAGs, the target set and ``counts``:
-:meth:`CreditKernel.start_marginals` keeps each one it computes, and every
-greedy run on that kernel seeds its heap from them. Solvers on one
-:class:`ActionDags` must run one at a time, since they scale one kernel.
-
-The from-scratch evaluation (:func:`sigma_cd_scratch`, :func:`delta_set`)
-keeps the :func:`_sc_map` results it computes in a memo, ``scratch`` on
-the :class:`ActionDags`, for one target set at a time: each holding DAG's
-unremoved map, filled on first use, and the maps of the holding DAGs that
-the last non-empty removed set touches. :meth:`ActionDags.holding` drops
-the memo whenever it scans for a new target set, a new removed set
-replaces the touched maps, and a plain list of DAGs gets a fresh memo on
-each call. The influence sums are computed on every call, over the same
-maps in the same order, so each value equals a memo-free computation to
-the bit. :class:`CreditKernel` never reads the memo.
+Everything kept per target set is one :class:`_TargetSet`, from
+:func:`_target_set`: ``held``, the DAGs in which a target member takes
+part (the one target filter), the from-scratch SC maps and the solvers'
+shared kernel. An :class:`ActionDags` keeps the state of the last target
+set asked about in its ``target`` slot, and a new target set replaces all
+three at once; any other iterable of DAGs gets a new state on each call.
+Every solver scales each credit it changed back by 1.0 in a ``finally``
+(gamma * 1.0 is gamma exactly), so the shared kernel holds gamma between
+solver runs and its repaired maps equal a new kernel's bit for bit;
+:func:`_shared_kernel` replaces a kernel left off gamma or kept for other
+``counts``. Its marginals at gamma then depend only on the DAGs, the
+target set and ``counts``, and :meth:`CreditKernel.start_marginals` keeps
+them for every greedy run's heap. Solvers on one :class:`ActionDags` must
+run one at a time, since they scale one kernel. The from-scratch
+evaluation (:func:`sigma_cd_scratch`, :func:`delta_set`) computes its sums
+on every call, over the maps it keeps and in the same order, so each value
+equals a memo-free computation to the bit; the kernel never reads them.
 
 Every pass, the oracles included, walks the DAG's ``in_edges`` and
 ``out_edges`` lists. Their tuples are the keys of ``dag.gamma``, so a pass
@@ -96,13 +83,6 @@ def counts_from_dags(dags) -> dict[int, int]:
         for u in dag.nodes:
             counts[u] = counts.get(u, 0) + 1
     return counts
-
-
-def _action_dags(dags) -> ActionDags:
-    """``dags`` itself when it is an :class:`ActionDags`. Any other iterable
-    of DAGs is wrapped in a new one, which costs the scan and the maps its
-    memos save."""
-    return dags if isinstance(dags, ActionDags) else ActionDags(dags)
 
 
 def _credit_row(dag: ActionDag, source: int, X, removed) -> dict[int, float]:
@@ -229,7 +209,7 @@ class CreditKernel:
         self.off: set[tuple[int, int]] = set()
         self.start: dict[tuple[int, int], float] = {}
         self.edge_actions: dict[tuple[int, int], list[list]] = {}
-        for dag in _action_dags(dags).holding(self.X):
+        for dag in _target_set(dags, self.X).held:
             if dag.gamma:
                 nodes = dag.nodes
                 f = next(i for i, u in enumerate(nodes) if u in self.X)
@@ -361,17 +341,15 @@ class CreditKernel:
 
 def _shared_kernel(dags, X, counts) -> CreditKernel:
     """The :class:`CreditKernel` of ``dags`` for target set ``X`` and
-    ``counts``, at gamma: the one kept as ``kernel`` on the
-    :class:`ActionDags` while :meth:`ActionDags.holding` answers for ``X``,
-    the kernel's copy of ``counts`` equals ``counts`` and no credit is off
-    gamma; otherwise a new one, which is kept. The caller must put back
-    every credit it scales before it returns; a kernel it leaves off gamma
-    is replaced on the next call."""
-    dags = _action_dags(dags)
-    dags.holding(X)
-    kernel = dags.kernel
+    ``counts``, at gamma: the ``kernel`` of :func:`_target_set`'s state
+    when its copy of ``counts`` equals ``counts`` and no credit is off
+    gamma; otherwise a new one, which the state keeps. The caller must put
+    back every credit it scales before it returns; a kernel it leaves off
+    gamma is replaced on the next call."""
+    state = _target_set(dags, X)
+    kernel = state.kernel
     if kernel is None or kernel.off or kernel.counts != counts:
-        kernel = dags.kernel = CreditKernel(dags, X, counts)
+        kernel = state.kernel = CreditKernel(dags, X, counts)
     return kernel
 
 
@@ -483,10 +461,11 @@ def sigma_cd(store: CreditStore) -> float:
     return _influence(store.sc.values(), store.counts)
 
 
-class _ScratchMaps:
-    """The from-scratch SC maps of one target set's holding DAGs, kept as
-    ``scratch`` on their :class:`ActionDags` until
-    :meth:`ActionDags.holding` scans for another target set.
+class _TargetSet:
+    """What is kept for the frozenset ``X``: ``held``, the DAGs with a
+    member of ``X`` in ``times``, in DAG order (an action no target
+    performed carries no set credit); their from-scratch SC maps; and
+    ``kernel``, :func:`_shared_kernel`'s :class:`CreditKernel` (None until built).
 
     ``base[i]`` is the unremoved :func:`_sc_map` of ``held[i]``, filled on
     first use. ``touched`` maps the position of each holding DAG that holds
@@ -498,14 +477,15 @@ class _ScratchMaps:
     kept. :class:`CreditKernel` never reads them.
     """
 
-    __slots__ = ("X", "held", "base", "removed", "touched")
+    __slots__ = ("X", "held", "base", "removed", "touched", "kernel")
 
-    def __init__(self, X, held):
+    def __init__(self, dags, X):
         self.X = X
-        self.held = held
-        self.base = [None] * len(held)
+        self.held = tuple(dag for dag in dags if not X.isdisjoint(dag.times))
+        self.base = [None] * len(self.held)
         self.removed = frozenset()
         self.touched: dict[int, dict[int, float]] = {}
+        self.kernel = None
 
     def unremoved(self, i) -> dict[int, float]:
         sc = self.base[i]
@@ -527,14 +507,18 @@ class _ScratchMaps:
         return self.touched
 
 
-def _scratch_maps(dags, X) -> _ScratchMaps:
-    """The SC-map memo of ``dags`` for target set ``X``, made on first use
-    after :meth:`ActionDags.holding` last scanned."""
-    dags = _action_dags(dags)
-    held = dags.holding(X)
-    if dags.scratch is None:
-        dags.scratch = _ScratchMaps(frozenset(X), held)
-    return dags.scratch
+def _target_set(dags, X) -> _TargetSet:
+    """The :class:`_TargetSet` of ``dags`` for ``frozenset(X)``: on an
+    :class:`ActionDags`, the one kept in ``target`` if it is for the same
+    members, else a new one kept there; on any other iterable, a new one.
+    Changing a set after passing it does not change a later answer."""
+    X = frozenset(X)
+    if not isinstance(dags, ActionDags):
+        return _TargetSet(dags, X)
+    state = dags.target
+    if state is None or state.X != X:
+        state = dags.target = _TargetSet(dags, X)
+    return state
 
 
 def _influence(maps, counts) -> float:
@@ -550,16 +534,15 @@ def _influence(maps, counts) -> float:
 def sigma_cd_scratch(dags, X, counts=None, removed=frozenset()) -> float:
     """From-scratch total influence on the DAGs with ``removed`` edges
     absent, summed over the holding DAGs in DAG order: any other DAG's SC
-    map is empty. The SC maps come from the memo of :func:`_scratch_maps`,
+    map is empty. The SC maps come from :func:`_target_set`'s state,
     which runs :func:`_sc_map` only for a DAG and removed set it has not
     kept; the sum itself is computed on every call, with ``counts``."""
-    X = frozenset(X)
     if counts is None:
         counts = counts_from_dags(dags)
-    memo = _scratch_maps(dags, X)
-    touched = memo.with_removed(removed)
-    return _influence((touched[i] if i in touched else memo.unremoved(i)
-                       for i in range(len(memo.held))), counts)
+    state = _target_set(dags, X)
+    touched = state.with_removed(removed)
+    return _influence((touched[i] if i in touched else state.unremoved(i)
+                       for i in range(len(state.held))), counts)
 
 
 def delta_set(dags, X, B, counts=None) -> float:
@@ -571,19 +554,18 @@ def delta_set(dags, X, B, counts=None) -> float:
     contributes exactly zero, because ``_sc_map`` consults the removed set
     only for the DAG's own edges, and is empty in a DAG without a target
     member. Summing per-DAG differences also avoids subtracting two totals
-    of the size of sigma. The maps come from the same memo as in
+    of the size of sigma. The maps come from the same state as in
     :func:`sigma_cd_scratch`, so a ``delta_set(B)`` after
     ``sigma_cd_scratch(removed=B)`` runs no pass. This is the reference
     implementation of the objective, used by oracles and cross-checks; it
     never touches the kernel or an incremental store.
     """
-    X = frozenset(X)
     if counts is None:
         counts = counts_from_dags(dags)
-    memo = _scratch_maps(dags, X)
+    state = _target_set(dags, X)
     total = 0.0
-    for i, sc in memo.with_removed(B).items():
-        total += _influence((memo.unremoved(i),), counts) - _influence((sc,), counts)
+    for i, sc in state.with_removed(B).items():
+        total += _influence((state.unremoved(i),), counts) - _influence((sc,), counts)
     return total
 
 

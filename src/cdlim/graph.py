@@ -342,38 +342,14 @@ class ActionDags(tuple):
     """The credit-assigned DAGs of a log, in action order, as an immutable
     tuple.
 
-    :meth:`holding` gives the DAGs in which a member of a target set takes
-    part: an action no target performed carries no set credit. It keeps the
-    answer for the last target set asked about, so a solver run and its
-    from-scratch evaluation, which all ask about one set, scan the DAGs
-    once between them. ``scratch`` holds the from-scratch SC maps that
-    :mod:`cdlim.credit` keeps for that same set, and ``kernel`` the
-    :class:`~cdlim.credit.CreditKernel` that every solver on that set shares
-    (see :func:`cdlim.credit._shared_kernel`); :meth:`holding` drops both
-    whenever it scans for a new set. The kernel holds gamma between solver
-    runs, since each solver puts back every credit it scales, so solvers on
-    one :class:`ActionDags` must run one at a time.
+    ``target`` is the slot where :mod:`cdlim.credit` keeps what it computes
+    for the last target set asked about, so the solvers and the
+    from-scratch evaluation on one set share it (see
+    :func:`cdlim.credit._target_set`). Solvers on one :class:`ActionDags`
+    share that state, so they must run one at a time.
     """
 
-    def __new__(cls, dags):
-        self = super().__new__(cls, dags)
-        self._memo = (None, ())
-        self.scratch = None
-        self.kernel = None
-        return self
-
-    def holding(self, X) -> tuple[ActionDag, ...]:
-        """The DAGs with a member of ``X`` in ``times``, in DAG order. The
-        memo keys on a frozenset copy of ``X``, so changing a set after
-        passing it does not change a later answer."""
-        X = frozenset(X)
-        key, held = self._memo
-        if key != X:
-            held = tuple(dag for dag in self if not X.isdisjoint(dag.times))
-            self._memo = (X, held)
-            self.scratch = None
-            self.kernel = None
-        return held
+    target = None
 
 
 def build_all_dags(graph: SocialGraph, actionlog: ActionLog, scheme: str = "uniform",

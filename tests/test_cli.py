@@ -463,6 +463,28 @@ class TestReport:
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["ilm", "-b", "1", "--tau", "0"], "tau=0 must be at least 1"),
+    (["ilm", "-b", "1", "--samples", "0"], "s=0 must be at least 1"),
+    (["ilm", "-b", "1", "--trials", "0"], "trials=0 must be at least 1"),
+    # Swap rounding draws one set, but a bad --trials is still an error.
+    (["ilm", "-b", "1", "--trials", "-2", "--rounding", "swap"], "trials=-2 must be at least 1"),
+    (["ilm", "-b", "0"], "per-node bound b=0 must be at least 1"),
+    (["grr", "-k", "1", "-b", "0"], "per-node bound b=0 must be at least 1"),
+    (["grr", "-k", "0", "-b", "1"], "budget k=0 must be at least 1"),
+    (["bil", "-k", "0"], "budget k=0 must be at least 1"),
+    (["baseline", "--method", "random", "-k", "0"], "k=0 must be at least 1"),
+], ids=["ilm-tau", "ilm-samples", "ilm-trials", "ilm-swap-trials", "ilm-b", "grr-b", "grr-k",
+        "bil-k", "baseline-k"])
+def test_flags_are_checked_before_any_input_is_read(tmp_path, capsys, argv, message):
+    # No input file exists, so a flag checked only after loading (or after
+    # solving) would report the missing graph instead.
+    missing = ["--graph", str(tmp_path / "graph.txt"), "--actions", str(tmp_path / "actions.txt"),
+               "--targets", "0"]
+    assert main([*argv, *missing]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

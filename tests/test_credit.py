@@ -1,12 +1,14 @@
-"""Credit stores, influence totals, edge deltas, the path oracles, and the
-from-scratch evaluation's SC-map memo against memo-free copies."""
+"""Credit stores, influence totals, edge deltas, the path oracles, the
+per-target-set state's target filter, and the from-scratch evaluation's
+SC-map memo against memo-free copies."""
 
+import operator
 import random
 
 import pytest
 
-from cdlim.credit import (CreditKernel, _sc_map, compute_credit_store, compute_mc,
-                          counts_from_dags, delta_set, kappa, oracle_set_credit,
+from cdlim.credit import (CreditKernel, _sc_map, _target_set, compute_credit_store,
+                          compute_mc, counts_from_dags, delta_set, kappa, oracle_set_credit,
                           oracle_total_credit, sigma_cd, sigma_cd_scratch)
 from cdlim.graph import ActionDags, ActionLog, SocialGraph, build_all_dags
 from cdlim.greedy import greedy_bil
@@ -252,8 +254,8 @@ def _assert_memo_is_bounded(dags, X):
     holding DAG's unremoved map (or nothing yet), and the maps with one
     removed set absent, for exactly the holding DAGs that hold an edge of
     it. Every kept map equals a fresh pass."""
-    memo = dags.scratch
-    held = dags.holding(X)
+    memo = dags.target
+    held = _target_set(dags, X).held
     assert memo.held is held and memo.X == frozenset(X)
     assert len(memo.base) == len(held)
     for dag, sc in zip(held, memo.base):
@@ -263,6 +265,62 @@ def _assert_memo_is_bounded(dags, X):
                                  if not memo.removed.isdisjoint(dag.gamma)}
     for i, sc in memo.touched.items():
         assert sc == _sc_map(held[i], memo.X, memo.removed)
+
+
+def _filter(dags, X):
+    """The per-call target filter that ``_target_set`` replaced."""
+    return [dag for dag in dags if not frozenset(X).isdisjoint(dag.times)]
+
+
+def _three_actions():
+    """Actions 0, 1 and 2 performed by users {0, 1}, {1, 2} and {2, 0}."""
+    log = ActionLog([(0, 0, 1), (1, 0, 2), (1, 1, 1), (2, 1, 2), (2, 2, 1), (0, 2, 2)])
+    return build_all_dags(SocialGraph(3, [(0, 1), (1, 2), (2, 0)]), log)
+
+
+class TestActionDagsHolding:
+    def test_equals_the_filter_on_random_instances(self):
+        for seed in range(40):
+            rng = random.Random(seed)
+            inst = random_instance(rng, max_nodes=8, max_actions=6)
+            dags = build_all_dags(inst.graph, inst.log)
+            active = sorted({u for dag in dags for u in dag.nodes})
+            idle = set(range(inst.graph.n)) - set(active)
+            targets = [inst.X, set(rng.sample(active, 1)), set(active), idle | {inst.graph.n}]
+            for X in targets:
+                held = _target_set(dags, X).held
+                want = _filter(dags, X)
+                assert len(held) == len(want) and all(map(operator.is_, held, want)), seed
+            assert _target_set(dags, idle | {inst.graph.n}).held == ()
+
+    def test_memo_follows_the_last_target_set(self):
+        dags = _three_actions()
+        first = _target_set(dags, {0}).held
+        assert [dag.action for dag in first] == [0, 2]
+        assert _target_set(dags, frozenset({0})).held is first
+        assert [dag.action for dag in _target_set(dags, {1}).held] == [0, 1]
+        assert [dag.action for dag in _target_set(dags, {0}).held] == [0, 2]
+        assert [dag.action for dag in _target_set(dags, []).held] == []
+
+    def test_mutating_a_passed_set_does_not_reach_the_memo(self):
+        dags = _three_actions()
+        X = {2}
+        held = _target_set(dags, X).held
+        assert [dag.action for dag in held] == [1, 2]
+        X.add(0)
+        assert [dag.action for dag in _target_set(dags, X).held] == [0, 1, 2]
+        X.discard(2)
+        assert [dag.action for dag in _target_set(dags, X).held] == [0, 2]
+        assert [dag.action for dag in held] == [1, 2]
+
+    def test_build_all_dags_is_immutable(self):
+        inst = make_f1()
+        dags = build_all_dags(inst.graph, inst.log)
+        assert isinstance(dags, ActionDags) and isinstance(dags, tuple)
+        with pytest.raises(AttributeError):
+            dags.append(dags[0])
+        with pytest.raises(TypeError):
+            dags[0] = dags[0]
 
 
 class TestScratchMemo:
@@ -335,7 +393,7 @@ class TestScratchMemo:
                     == reference_delta_set(dags, X, removed, counts))
         got = greedy_bil(primed, X, 20, C, counts=counts)
         assert (got.edges, got.gain_per_step) == (want.edges, want.gain_per_step)
-        memo = primed.scratch
+        memo = primed.target
         assert memo.touched and all(sc is not None for sc in memo.base)
         memo.base = [{} for _ in memo.base]
         memo.touched = dict.fromkeys(memo.touched, {})

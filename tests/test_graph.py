@@ -1,16 +1,14 @@
 """Graph and action-log ingestion, DAG construction, credit schemes, and
 synthetic cascade generation."""
 
-import operator
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdlim.graph import (ActionDag, ActionDags, ActionLog, SocialGraph, build_all_dags,
-                         generate_ic_actions, load_action_log, load_gamma_table, load_graph,
-                         write_action_log)
+from cdlim.graph import (ActionDag, ActionLog, SocialGraph, build_all_dags, generate_ic_actions,
+                         load_action_log, load_gamma_table, load_graph, write_action_log)
 from conftest import make_f1, random_instance
 
 
@@ -413,62 +411,6 @@ def test_dags_share_the_log_times():
     assert [dag.action for dag in dags] == [0, 1]
     for dag in dags:
         assert dag.times is log.by_action[dag.action]
-
-
-def _filter(dags, X):
-    """The per-call target filter ``ActionDags.holding`` replaced."""
-    return [dag for dag in dags if not frozenset(X).isdisjoint(dag.times)]
-
-
-def _three_actions():
-    """Actions 0, 1 and 2 performed by users {0, 1}, {1, 2} and {2, 0}."""
-    log = ActionLog([(0, 0, 1), (1, 0, 2), (1, 1, 1), (2, 1, 2), (2, 2, 1), (0, 2, 2)])
-    return build_all_dags(SocialGraph(3, [(0, 1), (1, 2), (2, 0)]), log)
-
-
-class TestActionDagsHolding:
-    def test_equals_the_filter_on_random_instances(self):
-        for seed in range(40):
-            rng = random.Random(seed)
-            inst = random_instance(rng, max_nodes=8, max_actions=6)
-            dags = build_all_dags(inst.graph, inst.log)
-            active = sorted({u for dag in dags for u in dag.nodes})
-            idle = set(range(inst.graph.n)) - set(active)
-            targets = [inst.X, set(rng.sample(active, 1)), set(active), idle | {inst.graph.n}]
-            for X in targets:
-                held = dags.holding(X)
-                want = _filter(dags, X)
-                assert len(held) == len(want) and all(map(operator.is_, held, want)), seed
-            assert dags.holding(idle | {inst.graph.n}) == ()
-
-    def test_memo_follows_the_last_target_set(self):
-        dags = _three_actions()
-        first = dags.holding({0})
-        assert [dag.action for dag in first] == [0, 2]
-        assert dags.holding(frozenset({0})) is first
-        assert [dag.action for dag in dags.holding({1})] == [0, 1]
-        assert [dag.action for dag in dags.holding({0})] == [0, 2]
-        assert [dag.action for dag in dags.holding([])] == []
-
-    def test_mutating_a_passed_set_does_not_reach_the_memo(self):
-        dags = _three_actions()
-        X = {2}
-        held = dags.holding(X)
-        assert [dag.action for dag in held] == [1, 2]
-        X.add(0)
-        assert [dag.action for dag in dags.holding(X)] == [0, 1, 2]
-        X.discard(2)
-        assert [dag.action for dag in dags.holding(X)] == [0, 2]
-        assert [dag.action for dag in held] == [1, 2]
-
-    def test_build_all_dags_is_immutable(self):
-        inst = make_f1()
-        dags = build_all_dags(inst.graph, inst.log)
-        assert isinstance(dags, ActionDags) and isinstance(dags, tuple)
-        with pytest.raises(AttributeError):
-            dags.append(dags[0])
-        with pytest.raises(TypeError):
-            dags[0] = dags[0]
 
 
 class TestGenerateIC:

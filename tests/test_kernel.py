@@ -835,8 +835,8 @@ def _assert_runs_equal_fresh(shared, X, C, counts, k, b):
     kernel = None
     for name, run in _solver_runs(X, C, counts, k, b):
         assert run(shared) == run(fresh), name
-        kernel = kernel or shared.kernel
-        assert shared.kernel is kernel, name
+        kernel = kernel or shared.target.kernel
+        assert shared.target.kernel is kernel, name
         assert all(entry[1] == {e: entry[0].gamma[e] for e in entry[1]}
                    for entries in kernel.edge_actions.values() for entry in entries), name
 
@@ -882,23 +882,23 @@ def test_solvers_on_one_action_dags_equal_fresh_kernels(monkeypatch):
         # the same kernel, which the stopped run left at gamma, still equal
         # fresh ones.
         for name, run in _solver_runs(X, C, counts, k, 2):
-            kernel = shared.kernel
+            kernel = shared.target.kernel
             total = _marginal_calls(monkeypatch, run, shared)
             if total:
                 with pytest.raises(_Stop):
                     _marginal_calls(monkeypatch, run, shared, stop_at=total * 3 // 4 + 1)
-            assert shared.kernel is kernel and not kernel.off, name
+            assert shared.target.kernel is kernel and not kernel.off, name
             _assert_runs_equal_fresh(shared, X, C, counts, k, 2)
         # A new target set, then a changed ``counts``, each get their own
         # kernel; the first set's runs after them still equal fresh ones.
-        kernel = shared.kernel
+        kernel = shared.target.kernel
         _assert_runs_equal_fresh(shared, other_X, C, counts, k, 2)
-        assert shared.kernel is not kernel
+        assert shared.target.kernel is not kernel
         changed = {u: c + u % 3 for u, c in counts.items()}
         for cnt in (changed, counts):
-            kernel = shared.kernel
+            kernel = shared.target.kernel
             _assert_runs_equal_fresh(shared, X, C, cnt, k, 2)
-            assert shared.kernel is not kernel and shared.kernel.counts == cnt
+            assert shared.target.kernel is not kernel and shared.target.kernel.counts == cnt
 
 
 def test_shared_kernel_keeps_a_copy_of_counts():
@@ -942,11 +942,44 @@ def test_shared_kernel_left_off_gamma_is_replaced(monkeypatch):
         m.setattr(CreditKernel, "scale", cut)
         with pytest.raises(_Stop):
             greedy_bil(shared, X, 3, C, counts=counts)
-    assert shared.kernel is kernel and len(kernel.off) == 3
+    assert shared.target.kernel is kernel and len(kernel.off) == 3
     got, want = (greedy_bil(d, X, 3, C, counts=counts) for d in (shared, list(shared)))
     assert got.edges == want.edges
     assert [g.hex() for g in got.gain_per_step] == [g.hex() for g in want.gain_per_step]
-    assert shared.kernel is not kernel and not shared.kernel.off
+    assert shared.target.kernel is not kernel and not shared.target.kernel.off
+
+
+def test_evaluation_on_the_same_target_set_keeps_the_kernel():
+    # The pattern of a report grid on one target set: solvers with the
+    # from-scratch evaluation between them, each call given a new set
+    # object with the same members. They all read one kept state and one
+    # kernel, and each output equals the same call on a fresh list.
+    dags, X, counts, C = _chain_instance()
+    shared = ActionDags(dags)
+    fresh = list(shared)
+
+    def greedy(d, bound=None):
+        sol = greedy_bil(d, set(X), 12, C, counts=counts, per_node_bound=bound)
+        return sol.edges, [g.hex() for g in sol.gain_per_step]
+
+    def exact_cg(d):
+        frac = continuous_greedy(d, set(X), C, 2, CGConfig(tau=4), counts=counts)
+        return {e: v.hex() for e, v in frac.y.items()}
+
+    B = greedy(fresh)[0]
+    runs = [("greedy", greedy),
+            ("sigma", lambda d: sigma_cd_scratch(d, set(X), counts, removed=set(B)).hex()),
+            ("delta", lambda d: delta_set(d, set(X), set(B), counts).hex()),
+            ("grr", lambda d: greedy(d, 2)),
+            ("exact cg", exact_cg),
+            ("greedy again", greedy)]
+    state = kernel = None
+    for name, run in runs:
+        assert run(shared) == run(fresh), name
+        state = state or shared.target
+        kernel = kernel or state.kernel
+        assert kernel is not None, name
+        assert shared.target is state and state.kernel is kernel, name
 
 
 def reference_greedy(dags, X, k, C, counts, per_node_bound=None):

@@ -79,6 +79,12 @@ def _add_problem_flags(sub):
 
 
 def cmd_gen(args):
+    if args.num_actions < 1:
+        raise ValueError(f"num_actions {args.num_actions} must be at least 1")
+    if args.seeds_per_action < 1:
+        raise ValueError(f"seeds_per_action {args.seeds_per_action} must be at least 1")
+    if not 0.0 <= args.edge_prob <= 1.0:
+        raise ValueError(f"edge probability {args.edge_prob} outside [0, 1]")
     graph = load_graph(args.graph)
     if graph.m == 0:
         raise ValueError(f"{args.graph}: the graph has no edges")

@@ -108,7 +108,7 @@ def cg_weights(dags, X, C, y, s, rng, counts=None) -> dict:
     if counts is None:
         counts = counts_from_dags(dags)
     kernel = _shared_kernel(dags, X, counts)
-    C = sorted(C)
+    C = list(dict.fromkeys(sorted(C)))
     return _cg_weights(kernel, C, [e for e in C if e in kernel.edge_actions], y, s, rng)
 
 

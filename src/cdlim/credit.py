@@ -34,12 +34,14 @@ Every solver scales each credit it changed back by 1.0 in a ``finally``
 solver runs and its repaired maps equal a new kernel's bit for bit;
 :func:`_shared_kernel` replaces a kernel left off gamma or kept for other
 ``counts``. Its marginals at gamma then depend only on the DAGs, the
-target set and ``counts``, and :meth:`CreditKernel.start_marginals` keeps
-them for every greedy run's heap. Solvers on one :class:`ActionDags` must
-run one at a time, since they scale one kernel. The from-scratch
-evaluation (:func:`sigma_cd_scratch`, :func:`delta_set`) computes its sums
-on every call, over the maps it keeps and in the same order, so each value
-equals a memo-free computation to the bit; the kernel never reads them.
+target set and ``counts``: the kernel sums them once, while it builds its
+maps, and keeps greedy's start heap over them, so each greedy run on it
+starts from a copy (:meth:`CreditKernel.start_heap`). Solvers on one
+:class:`ActionDags` must run one at a time, since they scale one kernel.
+The from-scratch evaluation (:func:`sigma_cd_scratch`, :func:`delta_set`)
+computes its sums on every call, over the maps it keeps and in the same
+order, so each value equals a memo-free computation to the bit; the
+kernel never reads them.
 
 Every pass, the oracles included, walks the DAG's ``in_edges`` and
 ``out_edges`` lists. Their tuples are the keys of ``dag.gamma``, so a pass
@@ -58,6 +60,7 @@ recursive computations.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .graph import ActionDag, ActionDags
@@ -173,8 +176,9 @@ class CreditKernel:
     The kernel keeps no removed set: a removed edge is one whose credit is
     0.0 in ``g``. It keeps a copy of ``counts``, which :func:`_shared_kernel`
     compares with the caller's; ``off``, the edges whose credit is not
-    gamma; and ``start``, the marginals at gamma that
-    :meth:`start_marginals` has computed.
+    gamma; ``start``, each stored edge's marginal at gamma, summed while
+    ``__init__`` builds the maps; and the last candidate list
+    :meth:`start_heap` was asked about, with its heap over ``start``.
 
     ``marginal(e)`` is the influence drop of removing ``e`` on top of the
     kernel's current credits: SC[u] * g[e] * R[v] summed over the stored
@@ -201,6 +205,13 @@ class CreditKernel:
     in the same order, as in :func:`_sc_map` and :func:`_r_map` on the DAG
     with credits ``g``, so a repaired map equals theirs (R on the nodes from
     ``f`` on) bit for bit.
+
+    ``__init__`` adds each stored action's term SC[u] * g[e] * R[v] into
+    ``start[e]`` right after that action's passes, for each edge of ``g``
+    whose tail has SC. The actions come in the order of
+    ``edge_actions[e]`` and the expression is :meth:`marginal`'s, so
+    ``start[e]`` has the bits of ``marginal(e)`` on the new kernel. An
+    edge missing from ``start`` has marginal 0.0.
     """
 
     def __init__(self, dags, X, counts):
@@ -208,7 +219,9 @@ class CreditKernel:
         self.counts = dict(counts)
         self.off: set[tuple[int, int]] = set()
         self.start: dict[tuple[int, int], float] = {}
+        start = self.start
         self.edge_actions: dict[tuple[int, int], list[list]] = {}
+        self._heap: tuple[list, list] | None = None
         for dag in _target_set(dags, self.X).held:
             if dag.gamma:
                 nodes = dag.nodes
@@ -221,8 +234,11 @@ class CreditKernel:
                     self._sc_pass(dag, g, sc, f, last)
                     self._r_pass(dag, g, r, f, last)
                     entry = [dag, g, sc, r, pos, last + 1, f - 1]
-                    for e in g:
+                    for e, ge in g.items():
                         self.edge_actions.setdefault(e, []).append(entry)
+                        c = sc.get(e[0])
+                        if c is not None:
+                            start[e] = start.get(e, 0.0) + c * ge * r.get(e[1], 0.0)
 
     def marginal(self, e) -> float:
         """The sum of SC[u] * g[e] * R[v] over the stored actions holding
@@ -248,20 +264,22 @@ class CreditKernel:
                 mc += c * g[e] * r.get(v, 0.0)
         return mc
 
-    def start_marginals(self, C) -> list[float]:
-        """``marginal(e)`` at gamma for each edge of ``C``, in order. Each
-        value is kept in ``start`` once computed, so only an edge no earlier
-        call asked about costs a marginal. Every credit must be at gamma
-        (``off`` empty), as on a new kernel or a shared one between solver
-        runs."""
+    def start_heap(self, C) -> list[tuple[float, tuple[int, int]]]:
+        """A new heapified list of ``(-marginal(e), e)`` at gamma for each
+        edge of the sorted, distinct ``C``, read from ``start``. The first
+        call for a ``C`` builds the heap and keeps it with ``C``; a later
+        call with an equal ``C`` copies the kept heap, and one with another
+        ``C`` replaces it. Every credit must be at gamma (``off`` empty), as
+        on a new kernel or a shared one between solver runs."""
         if self.off:
-            raise ValueError("start_marginals needs every credit at gamma")
-        start = self.start
-        mc_of = self.marginal
-        for e in C:
-            if e not in start:
-                start[e] = mc_of(e)
-        return [start[e] for e in C]
+            raise ValueError("start_heap needs every credit at gamma")
+        kept = self._heap
+        if kept is None or kept[0] != C:
+            start = self.start
+            heap = [(-start.get(e, 0.0), e) for e in C]
+            heapq.heapify(heap)
+            kept = self._heap = (list(C), heap)
+        return kept[1][:]
 
     def scale(self, keep) -> None:
         """Set the credit of each edge ``e`` of ``keep`` to gamma * keep[e]

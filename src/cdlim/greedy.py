@@ -30,10 +30,12 @@ def greedy_bil(dags, X, k, C=None, *, counts=None, use_lazy=False,
     Picks, k times, the remaining candidate with the largest marginal
     contribution (ties broken by smallest (u, v) pair) from the kernel of
     :func:`~cdlim.credit._shared_kernel`, shared by every solver run on one
-    :class:`~cdlim.graph.ActionDags` and target set. The heap starts from
-    the kernel's marginals at gamma
-    (:meth:`~cdlim.credit.CreditKernel.start_marginals`), which a shared
-    kernel computes once for all its greedy runs. A pick is removed by
+    :class:`~cdlim.graph.ActionDags` and target set. ``C`` is sorted and
+    deduplicated in one pass over the sorted list, and the heap starts as
+    a copy of the kernel's heap of marginals at gamma
+    (:meth:`~cdlim.credit.CreditKernel.start_heap`): the kernel sums those
+    marginals when it is built and keeps the heap for the last ``C``, so
+    a later greedy run on an equal ``C`` builds neither. A pick is removed by
     scaling its credit to 0.0, which marks stale only the actions holding
     it, and in each only the nodes the removal can reach; a marginal
     repairs only the values it reads. On return, normal or by an exception,
@@ -72,7 +74,7 @@ def greedy_bil(dags, X, k, C=None, *, counts=None, use_lazy=False,
         counts = counts_from_dags(dags)
     if C is None:
         C = default_candidates(dags)
-    C = sorted(set(C))
+    C = list(dict.fromkeys(sorted(C)))
     if not C:
         raise ValueError("empty candidate set")
     if per_node_bound is None and k >= len(C):
@@ -84,8 +86,7 @@ def greedy_bil(dags, X, k, C=None, *, counts=None, use_lazy=False,
     gains: list[float] = []
     head_load: dict[int, int] = {}
     try:
-        heap = [(-mc, e) for mc, e in zip(kernel.start_marginals(C), C)]
-        heapq.heapify(heap)
+        heap = kernel.start_heap(C)
         while heap and len(picked) < k:
             negmc, e = heapq.heappop(heap)
             if per_node_bound is not None and head_load.get(e[1], 0) >= per_node_bound:

@@ -162,7 +162,8 @@ def run_method(method: str, graph, dags, counts, X, C, k: int, b, seed,
     ``wall_ms`` times the method call; ``eval_ms`` times the from-scratch
     influence after its removals. The greedy and grr cells of one target
     set run on one shared credit kernel, so only the first of them times
-    its build.
+    its build, the start marginals it sums while building and the start
+    heap over ``C``; the later cells on that ``C`` copy the kept heap.
     """
     _check_method(method, b)
     start = time.perf_counter()

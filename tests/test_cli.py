@@ -485,6 +485,22 @@ def test_flags_are_checked_before_any_input_is_read(tmp_path, capsys, argv, mess
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--num-actions", "0"], "num_actions 0 must be at least 1"),
+    (["--num-actions", "3", "--seeds-per-action", "0"], "seeds_per_action 0 must be at least 1"),
+    (["--num-actions", "3", "--edge-prob", "2"], "edge probability 2.0 outside [0, 1]"),
+    (["--num-actions", "3", "--edge-prob", "-0.5"], "edge probability -0.5 outside [0, 1]"),
+], ids=["num-actions", "seeds-per-action", "edge-prob-high", "edge-prob-low"])
+def test_gen_flags_are_checked_before_the_graph_is_read(tmp_path, capsys, argv, message):
+    # The graph file does not exist, so a flag checked only after loading
+    # would report the missing graph instead.
+    rc = main(["gen", "--graph", str(tmp_path / "graph.txt"), "--out", str(tmp_path / "out.txt"),
+               *argv])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.txt").exists()
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

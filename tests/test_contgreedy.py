@@ -94,6 +94,15 @@ class TestWeights:
         w = cg_weights(inst.dags, inst.X, inst.C, y, 10, rng)
         assert all(v >= 0.0 for v in w.values())
 
+    def test_repeated_candidate_counts_once(self, f1):
+        # A candidate listed twice draws once per sample and adds its
+        # marginal once: the weights and the draws equal those on C.
+        y = dict.fromkeys(f1.C, 0.3)
+        want = cg_weights(f1.dags, f1.X, f1.C, y, 4, random.Random(5))
+        got = cg_weights(f1.dags, f1.X, f1.C + f1.C[:1], y, 4, random.Random(5))
+        assert {e: v.hex() for e, v in got.items()} == {e: v.hex() for e, v in want.items()}
+        assert abs(got[(0, 1)] - 0.475) < TOL and abs(got[(0, 2)] - 0.3) < TOL
+
     @pytest.mark.parametrize("s", [0, -3])
     def test_samples_below_one(self, f1, s):
         with pytest.raises(ValueError, match=f"^s={s} must be at least 1$"):

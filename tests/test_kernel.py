@@ -9,17 +9,19 @@ marginals, and ``scale`` back to 1.0) against a from-scratch sum and the
 kernel's state after each sample, its pinned ``y`` on the criterion-12
 instance, the exact continuous greedy (the kernel at credits
 gamma * (1 - y), updated by ``CreditKernel.scale``) against whole-DAG
-passes and against enumeration of the multilinear extension, and every
+passes and against enumeration of the multilinear extension, every
 reader of the target-holding DAGs on an ``ActionDags`` against a list,
-and every solver on the kernel an ``ActionDags`` shares, stopped by an
-exception or not, against the same call on a plain list."""
+every solver on the kernel an ``ActionDags`` shares, stopped by an
+exception or not, against the same call on a plain list, and the start
+marginals the kernel sums when built and the start heap it keeps against
+``marginal`` and a new kernel's."""
 
 import hashlib
 import heapq
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cdlim.contgreedy import (CGConfig, _cg_weights, cg_weights, continuous_greedy,
@@ -922,7 +924,7 @@ def test_shared_kernel_left_off_gamma_is_replaced(monkeypatch):
     kernel.scale({e: 0.0})
     assert kernel.off == {e}
     with pytest.raises(ValueError):
-        kernel.start_marginals(C)
+        kernel.start_heap(C)
     left = kernel
     kernel = _shared_kernel(shared, X, counts)
     assert kernel is not left and not kernel.off
@@ -980,6 +982,85 @@ def test_evaluation_on_the_same_target_set_keeps_the_kernel():
         kernel = kernel or state.kernel
         assert kernel is not None, name
         assert shared.target is state and state.kernel is kernel, name
+
+
+def _heap_bits(heap):
+    return [(key.hex(), e) for key, e in heap]
+
+
+def _assert_start_is_marginal(inst):
+    dags, X, C = inst
+    counts = counts_from_dags(dags)
+    kernel = CreditKernel(dags, X, counts)
+    edges = sorted({e for d in dags for e in d.gamma} | set(C))
+    start = {e: kernel.start.get(e, 0.0).hex() for e in edges}
+    heap = kernel.start_heap(edges)
+    assert {e: (-key).hex() for key, e in heap} == start
+    assert all(heap[(j - 1) // 2] <= heap[j] for j in range(1, len(heap)))
+    assert start == {e: kernel.marginal(e).hex() for e in edges}
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_instances())
+def test_start_values_equal_marginals(inst):
+    _assert_start_is_marginal(inst)
+
+
+@settings(max_examples=150, deadline=None)
+@given(target_free_instances())
+def test_start_values_equal_marginals_target_free(inst):
+    _assert_start_is_marginal(inst)
+
+
+def _assert_kept_start_heap(inst, data):
+    dags, X, C = inst
+    C = sorted(set(C))
+    assume(len(C) >= 2)
+    counts = counts_from_dags(dags)
+    shared = ActionDags(dags)
+    k = data.draw(st.integers(1, len(C) - 1))
+
+    def fresh_heap(cands):
+        return _heap_bits(CreditKernel(list(dags), X, counts).start_heap(cands))
+
+    def greedy(d, cands, bound=None):
+        sol = greedy_bil(d, X, k, cands, counts=counts, per_node_bound=bound)
+        return sol.edges, [g.hex() for g in sol.gain_per_step]
+
+    # Greedy, grr and exact continuous greedy leave the kept heap as a new
+    # kernel would build it.
+    assert greedy(shared, C) == greedy(list(dags), C)
+    kernel = shared.target.kernel
+    greedy(shared, C, 1)
+    continuous_greedy(shared, X, C, 1, CGConfig(tau=3), counts=counts)
+    assert shared.target.kernel is kernel
+    assert _heap_bits(kernel.start_heap(C)) == fresh_heap(C)
+    # Popping from or pushing onto a returned heap leaves the next one as it was.
+    heap = kernel.start_heap(C)
+    heapq.heappop(heap)
+    heapq.heappush(heap, (-1.0, (-1, -1)))
+    assert _heap_bits(kernel.start_heap(C)) == fresh_heap(C)
+    # Another candidate list gets its own heap and the picks of a fresh run;
+    # an unsorted list with repeats is the sorted distinct one.
+    other = data.draw(st.lists(st.sampled_from(C), min_size=k + 1, unique=True))
+    assert _heap_bits(kernel.start_heap(sorted(other))) == fresh_heap(sorted(other))
+    assert greedy(shared, other) == greedy(list(dags), sorted(other))
+    repeated = data.draw(st.permutations(C + data.draw(st.lists(st.sampled_from(C)))))
+    assert greedy(shared, repeated) == greedy(list(dags), C)
+    assert greedy(shared, C) == greedy(list(dags), C)
+    assert shared.target.kernel is kernel
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_instances(), st.data())
+def test_kept_start_heap_equals_a_new_kernels(inst, data):
+    _assert_kept_start_heap(inst, data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(target_free_instances(), st.data())
+def test_kept_start_heap_equals_a_new_kernels_target_free(inst, data):
+    _assert_kept_start_heap(inst, data)
 
 
 def reference_greedy(dags, X, k, C, counts, per_node_bound=None):

@@ -11,9 +11,9 @@ needs no samples. ``s >= 1`` selects the sampled path, which estimates
 each weight as a mean over s shared draws of R. It scores each draw on the
 same kernel through the same two calls: ``scale`` sets the credits of R to
 0.0, ``marginal`` reads the weights, and ``scale`` sets them back to gamma.
-Both paths, and :func:`cg_weights`, take the kernel from
-:func:`~cdlim.credit._shared_kernel`, so on one target set they share
-greedy's, and each puts back every credit it scaled before it returns.
+Both paths, and :func:`cg_weights`, borrow the kernel of
+:func:`~cdlim.credit._shared_kernel` in a ``with`` block, so on one target
+set they share greedy's, and the block's exit puts its credits back to gamma.
 """
 
 from __future__ import annotations
@@ -69,8 +69,9 @@ class FractionalSolution:
 
 
 def multilinear_exact(dags, X, C, y, counts=None) -> float:
-    """Expected influence drop under independent inclusion, by enumeration."""
-    C = sorted(C)
+    """Expected influence drop under independent inclusion, by enumeration
+    over the distinct candidates of ``C``."""
+    C = list(dict.fromkeys(sorted(C)))
     if len(C) > EXACT_GUARD:
         raise ValueError(f"enumeration guard exceeded: |C|={len(C)}")
     if counts is None:
@@ -98,18 +99,16 @@ def sample_set(C, y, rng) -> frozenset:
 def cg_weights(dags, X, C, y, s, rng, counts=None) -> dict:
     """Mean marginal gain of each candidate over s shared samples from y,
     scored on the kernel of :func:`~cdlim.credit._shared_kernel`, the one
-    its target set's solvers share, which the call leaves at gamma.
+    its target set's solvers share, borrowed in a ``with`` block.
 
     Samples are shared across candidates for variance reduction; negative
     means are clamped to zero (the true expectations are non-negative).
     """
     if s < 1:
         raise ValueError(f"s={s} must be at least 1")
-    if counts is None:
-        counts = counts_from_dags(dags)
-    kernel = _shared_kernel(dags, X, counts)
     C = list(dict.fromkeys(sorted(C)))
-    return _cg_weights(kernel, C, [e for e in C if e in kernel.edge_actions], y, s, rng)
+    with _shared_kernel(dags, X, counts) as kernel:
+        return _cg_weights(kernel, C, [e for e in C if e in kernel.edge_actions], y, s, rng)
 
 
 def _cg_weights(kernel, C, held, y, s, rng) -> dict:
@@ -117,8 +116,8 @@ def _cg_weights(kernel, C, held, y, s, rng) -> dict:
     ``held`` is the part of ``C`` some stored action holds. Per sample B,
     :meth:`CreditKernel.scale` sets the edges of B to credit 0.0 (removes
     them), and back to gamma (exactly, by a factor of 1.0) once the held
-    candidates outside B are scored, in a ``finally``, so an exception
-    leaves the kernel at gamma too. So the kernel must hold gamma on every
+    candidates outside B are scored; after an exception the caller's
+    ``with`` block puts them back. So the kernel must hold gamma on every
     candidate, as a shared kernel does between solver runs and the sampled
     path of :func:`continuous_greedy` keeps it: nothing else scales them
     while this runs. Any other candidate's marginal is exactly 0.0, so
@@ -127,12 +126,10 @@ def _cg_weights(kernel, C, held, y, s, rng) -> dict:
     for _ in range(s):
         B = sample_set(C, y, rng)
         kernel.scale(dict.fromkeys(B, 0.0))
-        try:
-            for e in held:
-                if e not in B:
-                    acc[e] += kernel.marginal(e)
-        finally:
-            kernel.scale(dict.fromkeys(B, 1.0))
+        for e in held:
+            if e not in B:
+                acc[e] += kernel.marginal(e)
+        kernel.scale(dict.fromkeys(B, 1.0))
     return {e: max(acc[e] / s, 0.0) for e in C}
 
 
@@ -142,10 +139,9 @@ def continuous_greedy(dags, X, C, b, config: CGConfig, counts=None) -> Fractiona
 
     The kernel comes from :func:`~cdlim.credit._shared_kernel`, so it is
     the one its target set's solvers share, and they must run one at a
-    time. On the exact path the
-    kernel's credits are gamma * (1 - y) during the run, and a ``finally``
-    scales every edge with y > 0 back by 1.0, so the kernel holds gamma
-    again on return, normal or by an exception. After each step,
+    time; the run borrows it in a ``with`` block, whose exit puts its
+    credits back to gamma. On the exact path the kernel's credits are
+    gamma * (1 - y) during the run. After each step,
     :meth:`CreditKernel.scale` marks only the actions holding an edge whose
     y moved, and each weight is the kernel's marginal. Only the candidates
     some stored action holds are scored: every other weight is exactly 0.0,
@@ -159,14 +155,11 @@ def continuous_greedy(dags, X, C, b, config: CGConfig, counts=None) -> Fractiona
     if not C:
         raise ValueError("empty candidate set")
     check_bound(b)
-    if counts is None:
-        counts = counts_from_dags(dags)
-    kernel = _shared_kernel(dags, X, counts)
-    held = [e for e in C if e in kernel.edge_actions]
     rng = random.Random(config.seed)
     y = dict.fromkeys(C, 0.0)
     step = 1.0 / config.tau
-    try:
+    with _shared_kernel(dags, X, counts) as kernel:
+        held = [e for e in C if e in kernel.edge_actions]
         for _ in range(config.tau):
             if config.s is None:
                 weights = {e: kernel.marginal(e) for e in held}
@@ -177,9 +170,6 @@ def continuous_greedy(dags, X, C, b, config: CGConfig, counts=None) -> Fractiona
                 y[e] = min(y[e] + step, 1.0)
             if config.s is None:
                 kernel.scale({e: 1.0 - y[e] for e in moved})
-    finally:
-        if config.s is None:
-            kernel.scale({e: 1.0 for e, ye in y.items() if ye > 0.0})
     return FractionalSolution(y=y)
 
 

@@ -29,14 +29,15 @@ part (the one target filter), the from-scratch SC maps and the solvers'
 shared kernel. An :class:`ActionDags` keeps the state of the last target
 set asked about in its ``target`` slot, and a new target set replaces all
 three at once; any other iterable of DAGs gets a new state on each call.
-Every solver scales each credit it changed back by 1.0 in a ``finally``
-(gamma * 1.0 is gamma exactly), so the shared kernel holds gamma between
-solver runs and its repaired maps equal a new kernel's bit for bit;
-:func:`_shared_kernel` replaces a kernel left off gamma or kept for other
-``counts``. Its marginals at gamma then depend only on the DAGs, the
-target set and ``counts``: the kernel sums them once, while it builds its
-maps, and keeps greedy's start heap over them, so each greedy run on it
-starts from a copy (:meth:`CreditKernel.start_heap`). Solvers on one
+Every solver borrows the shared kernel in one ``with`` block, whose exit
+scales each credit off gamma back by 1.0 (gamma * 1.0 is gamma exactly),
+so the shared kernel holds gamma between solver runs and its repaired maps
+equal a new kernel's bit for bit; :func:`_shared_kernel` replaces a kernel
+left off gamma or kept for other ``counts``. Its marginals at gamma then
+depend only on the DAGs, the target set and ``counts``: the kernel sums
+them once, while it builds its maps, and keeps greedy's start heap over
+them, so each greedy run on it starts from a copy
+(:meth:`CreditKernel.start_heap`). Solvers on one
 :class:`ActionDags` must run one at a time, since they scale one kernel.
 The from-scratch evaluation (:func:`sigma_cd_scratch`, :func:`delta_set`)
 computes its sums on every call, over the maps it keeps and in the same
@@ -179,6 +180,9 @@ class CreditKernel:
     gamma; ``start``, each stored edge's marginal at gamma, summed while
     ``__init__`` builds the maps; and the last candidate list
     :meth:`start_heap` was asked about, with its heap over ``start``.
+    Solvers borrow it as a context manager: on exit, normal or by an
+    exception (which propagates), it scales every edge of ``off`` back by
+    1.0, in any order, since the marks only move to min/max positions.
 
     ``marginal(e)`` is the influence drop of removing ``e`` on top of the
     kernel's current credits: SC[u] * g[e] * R[v] summed over the stored
@@ -239,6 +243,12 @@ class CreditKernel:
                         c = sc.get(e[0])
                         if c is not None:
                             start[e] = start.get(e, 0.0) + c * ge * r.get(e[1], 0.0)
+
+    def __enter__(self) -> CreditKernel:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.scale(dict.fromkeys(self.off, 1.0))
 
     def marginal(self, e) -> float:
         """The sum of SC[u] * g[e] * R[v] over the stored actions holding
@@ -357,13 +367,15 @@ class CreditKernel:
             r[v] = acc
 
 
-def _shared_kernel(dags, X, counts) -> CreditKernel:
+def _shared_kernel(dags, X, counts=None) -> CreditKernel:
     """The :class:`CreditKernel` of ``dags`` for target set ``X`` and
-    ``counts``, at gamma: the ``kernel`` of :func:`_target_set`'s state
-    when its copy of ``counts`` equals ``counts`` and no credit is off
-    gamma; otherwise a new one, which the state keeps. The caller must put
-    back every credit it scales before it returns; a kernel it leaves off
-    gamma is replaced on the next call."""
+    ``counts`` (by default :func:`counts_from_dags`), at gamma: the
+    ``kernel`` of :func:`_target_set`'s state when its copy of ``counts``
+    equals ``counts`` and no credit is off gamma; otherwise a new one, which
+    the state keeps. Callers borrow it in a ``with`` block, whose exit puts
+    back every credit they scaled."""
+    if counts is None:
+        counts = counts_from_dags(dags)
     state = _target_set(dags, X)
     kernel = state.kernel
     if kernel is None or kernel.off or kernel.counts != counts:

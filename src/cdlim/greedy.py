@@ -6,7 +6,7 @@ import heapq
 from dataclasses import dataclass
 
 # compute_mc and remove_edge are re-exported for the benchmark's store probe.
-from .credit import _shared_kernel, compute_mc, counts_from_dags, remove_edge  # noqa: F401
+from .credit import _shared_kernel, compute_mc, remove_edge  # noqa: F401
 from .graph import default_candidates
 from .rounding import check_bound
 
@@ -38,8 +38,8 @@ def greedy_bil(dags, X, k, C=None, *, counts=None, use_lazy=False,
     a later greedy run on an equal ``C`` builds neither. A pick is removed by
     scaling its credit to 0.0, which marks stale only the actions holding
     it, and in each only the nodes the removal can reach; a marginal
-    repairs only the values it reads. On return, normal or by an exception,
-    every pick is scaled back by 1.0, so the kernel holds gamma again. The
+    repairs only the values it reads. The run borrows the kernel in a
+    ``with`` block, whose exit puts its credits back to gamma. The
     kernel keeps no removed set, and needs none: ``C`` is
     deduplicated and a pick is never pushed back onto the heap, so no
     marginal of a removed edge is read. ``per_node_bound`` adds a
@@ -70,8 +70,6 @@ def greedy_bil(dags, X, k, C=None, *, counts=None, use_lazy=False,
         raise ValueError(f"budget k={k} must be at least 1")
     if per_node_bound is not None:
         check_bound(per_node_bound)
-    if counts is None:
-        counts = counts_from_dags(dags)
     if C is None:
         C = default_candidates(dags)
     C = list(dict.fromkeys(sorted(C)))
@@ -80,12 +78,11 @@ def greedy_bil(dags, X, k, C=None, *, counts=None, use_lazy=False,
     if per_node_bound is None and k >= len(C):
         raise ValueError(f"budget k={k} must be smaller than |C|={len(C)}")
 
-    kernel = _shared_kernel(dags, X, counts)
-    mc_of = kernel.marginal
     picked: list[tuple[int, int]] = []
     gains: list[float] = []
     head_load: dict[int, int] = {}
-    try:
+    with _shared_kernel(dags, X, counts) as kernel:
+        mc_of = kernel.marginal
         heap = kernel.start_heap(C)
         while heap and len(picked) < k:
             negmc, e = heapq.heappop(heap)
@@ -99,6 +96,4 @@ def greedy_bil(dags, X, k, C=None, *, counts=None, use_lazy=False,
             gains.append(mc)
             head_load[e[1]] = head_load.get(e[1], 0) + 1
             kernel.scale({e: 0.0})
-    finally:
-        kernel.scale(dict.fromkeys(picked, 1.0))
     return Solution(edges=picked, gain_per_step=gains)

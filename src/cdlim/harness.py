@@ -68,10 +68,10 @@ def baseline_high_degree(graph: SocialGraph, X, k: int) -> list:
 
 
 def baseline_random(C, k: int, rng: random.Random) -> list:
-    """Uniform k-subset of the candidate set."""
+    """Uniform k-subset of the distinct candidates of ``C``."""
     if k < 1:
         raise ValueError(f"k={k} must be at least 1")
-    C = sorted(C)
+    C = list(dict.fromkeys(sorted(C)))
     if k > len(C):
         raise ValueError(f"k={k} exceeds |C|={len(C)}")
     return rng.sample(C, k)

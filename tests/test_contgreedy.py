@@ -44,6 +44,13 @@ class TestMultilinear:
         with pytest.raises(ValueError, match="guard"):
             multilinear_exact(f1.dags, f1.X, big, dict.fromkeys(big, 0.5))
 
+    def test_repeated_candidate_counts_once(self, f1):
+        # A candidate listed twice is one draw, not two independent ones.
+        y = dict.fromkeys(f1.C, 0.3)
+        want = multilinear_exact(f1.dags, f1.X, f1.C, y)
+        assert multilinear_exact(f1.dags, f1.X, f1.C + f1.C[:1], y) == want
+        assert abs(want - 0.342) < TOL
+
     def test_monotone_per_coordinate(self, f1):
         rng = random.Random(5)
         for _ in range(10):

@@ -81,6 +81,15 @@ class TestBaselines:
         with pytest.raises(ValueError):
             baseline_random(f1.C, 4, random.Random(0))
 
+    def test_random_counts_each_candidate_once(self, f1):
+        # A repeated candidate is drawn at most once and counts once in |C|.
+        for seed in range(10):
+            for k in (2, 3):
+                got = baseline_random(f1.C + f1.C, k, random.Random(seed))
+                assert len(set(got)) == k, (seed, got)
+        with pytest.raises(ValueError, match=r"^k=4 exceeds \|C\|=3$"):
+            baseline_random(f1.C + f1.C, 4, random.Random(0))
+
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(2, 9).flatmap(lambda n: st.tuples(

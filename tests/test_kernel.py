@@ -12,7 +12,8 @@ gamma * (1 - y), updated by ``CreditKernel.scale``) against whole-DAG
 passes and against enumeration of the multilinear extension, every
 reader of the target-holding DAGs on an ``ActionDags`` against a list,
 every solver on the kernel an ``ActionDags`` shares, stopped by an
-exception or not, against the same call on a plain list, and the start
+exception or not, against the same call on a plain list, the kernel after
+a ``with`` block that raised against a new kernel, and the start
 marginals the kernel sums when built and the start heap it keeps against
 ``marginal`` and a new kernel's."""
 
@@ -262,6 +263,43 @@ def test_scaled_kernel_state_equals_scratch_maps(inst, data):
 @given(target_free_instances(), st.data())
 def test_scaled_kernel_state_equals_scratch_maps_target_free(inst, data):
     _assert_scaled_state_matches_scratch(inst, data)
+
+
+def _assert_exit_restores_gamma(inst, data):
+    # A ``with`` body scales edges to 0.0 and to fractions, reads marginals
+    # (so maps are repaired at the scaled credits) and raises. The exception
+    # propagates, ``off`` is empty, and every repaired map and marginal has
+    # a new kernel's bits. A repair can reinsert a node that a scale had
+    # dropped from SC, so the maps are compared as sets, not in map order.
+    dags, X, C = inst
+    counts = counts_from_dags(dags)
+    edges = sorted({e for d in dags for e in d.gamma})
+    kernel = CreditKernel(dags, X, counts)
+    factors = st.sampled_from((0.0, 0.3, 0.5))
+    with pytest.raises(_Stop):
+        with kernel as borrowed:
+            assert borrowed is kernel
+            for _ in range(data.draw(st.integers(1, 3))):
+                kernel.scale(data.draw(st.dictionaries(st.sampled_from(edges), factors)))
+                for e in edges:
+                    kernel.marginal(e)
+            raise _Stop
+    assert not kernel.off
+    _assert_state_matches_scratch(kernel, dags, X, set())
+    got, want = (_bits(k, edges) for k in (kernel, CreditKernel(dags, X, counts)))
+    assert [set(m) for m in got[0]] == [set(m) for m in want[0]] and got[1] == want[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_instances(), st.data())
+def test_kernel_exit_restores_gamma(inst, data):
+    _assert_exit_restores_gamma(inst, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(target_free_instances(), st.data())
+def test_kernel_exit_restores_gamma_target_free(inst, data):
+    _assert_exit_restores_gamma(inst, data)
 
 
 def _assert_lazy_repair_matches_scratch(dags, X, C, rng, steps):

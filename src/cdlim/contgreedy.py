@@ -1,5 +1,6 @@
-"""Matroid-constrained influence limitation: multilinear extension and
-continuous greedy over the per-node partition matroid.
+"""Matroid-constrained influence limitation: continuous greedy on the
+multilinear extension over the per-node partition matroid, with exact or
+sampled weights.
 
 A DAG path uses each edge at most once, so under independent removals
 (edge e removed with probability y_e) the expected set credit is the same
@@ -18,15 +19,11 @@ set they share greedy's, and the block's exit puts its credits back to gamma.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
-from .credit import _shared_kernel, counts_from_dags, delta_set, sigma_cd_scratch
+from .credit import _shared_kernel
 from .rounding import check_bound, max_weight_independent
-
-EXACT_GUARD = 20
-CURVATURE_GUARD = 15
 
 
 @dataclass
@@ -66,30 +63,6 @@ class FractionalSolution:
         for v, load in self.per_node_load.items():
             if load > b + tol:
                 raise ValueError(f"node {v} load {load} exceeds bound {b}")
-
-
-def multilinear_exact(dags, X, C, y, counts=None) -> float:
-    """Expected influence drop under independent inclusion, by enumeration
-    over the distinct candidates of ``C``."""
-    C = list(dict.fromkeys(sorted(C)))
-    if len(C) > EXACT_GUARD:
-        raise ValueError(f"enumeration guard exceeded: |C|={len(C)}")
-    if counts is None:
-        counts = counts_from_dags(dags)
-    total = 0.0
-    for mask in itertools.product((False, True), repeat=len(C)):
-        prob = 1.0
-        B = []
-        for e, inc in zip(C, mask):
-            yi = y[e]
-            if inc:
-                prob *= yi
-                B.append(e)
-            else:
-                prob *= 1.0 - yi
-        if prob > 0.0:
-            total += prob * delta_set(dags, X, B, counts=counts)
-    return total
 
 
 def sample_set(C, y, rng) -> frozenset:
@@ -172,34 +145,3 @@ def continuous_greedy(dags, X, C, b, config: CGConfig, counts=None) -> Fractiona
                 kernel.scale({e: 1.0 - y[e] for e in moved})
     return FractionalSolution(y=y)
 
-
-def empirical_total_curvature(dags, X, C, counts=None) -> float:
-    """Worst-case decay of marginal gains relative to singleton gains.
-
-    Enumerates all (S, e) pairs with e outside S and positive singleton gain;
-    returns 1 - min marginal/singleton ratio, or 0 when no pair qualifies.
-    """
-    C = sorted(set(C))
-    if len(C) > CURVATURE_GUARD:
-        raise ValueError(f"curvature guard exceeded: |C|={len(C)}")
-    if counts is None:
-        counts = counts_from_dags(dags)
-    base = sigma_cd_scratch(dags, X, counts)
-    value = {frozenset(): 0.0}
-    for r in range(1, len(C) + 1):
-        for combo in itertools.combinations(C, r):
-            B = frozenset(combo)
-            value[B] = base - sigma_cd_scratch(dags, X, counts, removed=B)
-    ratio = None
-    for e in C:
-        single = value[frozenset([e])]
-        if single <= 0.0:
-            continue
-        rest = [c for c in C if c != e]
-        for r in range(len(rest) + 1):
-            for combo in itertools.combinations(rest, r):
-                S = frozenset(combo)
-                marg = (value[S | {e}] - value[S]) / single
-                if ratio is None or marg < ratio:
-                    ratio = marg
-    return 0.0 if ratio is None else 1.0 - ratio

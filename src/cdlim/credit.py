@@ -1,5 +1,5 @@
 """Credit distribution: the SC/R kernel, the reference EP/UC/SC store,
-total influence, and edge deltas.
+and the from-scratch total influence and set delta.
 
 Both solvers run on :class:`CreditKernel`, built from two scalar maps per
 action: SC, the credit of the target set at each node (a forward pass), and
@@ -20,8 +20,8 @@ v on and R from u back, and a marginal repairs only the part of a map it
 reads. An action with no target member has SC empty, so it adds no
 influence and no term: the kernel, :func:`sigma_cd_scratch` and
 :func:`delta_set` skip it, and their sums are unchanged to the bit. The
-whole-DAG passes :func:`_sc_map`, :func:`_r_map` and :func:`_edge_deltas`
-are references for the kernel; no solver calls them.
+whole-DAG pass :func:`_sc_map` serves the from-scratch evaluation; no
+solver calls it.
 
 Everything kept per target set is one :class:`_TargetSet`, from
 :func:`_target_set`: ``held``, the DAGs in which a target member takes
@@ -44,10 +44,10 @@ computes its sums on every call, over the maps it keeps and in the same
 order, so each value equals a memo-free computation to the bit; the
 kernel never reads them.
 
-Every pass, the oracles included, walks the DAG's ``in_edges`` and
-``out_edges`` lists. Their tuples are the keys of ``dag.gamma``, so a pass
-reads an edge's credit (and, in the references, tests it against the
-removed set) with the DAG's own edge object and builds no tuple.
+Every pass walks the DAG's ``in_edges`` and ``out_edges`` lists. Their
+tuples are the keys of ``dag.gamma``, so a pass reads an edge's credit
+(and, in the from-scratch passes, tests it against the removed set) with
+the DAG's own edge object and builds no tuple.
 
 :func:`compute_credit_store` builds the reference store the kernel is
 checked against: per action, EP (direct credit of each surviving DAG
@@ -55,8 +55,7 @@ edge), UC rows (total credit of a source node for influencing every
 reachable node, including the self entry of value 1), UCX rows (the same
 along target-free paths) and SC. Its operations live here too:
 :func:`compute_mc`, the closed-form marginal, and :func:`remove_edge`, the
-update by subtraction. Independent path-enumeration oracles check the
-recursive computations.
+update by subtraction.
 """
 
 from __future__ import annotations
@@ -138,37 +137,6 @@ def _sc_map(dag: ActionDag, X, removed) -> dict[int, float]:
     return sc
 
 
-def _r_map(dag: ActionDag, X, counts, removed) -> dict[int, float]:
-    """Backward pass: R[v] = 1/|A_v| + sum of gamma(v, w) * R[w] over
-    surviving out-edges, with R = 0 on target members.
-
-    R[v] equals the sum of UCX[v][w] / |A_w| over the target-avoiding
-    credit row of v, so it is the closed-form delta's head factor.
-    """
-    r: dict[int, float] = {}
-    gamma = dag.gamma
-    out_edges = dag.out_edges
-    for v in reversed(dag.nodes):
-        if v in X:
-            continue
-        acc = 1.0 / counts[v]
-        for e in out_edges[v]:
-            rw = r.get(e[1])
-            if rw is not None and e not in removed:
-                acc += gamma[e] * rw
-        r[v] = acc
-    return r
-
-
-def _edge_deltas(dag: ActionDag, X, counts, removed) -> dict[tuple[int, int], float]:
-    """Reference influence drop within one action of removing each surviving
-    edge alone: SC[u] * gamma * R[v], for the edges whose tail has target credit."""
-    sc = _sc_map(dag, X, removed)
-    r = _r_map(dag, X, counts, removed)
-    return {e: sc[e[0]] * g * r.get(e[1], 0.0)
-            for e, g in dag.gamma.items() if e[0] in sc and e not in removed}
-
-
 class CreditKernel:
     """SC and R maps per target-holding action, for the marginals of greedy
     and continuous greedy. :meth:`scale` is the one way to change credits:
@@ -206,9 +174,10 @@ class CreditKernel:
     current: SC at every position below ``s``, and R at every position
     above ``t``. A new kernel's maps are current throughout (``s`` is the
     node count and ``t`` is ``f - 1``). Each current value is the same sum,
-    in the same order, as in :func:`_sc_map` and :func:`_r_map` on the DAG
-    with credits ``g``, so a repaired map equals theirs (R on the nodes from
-    ``f`` on) bit for bit.
+    in the same order, as in the whole-DAG passes :func:`_sc_map` and the
+    tests' ``_r_map`` (``tests/reference.py``) on the DAG with credits
+    ``g``, so a repaired map equals theirs (R on the nodes from ``f`` on)
+    bit for bit.
 
     ``__init__`` adds each stored action's term SC[u] * g[e] * R[v] into
     ``start[e]`` right after that action's passes, for each edge of ``g``
@@ -478,19 +447,6 @@ def remove_edge(store: CreditStore, e) -> None:
             _subtract(sc_a, sc_u * g, store.ucx[a].get(v, {}))
 
 
-def kappa(store: CreditStore, u: int) -> float:
-    """Action-normalized credit of the target set at user u."""
-    n = store.counts.get(u, 0)
-    if n == 0:
-        raise ValueError(f"user {u} performs no actions")
-    return sum(sc_a.get(u, 0.0) for sc_a in store.sc.values()) / n
-
-
-def sigma_cd(store: CreditStore) -> float:
-    """Total influence of the target set: sum of kappa over active users."""
-    return _influence(store.sc.values(), store.counts)
-
-
 class _TargetSet:
     """What is kept for the frozenset ``X``: ``held``, the DAGs with a
     member of ``X`` in ``times``, in DAG order (an action no target
@@ -587,8 +543,8 @@ def delta_set(dags, X, B, counts=None) -> float:
     of the size of sigma. The maps come from the same state as in
     :func:`sigma_cd_scratch`, so a ``delta_set(B)`` after
     ``sigma_cd_scratch(removed=B)`` runs no pass. This is the reference
-    implementation of the objective, used by oracles and cross-checks; it
-    never touches the kernel or an incremental store.
+    implementation of the objective, which ``verify`` checks the solvers'
+    claims against; it never touches the kernel or an incremental store.
     """
     if counts is None:
         counts = counts_from_dags(dags)
@@ -596,65 +552,5 @@ def delta_set(dags, X, B, counts=None) -> float:
     total = 0.0
     for i, sc in state.with_removed(B).items():
         total += _influence((state.unremoved(i),), counts) - _influence((sc,), counts)
-    return total
-
-
-ORACLE_NODE_GUARD = 20
-
-
-def oracle_set_credit(dag: ActionDag, X, u: int, removed=frozenset()) -> float:
-    """Path-enumeration oracle for the set credit of X at u.
-
-    Enumerates every directed path ending at u that starts in X and contains
-    no other X member, summing the product of direct credits along each path.
-    Exponential; guarded to DAGs of at most 20 nodes.
-    """
-    if len(dag.nodes) > ORACLE_NODE_GUARD:
-        raise ValueError(f"oracle guard exceeded: {len(dag.nodes)} nodes")
-    X = frozenset(X)
-    if u not in dag.times:
-        return 0.0
-    if u in X:
-        return 1.0
-    gamma = dag.gamma
-    total = 0.0
-    # Backward DFS; stopping at the first X member keeps paths minimal.
-    stack = [(u, 1.0)]
-    while stack:
-        node, prod = stack.pop()
-        for e in dag.in_edges[node]:
-            if e in removed:
-                continue
-            w = e[0]
-            p = prod * gamma[e]
-            if w in X:
-                total += p
-            else:
-                stack.append((w, p))
-    return total
-
-
-def oracle_total_credit(dag: ActionDag, v: int, u: int, removed=frozenset()) -> float:
-    """Path-enumeration oracle for the total credit of v at u (all paths)."""
-    if len(dag.nodes) > ORACLE_NODE_GUARD:
-        raise ValueError(f"oracle guard exceeded: {len(dag.nodes)} nodes")
-    if u == v:
-        return 1.0 if v in dag.times else 0.0
-    if u not in dag.times or v not in dag.times:
-        return 0.0
-    gamma = dag.gamma
-    total = 0.0
-    stack = [(u, 1.0)]
-    while stack:
-        node, prod = stack.pop()
-        for e in dag.in_edges[node]:
-            if e in removed:
-                continue
-            w = e[0]
-            p = prod * gamma[e]
-            if w == v:
-                total += p
-            else:
-                stack.append((w, p))
     return total
 

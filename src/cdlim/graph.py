@@ -254,10 +254,10 @@ class ActionDag:
     ``gamma`` maps each DAG edge to its direct credit, keyed by the very
     tuples the edge lists hold, so the credit passes look an edge up in
     ``gamma`` and in a removed set without building a tuple. The credits
-    are written into ``gamma`` once, by :func:`build_all_dags`;
-    :meth:`with_gamma` gives a copy with other credits. ``times`` (user ->
-    performance time) is the action log's own ``by_action[action]`` dict,
-    shared and not copied: treat it as read-only.
+    are written into ``gamma`` once, by :func:`build_all_dags`. ``times``
+    (user -> performance time) is the action log's own
+    ``by_action[action]`` dict, shared and not copied: treat it as
+    read-only.
     """
 
     action: int
@@ -266,9 +266,6 @@ class ActionDag:
     in_edges: dict[int, tuple[tuple[int, int], ...]]
     out_edges: dict[int, tuple[tuple[int, int], ...]]
     gamma: dict[tuple[int, int], float] = field(default_factory=dict)
-
-    def with_gamma(self, gamma: dict[tuple[int, int], float]) -> "ActionDag":
-        return ActionDag(self.action, self.nodes, self.times, self.in_edges, self.out_edges, gamma)
 
 
 def _bare_dag(graph: SocialGraph, times: dict[int, int], action: int, shared: dict) -> ActionDag:

@@ -101,6 +101,7 @@ class ExperimentReport:
     wall_ms: float                  # the method call alone
     eval_ms: float = 0.0            # the from-scratch sigma after the removals
     edges: list = field(default_factory=list)
+    claim: float | None = None      # the method's own gains summed; None for baselines
 
 
 def write_csv(path, header, rows) -> None:
@@ -155,7 +156,8 @@ def _check_method(method: str, b) -> None:
 
 def run_method(method: str, graph, dags, counts, X, C, k: int, b, seed,
                before: float) -> ExperimentReport:
-    """Run one (method, parameter) cell and measure it against sigma_cd.
+    """Run one (method, parameter) cell and measure it against the
+    from-scratch influence.
 
     ``before`` is the targets' influence with nothing removed, from
     :func:`sigma_before`, computed once for every cell of an experiment.
@@ -168,10 +170,11 @@ def run_method(method: str, graph, dags, counts, X, C, k: int, b, seed,
     _check_method(method, b)
     start = time.perf_counter()
     rng = random.Random(seed)
-    if method == "greedy":
-        B = greedy_bil(dags, X, k, C, counts=counts).edges
-    elif method == "grr":
-        B = greedy_bil(dags, X, k, C, counts=counts, per_node_bound=b).edges
+    claim = None
+    if method in ("greedy", "grr"):
+        sol = greedy_bil(dags, X, k, C, counts=counts,
+                         per_node_bound=b if method == "grr" else None)
+        B, claim = sol.edges, sol.total_delta
     elif method == "high-degree":
         B = baseline_high_degree(graph, X, k)
     else:
@@ -184,7 +187,7 @@ def run_method(method: str, graph, dags, counts, X, C, k: int, b, seed,
                             seed=seed, delta=before - after,
                             di_percent=di_metric(before, after),
                             top3_share=concentration_report(B) if B else 0.0,
-                            wall_ms=wall_ms, eval_ms=eval_ms, edges=list(B))
+                            wall_ms=wall_ms, eval_ms=eval_ms, edges=list(B), claim=claim)
 
 
 def pick_targets(counts, size: int, rng: random.Random, pool_size: int = 150,
@@ -216,9 +219,11 @@ def run_experiment(config_path, out_path=None, verify=False):
     Once the candidate set C is built, and before any cell runs, every
     ``k`` is checked against |C| for the methods that need it: ``greedy``
     takes k < |C| and ``random`` k <= |C|; ``grr`` and ``high-degree`` may
-    return fewer edges. Raises on verification mismatch: each reported
-    delta is cross-checked against a from-scratch recomputation when
-    ``verify`` is set.
+    return fewer edges. With ``verify`` set, each cell's reported delta and
+    the method's own claim are checked against :func:`delta_set` on a
+    plain list of the DAGs, which keeps no maps between calls and so
+    recomputes every SC map it reads; a difference above ``VERIFY_TOL``
+    raises.
     """
     cfg = parse_config(config_path)
     for key in cfg:
@@ -288,10 +293,11 @@ def run_experiment(config_path, out_path=None, verify=False):
         for k in ks:
             rep = run_method(method, graph, dags, counts, X, C, k, b, seed, before)
             if verify:
-                check = delta_set(dags, X, rep.edges, counts=counts)
-                if abs(check - rep.delta) > VERIFY_TOL:
-                    raise ValueError(f"verification mismatch for {method} k={k}: "
-                                     f"{rep.delta} vs {check}")
+                check = delta_set(list(dags), X, rep.edges, counts=counts)
+                for value in (rep.delta, rep.claim):
+                    if value is not None and abs(check - value) > VERIFY_TOL:
+                        raise ValueError(f"verification mismatch for {method} k={k}: "
+                                         f"{value} vs {check}")
             reports.append(rep)
     if out_path is not None:
         write_reports_csv(reports, out_path)

@@ -12,7 +12,6 @@ ascending edges inside a head."""
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -240,10 +239,3 @@ def swap_round(y, C, b, rng) -> frozenset:
         lam += lam_n
     return frozenset(cur)
 
-
-def chernoff_epsilon(n: int, b: int) -> float:
-    """Overflow slack for unconditioned independent rounding: sqrt(6 ln n / b)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    check_bound(b)
-    return math.sqrt(6.0 * math.log(n) / b)

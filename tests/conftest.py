@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import pytest
 
 from cdlim.graph import ActionLog, SocialGraph, build_all_dags
+from reference import with_gamma
 
 
 @dataclass
@@ -28,7 +29,7 @@ F1_GAMMA = {(0, 1): 0.5, (1, 2): 0.4, (0, 2): 0.3}
 def make_f1() -> Instance:
     graph = SocialGraph(3, list(F1_GAMMA))
     log = ActionLog([(0, 0, 1), (1, 0, 2), (2, 0, 3)])
-    dags = [d.with_gamma(dict(F1_GAMMA)) for d in build_all_dags(graph, log)]
+    dags = [with_gamma(d, dict(F1_GAMMA)) for d in build_all_dags(graph, log)]
     return Instance(graph, log, dags, {0}, sorted(F1_GAMMA))
 
 
@@ -48,7 +49,7 @@ BRANCH7_TIMES = {0: 1, 1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 6: 4}
 def make_branch7(X) -> Instance:
     graph = SocialGraph(7, list(BRANCH7_GAMMA))
     log = ActionLog([(u, 0, t) for u, t in BRANCH7_TIMES.items()])
-    dags = [d.with_gamma(dict(BRANCH7_GAMMA)) for d in build_all_dags(graph, log)]
+    dags = [with_gamma(d, dict(BRANCH7_GAMMA)) for d in build_all_dags(graph, log)]
     return Instance(graph, log, dags, set(X), sorted(BRANCH7_GAMMA))
 
 
@@ -75,7 +76,7 @@ def random_instance(rng, max_nodes=8, max_actions=3, min_nodes=3) -> Instance:
         dags = []
         for dag in build_all_dags(graph, log):
             gamma = {e: rng.uniform(0.05, 1.0) / len(dag.in_edges[e[1]]) for e in dag.gamma}
-            dags.append(dag.with_gamma(gamma))
+            dags.append(with_gamma(dag, gamma))
         C = sorted({e for d in dags for e in d.gamma})
         if not C:
             continue

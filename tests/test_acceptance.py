@@ -15,17 +15,18 @@ import time
 import numpy as np
 import pytest
 
-from cdlim.contgreedy import CGConfig, continuous_greedy, multilinear_exact
+from cdlim.contgreedy import CGConfig, continuous_greedy
 from cdlim.credit import (compute_credit_store, compute_mc, counts_from_dags, delta_set,
-                          oracle_set_credit, oracle_total_credit, remove_edge,
-                          sigma_cd_scratch)
+                          remove_edge, sigma_cd_scratch)
 from cdlim.graph import ActionLog, SocialGraph, build_all_dags, generate_ic_actions
 from cdlim.greedy import greedy_bil
 from cdlim.harness import (baseline_high_degree, baseline_random,
                            concentration_report, default_candidates, di_metric,
                            pick_targets)
-from cdlim.rounding import chernoff_epsilon, feasible, randomized_round
+from cdlim.rounding import feasible, randomized_round
 from conftest import make_branch7, make_f1, random_instance
+from reference import (chernoff_epsilon, multilinear_exact, oracle_set_credit,
+                       oracle_total_credit)
 
 TOL = 1e-9
 

@@ -14,6 +14,7 @@ import pytest
 import cdlim
 from cdlim import harness
 from cdlim.cli import build_parser, main
+from cdlim.credit import CreditKernel
 from cdlim.harness import CSV_SCHEMA
 
 
@@ -441,6 +442,46 @@ class TestReport:
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
         _, rows = _read_csv(out)
         assert len(rows) == 5  # header + 4 cells
+
+    def _run_verify(self, d, methods, capsys):
+        """``cdlim verify`` on the f1 files with ``methods`` at k=1,2 and
+        b=1: its exit code and its standard-error lines."""
+        cfg = d / "cfg.txt"
+        cfg.write_text(f"graph={d / 'graph.txt'}\nactions={d / 'actions.txt'}\n"
+                       f"methods={methods}\nk=1,2\nb=1\ntargets=0\n", encoding="utf-8")
+        rc = main(["verify", "--config", str(cfg)])
+        return rc, capsys.readouterr().err.splitlines()
+
+    def test_verify_checks_the_solvers_gains(self, f1_files, capsys, monkeypatch):
+        # A kernel whose marginals are off (by 1.5 on edges with an odd
+        # tail, 0.5 on the rest) picks edges whose from-scratch delta is
+        # right, so only the gains greedy reports can show it.
+        marginal = CreditKernel.marginal
+        monkeypatch.setattr(CreditKernel, "marginal",
+                            lambda self, e: marginal(self, e) * (1.5 if e[0] % 2 else 0.5))
+        rc, err = self._run_verify(f1_files, "greedy,grr", capsys)
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: verification mismatch for greedy k=1:")
+
+    def test_verify_recomputes_the_kept_maps(self, f1_files, capsys, monkeypatch):
+        # The influence before removal fills the kept from-scratch SC maps;
+        # overwriting them then skews every sum read from them, delta_set
+        # on the same DAG tuple included. High-degree claims no delta, so
+        # only verify's own recomputation can show it.
+        sigma_before = harness.sigma_before
+
+        def overwrite_kept_maps(dags, X, counts):
+            sigma_before(dags, X, counts)
+            for sc in dags.target.base:
+                for u in sc:
+                    sc[u] *= 2.0
+            return sigma_before(dags, X, counts)
+
+        monkeypatch.setattr(harness, "sigma_before", overwrite_kept_maps)
+        rc, err = self._run_verify(f1_files, "high-degree", capsys)
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith(
+            "error: verification mismatch for high-degree k=1:")
 
     def test_target_that_never_acts(self, f1_files, capsys, monkeypatch):
         # One whole-graph influence pass before the grid, so no cell runs.

@@ -5,13 +5,12 @@ import random
 
 import pytest
 
-from cdlim.contgreedy import (CGConfig, FractionalSolution, cg_weights,
-                              continuous_greedy, empirical_total_curvature,
-                              multilinear_exact)
+from cdlim.contgreedy import CGConfig, FractionalSolution, cg_weights, continuous_greedy
 from cdlim.credit import counts_from_dags, delta_set
 from cdlim.graph import ActionLog, SocialGraph, build_all_dags
 from cdlim.rounding import feasible, max_weight_independent
 from conftest import random_instance
+from reference import empirical_total_curvature, multilinear_exact, with_gamma
 
 TOL = 1e-9
 
@@ -176,7 +175,7 @@ class TestContinuousGreedy:
     def test_zero_objective(self):
         g = SocialGraph(3, [(0, 1), (1, 2)])
         log = ActionLog([(0, 0, 1), (1, 0, 2), (2, 0, 3)])
-        dag = build_all_dags(g, log)[0].with_gamma({(0, 1): 0.5, (1, 2): 0.5})
+        dag = with_gamma(build_all_dags(g, log)[0], {(0, 1): 0.5, (1, 2): 0.5})
         frac = continuous_greedy([dag], {2}, [(0, 1), (1, 2)], 1,
                                  CGConfig(tau=5, s=5, seed=0))
         assert multilinear_exact([dag], {2}, [(0, 1), (1, 2)], frac.y) == 0.0
@@ -218,7 +217,7 @@ class TestCurvature:
     def test_disjoint_paths(self):
         g = SocialGraph(4, [(0, 1), (2, 3)])
         log = ActionLog([(0, 0, 1), (1, 0, 2), (2, 0, 1), (3, 0, 2)])
-        dag = build_all_dags(g, log)[0].with_gamma({(0, 1): 0.5, (2, 3): 0.5})
+        dag = with_gamma(build_all_dags(g, log)[0], {(0, 1): 0.5, (2, 3): 0.5})
         got = empirical_total_curvature([dag], {0, 2}, [(0, 1), (2, 3)])
         assert abs(got) < TOL
 

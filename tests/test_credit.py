@@ -8,11 +8,11 @@ import random
 import pytest
 
 from cdlim.credit import (CreditKernel, _sc_map, _target_set, compute_credit_store,
-                          compute_mc, counts_from_dags, delta_set, kappa, oracle_set_credit,
-                          oracle_total_credit, sigma_cd, sigma_cd_scratch)
+                          compute_mc, counts_from_dags, delta_set, sigma_cd_scratch)
 from cdlim.graph import ActionDags, ActionLog, SocialGraph, build_all_dags
 from cdlim.greedy import greedy_bil
 from conftest import make_branch7, make_f1, random_instance
+from reference import kappa, oracle_set_credit, oracle_total_credit, sigma_cd, with_gamma
 from test_acceptance import _ic_benchmark
 
 TOL = 1e-9
@@ -42,7 +42,7 @@ class TestComputeStore:
 
     def test_zero_gamma_no_propagation(self, f1):
         (dag,) = build_all_dags(f1.graph, f1.log)
-        bare = dag.with_gamma(dict.fromkeys(dag.gamma, 0.0))  # gammas all zero
+        bare = with_gamma(dag, dict.fromkeys(dag.gamma, 0.0))  # gammas all zero
         store = compute_credit_store([bare], f1.X)
         assert store.sc[0] == {0: 1.0}  # nothing propagates
 
@@ -72,7 +72,7 @@ class TestKappaSigma:
     def test_zero_credit_kappa(self):
         g = SocialGraph(2, [(0, 1)])
         log = ActionLog([(0, 0, 1), (1, 0, 2)])
-        dag = build_all_dags(g, log)[0].with_gamma({(0, 1): 0.5})
+        dag = with_gamma(build_all_dags(g, log)[0], {(0, 1): 0.5})
         store = compute_credit_store([dag], {1})
         assert kappa(store, 0) == 0.0  # no path from {1} back to 0
 
@@ -98,7 +98,7 @@ class TestOracles:
         # counts at 2; the longer 0 -> 1 -> 2 walk passes another target
         g = SocialGraph(3, [(0, 1), (1, 2)])
         log = ActionLog([(0, 0, 1), (1, 0, 2), (2, 0, 3)])
-        dag = build_all_dags(g, log)[0].with_gamma({(0, 1): 0.5, (1, 2): 0.5})
+        dag = with_gamma(build_all_dags(g, log)[0], {(0, 1): 0.5, (1, 2): 0.5})
         assert abs(oracle_set_credit(dag, {0, 1}, 2) - 0.5) < TOL
 
     def test_total_credit(self, f1):
@@ -111,7 +111,7 @@ class TestOracles:
         n = 25
         g = SocialGraph(n, [(u, u + 1) for u in range(n - 1)])
         log = ActionLog([(u, 0, u) for u in range(n)])
-        dag = build_all_dags(g, log)[0].with_gamma(
+        dag = with_gamma(build_all_dags(g, log)[0],
             {(u, u + 1): 0.5 for u in range(n - 1)})
         with pytest.raises(ValueError, match="guard"):
             oracle_set_credit(dag, {0}, n - 1)
@@ -181,7 +181,7 @@ class TestDeltas:
         # must not count credit continuing past the second target
         g = SocialGraph(5, [(u, u + 1) for u in range(4)])
         log = ActionLog([(u, 0, u) for u in range(5)])
-        dag = build_all_dags(g, log)[0].with_gamma(
+        dag = with_gamma(build_all_dags(g, log)[0],
             {(u, u + 1): 1.0 for u in range(4)})
         X = {0, 3}
         store = compute_credit_store([dag], X)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cdlim.graph import (ActionDag, ActionLog, SocialGraph, build_all_dags, generate_ic_actions,
                          load_action_log, load_gamma_table, load_graph, write_action_log)
 from conftest import make_f1, random_instance
+from reference import with_gamma
 
 
 def _write(path, text):
@@ -346,7 +347,7 @@ def _reference_credits(dag, scheme, table, actionlog, prop_counts):
     else:
         for e in dag.gamma:
             gamma[e] = table[e]
-    return dag.with_gamma(gamma)
+    return with_gamma(dag, gamma)
 
 
 def _reference_build(graph, actionlog, scheme, table=None):

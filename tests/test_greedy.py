@@ -6,10 +6,11 @@ import random
 import pytest
 
 from cdlim.credit import (compute_credit_store, compute_mc, counts_from_dags, delta_set,
-                          remove_edge, sigma_cd, sigma_cd_scratch)
+                          remove_edge, sigma_cd_scratch)
 from cdlim.graph import ActionLog, SocialGraph, build_all_dags
 from cdlim.greedy import greedy_bil
 from conftest import random_instance
+from reference import sigma_cd, with_gamma
 
 TOL = 1e-9
 
@@ -73,7 +74,7 @@ class TestUpdates:
         # two disjoint chains: removing one leaves the other's rows alone
         g = SocialGraph(4, [(0, 1), (2, 3)])
         log = ActionLog([(0, 0, 1), (1, 0, 2), (2, 0, 1), (3, 0, 2)])
-        dag = build_all_dags(g, log)[0].with_gamma({(0, 1): 0.5, (2, 3): 0.5})
+        dag = with_gamma(build_all_dags(g, log)[0], {(0, 1): 0.5, (2, 3): 0.5})
         store = compute_credit_store([dag], {0})
         before = {v: dict(row) for v, row in store.uc[0].items()}
         remove_edge(store, (2, 3))
@@ -136,7 +137,7 @@ class TestGreedy:
     def test_zero_marginals(self):
         g = SocialGraph(3, [(0, 1), (1, 2)])
         log = ActionLog([(0, 0, 1), (1, 0, 2), (2, 0, 3)])
-        dag = build_all_dags(g, log)[0].with_gamma({(0, 1): 0.5, (1, 2): 0.5})
+        dag = with_gamma(build_all_dags(g, log)[0], {(0, 1): 0.5, (1, 2): 0.5})
         sol = greedy_bil([dag], {2}, 1)  # nothing downstream of the target
         assert sol.gain_per_step == [0.0]
 

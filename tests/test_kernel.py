@@ -25,16 +25,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cdlim.contgreedy import (CGConfig, _cg_weights, cg_weights, continuous_greedy,
-                              multilinear_exact, sample_set)
-from cdlim.credit import (CreditKernel, _credit_row, _edge_deltas, _r_map, _sc_map,
-                          _shared_kernel, compute_credit_store, compute_mc,
-                          counts_from_dags, delta_set, remove_edge, sigma_cd,
-                          sigma_cd_scratch)
+from cdlim.contgreedy import CGConfig, _cg_weights, cg_weights, continuous_greedy, sample_set
+from cdlim.credit import (CreditKernel, _credit_row, _sc_map, _shared_kernel,
+                          compute_credit_store, compute_mc, counts_from_dags, delta_set,
+                          remove_edge, sigma_cd_scratch)
 from cdlim.graph import ActionDags, ActionLog, SocialGraph, build_all_dags
 from cdlim.greedy import greedy_bil
 from cdlim.rounding import max_weight_independent
 from conftest import make_f1, random_instance
+from reference import _edge_deltas, _r_map, multilinear_exact, sigma_cd, with_gamma
 from test_acceptance import _best_feasible, _ic_benchmark
 
 REL = 1e-12
@@ -52,8 +51,8 @@ def dense_instances(draw):
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     inst = random_instance(rng, max_nodes=8, max_actions=4)
     if draw(st.booleans()):
-        inst.dags = [d.with_gamma({e: rng.choice((0.25, 0.5, 1.0)) / len(d.in_edges[e[1]])
-                                   for e in d.gamma}) for d in inst.dags]
+        inst.dags = [with_gamma(d, {e: rng.choice((0.25, 0.5, 1.0)) / len(d.in_edges[e[1]])
+                                    for e in d.gamma}) for d in inst.dags]
     return inst.dags, inst.X, inst.C
 
 
@@ -72,8 +71,8 @@ def target_free_instances(draw):
     X = set(rng.sample(rare, rng.randint(1, len(rare))))
     dags = inst.dags
     if draw(st.booleans()):
-        dags = [d.with_gamma({e: rng.choice((0.25, 0.5, 1.0)) / len(d.in_edges[e[1]])
-                              for e in d.gamma}) for d in dags]
+        dags = [with_gamma(d, {e: rng.choice((0.25, 0.5, 1.0)) / len(d.in_edges[e[1]])
+                               for e in d.gamma}) for d in dags]
     return dags, X, inst.C
 
 
@@ -232,7 +231,7 @@ def _assert_maps_match_credits(kernel, X, keep):
     for dag, g, sc, r, f in _stored_actions(kernel).values():
         assert g == {e: c * keep[e] if e in keep else c
                      for e, c in _held_gamma(dag, X).items()}
-        scaled = dag.with_gamma({**dag.gamma, **g})
+        scaled = with_gamma(dag, {**dag.gamma, **g})
         assert sc == _sc_map(scaled, X, ()), (dag.action, keep)
         after_f = set(dag.nodes[f:])
         assert r == {n: val for n, val in _r_map(scaled, X, kernel.counts, ()).items()
@@ -344,8 +343,8 @@ def _assert_lazy_repair_matches_scratch(dags, X, C, rng, steps):
             _assert_maps_match_credits(kernel, X, keep)
         else:
             if ref is None:
-                scaled = [d.with_gamma({e: c * keep[e] if e in keep else c
-                                        for e, c in d.gamma.items()}) for d in dags]
+                scaled = [with_gamma(d, {e: c * keep[e] if e in keep else c
+                                         for e, c in d.gamma.items()}) for d in dags]
                 ref = reference_marginals(scaled, X, C, counts, ())
             for _ in range(rng.randint(1, 4)):
                 e = draw()
@@ -373,8 +372,8 @@ def test_lazy_repair_matches_scratch_chain_instance():
     for seed in range(6):
         rng = random.Random(seed)
         if seed % 2:
-            dags = [d.with_gamma({e: rng.choice((0.25, 0.5, 1.0)) / len(d.in_edges[e[1]])
-                                  for e in d.gamma}) for d in dags]
+            dags = [with_gamma(d, {e: rng.choice((0.25, 0.5, 1.0)) / len(d.in_edges[e[1]])
+                                   for e in d.gamma}) for d in dags]
         _assert_lazy_repair_matches_scratch(dags, X, C, rng, steps=80)
 
 
@@ -383,7 +382,7 @@ def closed_form_multilinear(dags, X, y, counts):
     influence at gamma * (1 - y), one SC pass each."""
     total = 0.0
     for dag in dags:
-        kept = dag.with_gamma({e: c * (1.0 - y.get(e, 0.0)) for e, c in dag.gamma.items()})
+        kept = with_gamma(dag, {e: c * (1.0 - y.get(e, 0.0)) for e, c in dag.gamma.items()})
         total += sigma_cd_scratch([dag], X, counts) - sigma_cd_scratch([kept], X, counts)
     return total
 
@@ -659,7 +658,7 @@ def test_kernel_marginal_matches_reference(inst, data):
         remove_edge(store, e)
         kernel.scale({e: 0.0})
     # The same removals as zero credits, for the from-scratch single-edge delta.
-    cut = [d.with_gamma({e: 0.0 if e in removed else g for e, g in d.gamma.items()})
+    cut = [with_gamma(d, {e: 0.0 if e in removed else g for e, g in d.gamma.items()})
            for d in dags]
     for e in C:
         if e in removed:
@@ -1254,8 +1253,8 @@ def reference_continuous_greedy(dags, X, C, b, config, counts):
     step = 1.0 / config.tau
     for _ in range(config.tau):
         if config.s is None:
-            kept = [d.with_gamma({e: c * (1.0 - y[e]) if e in y else c
-                                  for e, c in d.gamma.items()}) for d in dags]
+            kept = [with_gamma(d, {e: c * (1.0 - y[e]) if e in y else c
+                                   for e, c in d.gamma.items()}) for d in dags]
             weights = reference_marginals(kept, X, C, counts, frozenset())
         else:
             acc = dict.fromkeys(C, 0.0)

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from cdlim.credit import delta_set
 from cdlim.contgreedy import FractionalSolution
-from cdlim.rounding import (DECOMP_EPS, DECOMP_SLACK, chernoff_epsilon, decompose, feasible,
-                            randomized_round, swap_round)
+from cdlim.rounding import (DECOMP_EPS, DECOMP_SLACK, decompose, feasible, randomized_round,
+                            swap_round)
+from reference import chernoff_epsilon
 
 TOL = 1e-9
 

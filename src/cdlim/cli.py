@@ -13,18 +13,10 @@ import sys
 
 from . import contgreedy, harness, rounding
 from .credit import delta_set
-from .graph import (_int_token, _records, build_all_dags, default_candidates,
+from .graph import (_int_token, _records, build_all_dags, check_ic_params, default_candidates,
                     generate_ic_actions, load_action_log, load_gamma_table, load_graph,
                     write_action_log)
-from .greedy import greedy_bil
-
-
-def _node_id(graph, tok, where) -> int:
-    """Dense id of the node labelled ``tok``; errors name ``where``."""
-    try:
-        return graph.id_of(_int_token(tok))
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+from .greedy import check_budget, greedy_bil
 
 
 def _parse_targets(raw, graph):
@@ -34,7 +26,10 @@ def _parse_targets(raw, graph):
             raise ValueError(f"--targets: {raw} holds no target ids")
     else:
         where, tokens = "--targets", raw.split(",")
-    return {_node_id(graph, tok, where) for tok in tokens}
+    try:
+        return {graph.id_of(_int_token(tok)) for tok in tokens}
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _parse_candidates(raw, graph):
@@ -79,12 +74,7 @@ def _add_problem_flags(sub):
 
 
 def cmd_gen(args):
-    if args.num_actions < 1:
-        raise ValueError(f"num_actions {args.num_actions} must be at least 1")
-    if args.seeds_per_action < 1:
-        raise ValueError(f"seeds_per_action {args.seeds_per_action} must be at least 1")
-    if not 0.0 <= args.edge_prob <= 1.0:
-        raise ValueError(f"edge probability {args.edge_prob} outside [0, 1]")
+    check_ic_params(args.num_actions, args.seeds_per_action, args.edge_prob)
     graph = load_graph(args.graph)
     if graph.m == 0:
         raise ValueError(f"{args.graph}: the graph has no edges")
@@ -94,15 +84,12 @@ def cmd_gen(args):
     print(f"wrote {len(actionlog)} tuples across {len(actionlog.actions())} actions to {args.out}")
 
 
-def cmd_bil(args, per_node_bound=None):
-    if args.k < 1:
-        raise ValueError(f"budget k={args.k} must be at least 1")
-    if per_node_bound is not None:
-        rounding.check_bound(per_node_bound)
+def cmd_bil(args):
+    check_budget(args.k, args.b)
     graph, actionlog, dags, X, C = _load_problem(args)
     counts = actionlog.counts
     before = harness.sigma_before(dags, X, counts)
-    sol = greedy_bil(dags, X, args.k, C, counts=counts, per_node_bound=per_node_bound)
+    sol = greedy_bil(dags, X, args.k, C, counts=counts, per_node_bound=args.b)
     labels = graph.labels
     rows = []
     cum = 0.0
@@ -116,15 +103,10 @@ def cmd_bil(args, per_node_bound=None):
     print(f"delta={sol.total_delta:.9g} di={100.0 * sol.total_delta / before:.4f}%")
 
 
-def cmd_grr(args):
-    cmd_bil(args, per_node_bound=args.b)
-
-
 def cmd_ilm(args):
-    config = contgreedy.CGConfig(tau=args.tau, s=args.samples, seed=args.seed)
+    config = contgreedy.CGConfig(tau=args.tau)
     rounding.check_bound(args.b)
-    if args.trials < 1:
-        raise ValueError(f"trials={args.trials} must be at least 1")
+    rounding.check_trials(args.trials)
     graph, actionlog, dags, X, C = _load_problem(args)
     counts = actionlog.counts
     before = harness.sigma_before(dags, X, counts)
@@ -151,8 +133,7 @@ def cmd_ilm(args):
 
 
 def cmd_baseline(args):
-    if args.k < 1:
-        raise ValueError(f"k={args.k} must be at least 1")
+    harness.check_k(args.k)
     graph, actionlog, dags, X, C = _load_problem(args)
     counts = actionlog.counts
     rep = harness.run_method(args.method, graph, dags, counts, X, C, args.k, None, args.seed,
@@ -162,15 +143,11 @@ def cmd_baseline(args):
     print(f"{args.method}: delta={rep.delta:.9g} di={rep.di_percent:.4f}%")
 
 
-def cmd_report(args, verify=False):
-    reports = harness.run_experiment(args.config, out_path=args.out, verify=verify)
+def cmd_report(args):
+    reports = harness.run_experiment(args.config, out_path=args.out, verify=args.verify)
     for r in reports:
         print(f"{r.method} k={r.k} delta={r.delta:.6g} di={r.di_percent:.3f}% "
               f"top3={r.top3_share:.1f}% wall={r.wall_ms:.0f}ms eval={r.eval_ms:.0f}ms")
-
-
-def cmd_verify(args):
-    cmd_report(args, verify=True)
 
 
 def build_parser():
@@ -192,24 +169,21 @@ def build_parser():
     _add_problem_flags(bil)
     bil.add_argument("-k", type=int, required=True)
     bil.add_argument("--out")
-    bil.set_defaults(func=cmd_bil)
+    bil.set_defaults(func=cmd_bil, b=None)
 
     grr = subs.add_parser("grr", help="greedy with a per-node removal bound")
     _add_problem_flags(grr)
     grr.add_argument("-k", type=int, required=True)
     grr.add_argument("-b", type=int, required=True)
     grr.add_argument("--out")
-    grr.set_defaults(func=cmd_grr)
+    grr.set_defaults(func=cmd_bil)
 
     ilm = subs.add_parser("ilm", help="continuous greedy + rounding")
     _add_problem_flags(ilm)
     ilm.add_argument("-b", type=int, required=True)
     ilm.add_argument("--tau", type=int, default=100)
-    ilm.add_argument("--samples", type=int, metavar="N",
-                     help="estimate the continuous-greedy weights from N samples per "
-                          "step; default: exact weights, no sampling")
     ilm.add_argument("--seed", type=int, default=0,
-                     help="seeds the rounding, and the samples with --samples")
+                     help="seeds the rounding; the continuous-greedy weights are exact")
     ilm.add_argument("--rounding", choices=["randomized", "swap"], default="randomized")
     ilm.add_argument("--trials", type=int, default=50,
                      help="trials of best-of-trials rounding; applies to --rounding "
@@ -226,15 +200,12 @@ def build_parser():
     base.add_argument("--out")
     base.set_defaults(func=cmd_baseline)
 
-    rep = subs.add_parser("report", help="run a config-driven experiment grid")
-    rep.add_argument("--config", required=True)
-    rep.add_argument("--out")
-    rep.set_defaults(func=cmd_report)
-
-    ver = subs.add_parser("verify", help="experiment grid with delta cross-checks")
-    ver.add_argument("--config", required=True)
-    ver.add_argument("--out")
-    ver.set_defaults(func=cmd_verify)
+    for name, verify, text in (("report", False, "run a config-driven experiment grid"),
+                               ("verify", True, "experiment grid with delta cross-checks")):
+        rep = subs.add_parser(name, help=text)
+        rep.add_argument("--config", required=True)
+        rep.add_argument("--out")
+        rep.set_defaults(func=cmd_report, verify=verify)
 
     return parser
 

@@ -7,11 +7,13 @@ A DAG path uses each edge at most once, so under independent removals
 SC/R pass run on the credits gamma_e * (1 - y_e). The continuous-greedy
 weight of e, E[f(R + e) - f(R)] for R drawn from y, is then exactly
 ``CreditKernel.marginal(e)`` on a kernel holding those credits: the
-exact path (``CGConfig.s=None``, the default) keeps such a kernel and
-needs no samples. ``s >= 1`` selects the sampled path, which estimates
-each weight as a mean over s shared draws of R. It scores each draw on the
-same kernel through the same two calls: ``scale`` sets the credits of R to
-0.0, ``marginal`` reads the weights, and ``scale`` sets them back to gamma.
+exact path (``CGConfig.s=None``, the default and the CLI's only path)
+keeps such a kernel and needs no samples. ``s >= 1`` selects the sampled
+path, which estimates each weight as a mean over s shared draws of R; it
+stays only because the benchmark's ilm-matroid workload and its probe
+call it. It scores each draw on the same kernel through the same two
+calls: ``scale`` sets the credits of R to 0.0, ``marginal`` reads the
+weights, and ``scale`` sets them back to gamma.
 Both paths, and :func:`cg_weights`, borrow the kernel of
 :func:`~cdlim.credit._shared_kernel` in a ``with`` block, so on one target
 set they share greedy's, and the block's exit puts its credits back to gamma.
@@ -30,7 +32,8 @@ from .rounding import check_bound, max_weight_independent
 class CGConfig:
     """``tau`` steps; ``s=None`` takes exact weights from the kernel, and
     ``s >= 1`` estimates them from s samples per step drawn with ``seed``.
-    The exact path draws nothing, so ``seed`` does not affect it."""
+    The exact path draws nothing, so ``seed`` does not affect it; the CLI
+    sets only ``tau``."""
 
     tau: int = 100
     s: int | None = None
@@ -71,8 +74,7 @@ def sample_set(C, y, rng) -> frozenset:
 
 def cg_weights(dags, X, C, y, s, rng, counts=None) -> dict:
     """Mean marginal gain of each candidate over s shared samples from y,
-    scored on the kernel of :func:`~cdlim.credit._shared_kernel`, the one
-    its target set's solvers share, borrowed in a ``with`` block.
+    on the shared kernel; only the benchmark's ilm-matroid probe calls it.
 
     Samples are shared across candidates for variance reduction; negative
     means are clamped to zero (the true expectations are non-negative).
@@ -110,20 +112,18 @@ def continuous_greedy(dags, X, C, b, config: CGConfig, counts=None) -> Fractiona
     """Fractional ascent: tau steps of 1/tau mass along a max-weight
     independent direction, staying inside the matroid polytope.
 
-    The kernel comes from :func:`~cdlim.credit._shared_kernel`, so it is
-    the one its target set's solvers share, and they must run one at a
-    time; the run borrows it in a ``with`` block, whose exit puts its
-    credits back to gamma. On the exact path the kernel's credits are
+    It must not run alongside another solver on the same target set, since
+    they share one kernel. On the exact path the kernel's credits are
     gamma * (1 - y) during the run. After each step,
     :meth:`CreditKernel.scale` marks only the actions holding an edge whose
     y moved, and each weight is the kernel's marginal. Only the candidates
     some stored action holds are scored: every other weight is exactly 0.0,
-    which ``max_weight_independent`` skips. The
-    sampled path keeps the kernel at gamma between samples, and scores each
-    sample on the same kernel with the sample's credits set to 0.0 (see
-    :func:`_cg_weights`). An edge at y = 1.0 has weight exactly 0.0, so it
-    never moves again: each term c * 0.0 * r of its exact marginal is +0.0,
-    and ``random() < 1.0`` puts it in every sample, so no sample scores it."""
+    which ``max_weight_independent`` skips. The sampled path keeps the
+    kernel at gamma between samples, and scores each sample on the same
+    kernel with the sample's credits set to 0.0 (see :func:`_cg_weights`).
+    An edge at y = 1.0 has weight exactly 0.0, so it never moves again:
+    each term c * 0.0 * r of its exact marginal is +0.0, and
+    ``random() < 1.0`` puts it in every sample, so no sample scores it."""
     C = sorted(set(C))
     if not C:
         raise ValueError("empty candidate set")

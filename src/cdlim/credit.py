@@ -405,7 +405,9 @@ def compute_mc(store: CreditStore, e) -> float:
         row = store.ucx[a].get(v)
         if row is None:
             raise ValueError(f"credit row for node {v} not materialized (action {a})")
-        mc_a = sum(val / counts[w] for w, val in row.items())
+        mc_a = 0.0
+        for w, val in row.items():  # left to right: the builtin sum compensates on 3.12+
+            mc_a += val / counts[w]
         mc += sc_u * g * mc_a
     return mc
 

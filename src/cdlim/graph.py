@@ -317,7 +317,9 @@ def _fill_credits(dag: ActionDag, scheme: str, table, actionlog, prop_counts):
         for u in dag.nodes:
             incoming = in_edges[u]
             raw = [prop_counts.get(e, 0) / user_counts[e[0]] for e in incoming]
-            total = sum(raw)
+            total = 0.0
+            for r in raw:  # left to right: the builtin sum compensates on 3.12+
+                total += r
             scale = 1.0 / total if total > 1.0 else 1.0
             for e, r in zip(incoming, raw):
                 gamma[e] = r * scale
@@ -425,6 +427,16 @@ def load_gamma_table(path, graph: SocialGraph):
     return table
 
 
+def check_ic_params(num_actions: int, seeds_per_action: int, edge_prob) -> None:
+    """The checks of :func:`generate_ic_actions` that need no graph."""
+    if num_actions < 1:
+        raise ValueError(f"num_actions {num_actions} must be at least 1")
+    if seeds_per_action < 1:
+        raise ValueError(f"seeds_per_action {seeds_per_action} must be at least 1")
+    if not 0.0 <= edge_prob <= 1.0:
+        raise ValueError(f"edge probability {edge_prob} outside [0, 1]")
+
+
 def generate_ic_actions(graph: SocialGraph, num_actions: int, seeds_per_action: int,
                         edge_prob, seed=None) -> ActionLog:
     """Generate a synthetic action log via independent-cascade simulation.
@@ -436,12 +448,9 @@ def generate_ic_actions(graph: SocialGraph, num_actions: int, seeds_per_action: 
     for every edge; the activation time is the round index. Deterministic
     for a fixed ``seed``.
     """
-    if num_actions < 1:
-        raise ValueError(f"num_actions {num_actions} must be at least 1")
-    if seeds_per_action < 1 or seeds_per_action > graph.n:
+    check_ic_params(num_actions, seeds_per_action, edge_prob)
+    if seeds_per_action > graph.n:
         raise ValueError(f"seeds_per_action {seeds_per_action} outside [1, {graph.n}]")
-    if not 0.0 <= edge_prob <= 1.0:
-        raise ValueError(f"edge probability {edge_prob} outside [0, 1]")
     rng = random.Random(seed)
 
     def tuples():

@@ -20,7 +20,18 @@ class Solution:
 
     @property
     def total_delta(self) -> float:
-        return sum(self.gain_per_step)
+        total = 0.0
+        for gain in self.gain_per_step:  # left to right: the builtin sum compensates on 3.12+
+            total += gain
+        return total
+
+
+def check_budget(k, per_node_bound=None) -> None:
+    """Raise ValueError unless k, and the per-node bound if given, are at least 1."""
+    if k < 1:
+        raise ValueError(f"budget k={k} must be at least 1")
+    if per_node_bound is not None:
+        check_bound(per_node_bound)
 
 
 def greedy_bil(dags, X, k, C=None, *, counts=None, use_lazy=False,
@@ -66,10 +77,7 @@ def greedy_bil(dags, X, k, C=None, *, counts=None, use_lazy=False,
     marginal, ties going to the smallest edge, with the same gain the eager
     scan would report.
     """
-    if k < 1:
-        raise ValueError(f"budget k={k} must be at least 1")
-    if per_node_bound is not None:
-        check_bound(per_node_bound)
+    check_budget(k, per_node_bound)
     if C is None:
         C = default_candidates(dags)
     C = list(dict.fromkeys(sorted(C)))

@@ -41,6 +41,12 @@ def sigma_before(dags, X, counts) -> float:
     return before
 
 
+def check_k(k: int) -> None:
+    """Raise ValueError unless a baseline's k is at least 1."""
+    if k < 1:
+        raise ValueError(f"k={k} must be at least 1")
+
+
 def baseline_high_degree(graph: SocialGraph, X, k: int) -> list:
     """Edges from the target set to the highest-degree non-target nodes.
 
@@ -48,16 +54,16 @@ def baseline_high_degree(graph: SocialGraph, X, k: int) -> list:
     (x, v) edges until k are found; may return fewer, with a warning. The
     graph keeps no in-adjacency, so the in-degrees are counted here.
     """
-    if k < 1:
-        raise ValueError(f"k={k} must be at least 1")
+    check_k(k)
     X = set(X)
     out_nbrs = graph.out_nbrs
     in_degree = Counter(v for nbrs in out_nbrs for v in nbrs)
     ranked = sorted((v for v in range(graph.n) if v not in X),
                     key=lambda v: (-(len(out_nbrs[v]) + in_degree[v]), v))
+    targets = sorted(X)
     edges = []
     for v in ranked:
-        for x in sorted(X):
+        for x in targets:
             if graph.has_edge(x, v):
                 edges.append((x, v))
                 if len(edges) == k:
@@ -69,8 +75,7 @@ def baseline_high_degree(graph: SocialGraph, X, k: int) -> list:
 
 def baseline_random(C, k: int, rng: random.Random) -> list:
     """Uniform k-subset of the distinct candidates of ``C``."""
-    if k < 1:
-        raise ValueError(f"k={k} must be at least 1")
+    check_k(k)
     C = list(dict.fromkeys(sorted(C)))
     if k > len(C):
         raise ValueError(f"k={k} exceeds |C|={len(C)}")
@@ -251,10 +256,8 @@ def run_experiment(config_path, out_path=None, verify=False):
             raise ValueError(f"{config_path}: key 'methods': {exc}") from None
     if not ks:
         raise ValueError(f"{config_path}: key 'k': no values")
-    for k in ks:
-        if k < 1:
-            raise ValueError(f"{config_path}: key 'k': value {k} is below 1")
-    for key, value in (("b", b), ("target_size", target_size), ("target_pool", target_pool)):
+    for key, value in [("k", k) for k in ks] + [("b", b), ("target_size", target_size),
+                                                ("target_pool", target_pool)]:
         if value is not None and value < 1:
             raise ValueError(f"{config_path}: key {key!r}: value {value} is below 1")
     scheme = cfg.get("scheme", "uniform")

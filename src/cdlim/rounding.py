@@ -39,6 +39,12 @@ def check_bound(b) -> None:
         raise ValueError(f"per-node bound b={b} must be at least 1")
 
 
+def check_trials(trials) -> None:
+    """Raise ValueError unless the trial count is at least 1."""
+    if trials < 1:
+        raise ValueError(f"trials={trials} must be at least 1")
+
+
 def max_weight_independent(weights, b) -> frozenset:
     """Exact max-weight independent set of the per-head-node partition matroid.
 
@@ -74,8 +80,7 @@ def randomized_round(y, C, b, trials, rng, evaluator) -> RoundedSolution:
     twice in ``C`` still gets one draw. ``evaluator`` maps an edge set to
     its influence drop; the best feasible trial is returned.
     """
-    if trials < 1:
-        raise ValueError(f"trials={trials} must be at least 1")
+    check_trials(trials)
     check_bound(b)
     order = sorted(set(C), key=lambda e: (-y[e], e))
     trial_seeds = [rng.getrandbits(64) for _ in range(trials)]

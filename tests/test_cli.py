@@ -289,8 +289,7 @@ class TestIlm:
     def test_randomized(self, f1_files, capsys):
         out = f1_files / "ilm.csv"
         rc = main(["ilm", *_base_args(f1_files), "-b", "1", "--tau", "30",
-                   "--samples", "10", "--seed", "3", "--trials", "20",
-                   "--verbose", "--out", str(out)])
+                   "--seed", "3", "--trials", "20", "--verbose", "--out", str(out)])
         assert rc == 0
         assert "delta=" in capsys.readouterr().out
         _, rows = _read_csv(out)
@@ -298,8 +297,8 @@ class TestIlm:
         assert {"y", "removed", "solution", "trial"} <= kinds
 
     def test_exact_y_does_not_depend_on_seed(self, f1_files):
-        # Without --samples the weights are exact: y is the same at every
-        # seed, which drives only the rounding.
+        # The weights are exact: y is the same at every seed, which drives
+        # only the rounding.
         ys = []
         for seed in ("1", "2"):
             out = f1_files / f"ilm-exact-{seed}.csv"
@@ -310,18 +309,22 @@ class TestIlm:
             ys.append([row for row in rows[1:] if row[0] == "y"])
         assert ys[0] == ys[1] and len(ys[0]) == 3
 
-    def test_bad_tau_or_samples_is_an_error(self, f1_files, capsys):
-        for flag, message in (("--tau", "tau=0 must be at least 1"),
-                              ("--samples", "s=0 must be at least 1")):
-            rc = main(["ilm", *_base_args(f1_files), "-b", "1", flag, "0"])
-            assert rc == 1, flag
-            assert capsys.readouterr().err == f"error: {message}\n", flag
+    def test_bad_tau_is_an_error(self, f1_files, capsys):
+        rc = main(["ilm", *_base_args(f1_files), "-b", "1", "--tau", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: tau=0 must be at least 1\n"
+
+    def test_samples_flag(self, f1_files, capsys):
+        # The weights are always exact: the sampled path's flag is gone.
+        with pytest.raises(SystemExit) as exc:
+            main(["ilm", *_base_args(f1_files), "-b", "1", "--samples", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --samples" in capsys.readouterr().err
 
     def test_swap(self, f1_files):
         out = f1_files / "ilm2.csv"
         rc = main(["ilm", *_base_args(f1_files), "-b", "1", "--tau", "30",
-                   "--samples", "10", "--seed", "3", "--rounding", "swap",
-                   "--out", str(out)])
+                   "--seed", "3", "--rounding", "swap", "--out", str(out)])
         assert rc == 0
         _, rows = _read_csv(out)
         removed = [row[1] for row in rows[1:] if row[0] == "removed"]
@@ -506,7 +509,6 @@ class TestReport:
 
 @pytest.mark.parametrize("argv, message", [
     (["ilm", "-b", "1", "--tau", "0"], "tau=0 must be at least 1"),
-    (["ilm", "-b", "1", "--samples", "0"], "s=0 must be at least 1"),
     (["ilm", "-b", "1", "--trials", "0"], "trials=0 must be at least 1"),
     # Swap rounding draws one set, but a bad --trials is still an error.
     (["ilm", "-b", "1", "--trials", "-2", "--rounding", "swap"], "trials=-2 must be at least 1"),
@@ -515,7 +517,7 @@ class TestReport:
     (["grr", "-k", "0", "-b", "1"], "budget k=0 must be at least 1"),
     (["bil", "-k", "0"], "budget k=0 must be at least 1"),
     (["baseline", "--method", "random", "-k", "0"], "k=0 must be at least 1"),
-], ids=["ilm-tau", "ilm-samples", "ilm-trials", "ilm-swap-trials", "ilm-b", "grr-b", "grr-k",
+], ids=["ilm-tau", "ilm-trials", "ilm-swap-trials", "ilm-b", "grr-b", "grr-k",
         "bil-k", "baseline-k"])
 def test_flags_are_checked_before_any_input_is_read(tmp_path, capsys, argv, message):
     # No input file exists, so a flag checked only after loading (or after

@@ -1,6 +1,7 @@
 """Graph and action-log ingestion, DAG construction, credit schemes, and
 synthetic cascade generation."""
 
+import math
 import random
 
 import pytest
@@ -280,6 +281,21 @@ class TestAssignDirectCredits:
         counts = propagation_counts(g, log)
         assert counts[(0, 2)] == 2 and counts[(1, 2)] == 1
 
+    def test_learned_normalization_sums_left_to_right(self):
+        # Head 3 receives from 0, 1 and 2 in action 0, with raw credits
+        # 1/1, 1/3 and 1/1 (user 1 also acts alone in actions 1 and 2).
+        # Their left-to-right sum exceeds 1 and differs from the exactly
+        # rounded one, which a compensated sum (the builtin sum on Python
+        # 3.12+) returns, so the credits would depend on the interpreter.
+        g = SocialGraph(4, [(0, 3), (1, 3), (2, 3)])
+        log = ActionLog([(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 1), (1, 1, 0), (1, 2, 0)])
+        raw = [1.0, 1 / 3, 1.0]
+        total = (raw[0] + raw[1]) + raw[2]
+        assert total > 1.0 and total != math.fsum(raw)
+        dag = build_all_dags(g, log, "learned")[0]
+        assert dag.in_edges[3] == ((0, 3), (1, 3), (2, 3))
+        assert [dag.gamma[e] for e in dag.in_edges[3]] == [r * (1.0 / total) for r in raw]
+
     def test_unknown_scheme(self):
         inst = make_f1()
         with pytest.raises(ValueError, match="unknown credit scheme"):
@@ -340,7 +356,9 @@ def _reference_credits(dag, scheme, table, actionlog, prop_counts):
         raw = {e: prop_counts.get(e, 0) / actionlog.counts[e[0]] for e in dag.gamma}
         for u in dag.nodes:
             incoming = dag.in_edges[u]
-            total = sum(raw[e] for e in incoming)
+            total = 0.0
+            for e in incoming:  # left to right, as the library sums
+                total += raw[e]
             scale = 1.0 / total if total > 1.0 else 1.0
             for e in incoming:
                 gamma[e] = raw[e] * scale

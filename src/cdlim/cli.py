@@ -7,60 +7,23 @@ from __future__ import annotations
 
 import argparse
 import logging.handlers
-import os
 import random
 import sys
 
 from . import contgreedy, harness, rounding
 from .credit import delta_set
-from .graph import (_int_token, _records, build_all_dags, check_ic_params, default_candidates,
-                    generate_ic_actions, load_action_log, load_gamma_table, load_graph,
-                    write_action_log)
+from .graph import check_ic_params, generate_ic_actions, load_graph, write_action_log
 from .greedy import check_budget, greedy_bil
 
 
-def _parse_targets(raw, graph):
-    if os.path.exists(raw):
-        where, tokens = raw, [tok for _, _, fields in _records(raw) for tok in fields]
-        if not tokens:
-            raise ValueError(f"--targets: {raw} holds no target ids")
-    else:
-        where, tokens = "--targets", raw.split(",")
-    try:
-        return {graph.id_of(_int_token(tok)) for tok in tokens}
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
-
-
-def _parse_candidates(raw, graph):
-    edges = set()
-    for lineno, line, parts in _records(raw):
-        if len(parts) != 2:
-            raise ValueError(f"{raw}:{lineno}: expected 'u v', got {line!r}")
-        try:
-            u, v = (_int_token(tok) for tok in parts)
-            e = (graph.id_of(u), graph.id_of(v))
-        except ValueError as exc:
-            raise ValueError(f"{raw}:{lineno}: {exc}") from None
-        if not graph.has_edge(*e):
-            raise ValueError(f"{raw}:{lineno}: edge {u}->{v} is not in the graph")
-        edges.add(e)
-    return edges
-
-
-def _load_problem(args):
+def _load_problem(args) -> harness.Problem:
     if args.gamma_table is not None and args.scheme != "explicit":
         raise ValueError(f"--gamma-table needs --scheme explicit, not --scheme {args.scheme}")
     if args.scheme == "explicit" and not args.gamma_table:
         raise ValueError("--scheme explicit needs --gamma-table")
-    graph = load_graph(args.graph)
-    actionlog = load_action_log(args.actions, graph)
-    table = load_gamma_table(args.gamma_table, graph) if args.gamma_table else None
-    dags = build_all_dags(graph, actionlog, args.scheme, table=table)
-    X = _parse_targets(args.targets, graph)
-    C = (_parse_candidates(args.candidates, graph) if args.candidates
-         else default_candidates(dags))
-    return graph, actionlog, dags, X, sorted(C)
+    return harness.load_problem(args.graph, args.actions,
+                                lambda graph, _: harness.parse_targets(args.targets, graph),
+                                args.scheme, args.gamma_table, args.candidates)
 
 
 def _add_problem_flags(sub):
@@ -71,6 +34,7 @@ def _add_problem_flags(sub):
     sub.add_argument("--scheme", default="uniform", choices=["uniform", "learned", "explicit"])
     sub.add_argument("--gamma-table",
                      help="explicit gamma file: 'u v gamma' or 'u v action gamma' lines")
+    sub.add_argument("--out")
 
 
 def cmd_gen(args):
@@ -86,58 +50,51 @@ def cmd_gen(args):
 
 def cmd_bil(args):
     check_budget(args.k, args.b)
-    graph, actionlog, dags, X, C = _load_problem(args)
-    counts = actionlog.counts
-    before = harness.sigma_before(dags, X, counts)
-    sol = greedy_bil(dags, X, args.k, C, counts=counts, per_node_bound=args.b)
-    labels = graph.labels
+    p = _load_problem(args)
+    sol = greedy_bil(p.dags, p.X, args.k, p.C, per_node_bound=args.b)
+    labels = p.graph.labels
     rows = []
     cum = 0.0
     for step, (e, gain) in enumerate(zip(sol.edges, sol.gain_per_step), start=1):
         cum += gain
         rows.append([step, f"{labels[e[0]]}->{labels[e[1]]}", f"{gain:.9g}",
-                     f"{cum:.9g}", f"{100.0 * cum / before:.6f}"])
+                     f"{cum:.9g}", f"{100.0 * cum / p.before:.6f}"])
     if args.out:
         harness.write_csv(args.out, ["step", "edge", "marginal", "cumulativeDelta", "DIpercent"],
                           rows)
-    print(f"delta={sol.total_delta:.9g} di={100.0 * sol.total_delta / before:.4f}%")
+    print(f"delta={sol.total_delta:.9g} di={100.0 * sol.total_delta / p.before:.4f}%")
 
 
 def cmd_ilm(args):
     config = contgreedy.CGConfig(tau=args.tau)
     rounding.check_bound(args.b)
     rounding.check_trials(args.trials)
-    graph, actionlog, dags, X, C = _load_problem(args)
-    counts = actionlog.counts
-    before = harness.sigma_before(dags, X, counts)
-    frac = contgreedy.continuous_greedy(dags, X, C, args.b, config, counts=counts)
+    p = _load_problem(args)
+    frac = contgreedy.continuous_greedy(p.dags, p.X, p.C, args.b, config)
     frac.check(args.b)
     rng = random.Random(args.seed)
     if args.rounding == "swap":
-        B = sorted(rounding.swap_round(frac.y, C, args.b, rng))
-        delta = delta_set(dags, X, B, counts=counts)
+        B = sorted(rounding.swap_round(frac.y, p.C, args.b, rng))
+        delta = delta_set(p.dags, p.X, B)
         trial_deltas = []
     else:
-        rounded = rounding.randomized_round(frac.y, C, args.b, args.trials, rng,
-                                            lambda B: delta_set(dags, X, B, counts=counts))
+        rounded = rounding.randomized_round(frac.y, p.C, args.b, args.trials, rng,
+                                            lambda B: delta_set(p.dags, p.X, B))
         B, delta, trial_deltas = sorted(rounded.edges), rounded.delta, rounded.trial_deltas
-    labels = graph.labels
-    rows = [["y", f"{labels[e[0]]}->{labels[e[1]]}", f"{frac.y[e]:.9g}", "", ""] for e in C]
+    labels = p.graph.labels
+    rows = [["y", f"{labels[e[0]]}->{labels[e[1]]}", f"{frac.y[e]:.9g}", "", ""] for e in p.C]
     rows += [["removed", f"{labels[e[0]]}->{labels[e[1]]}", "", "", ""] for e in B]
-    rows.append(["solution", "", f"{delta:.9g}", "", f"{100.0 * delta / before:.6f}"])
+    rows.append(["solution", "", f"{delta:.9g}", "", f"{100.0 * delta / p.before:.6f}"])
     if args.verbose:
         rows += [["trial", str(i), f"{d:.9g}", "", ""] for i, d in enumerate(trial_deltas)]
     if args.out:
         harness.write_csv(args.out, ["kind", "edge", "value", "cumulativeDelta", "DIpercent"], rows)
-    print(f"removed {len(B)} edges, delta={delta:.9g}, di={100.0 * delta / before:.4f}%")
+    print(f"removed {len(B)} edges, delta={delta:.9g}, di={100.0 * delta / p.before:.4f}%")
 
 
 def cmd_baseline(args):
     harness.check_k(args.k)
-    graph, actionlog, dags, X, C = _load_problem(args)
-    counts = actionlog.counts
-    rep = harness.run_method(args.method, graph, dags, counts, X, C, args.k, None, args.seed,
-                             harness.sigma_before(dags, X, counts))
+    rep = harness.run_method(args.method, _load_problem(args), args.k, None, args.seed)
     if args.out:
         harness.write_reports_csv([rep], args.out)
     print(f"{args.method}: delta={rep.delta:.9g} di={rep.di_percent:.4f}%")
@@ -168,14 +125,12 @@ def build_parser():
     bil = subs.add_parser("bil", help="budgeted greedy edge removal")
     _add_problem_flags(bil)
     bil.add_argument("-k", type=int, required=True)
-    bil.add_argument("--out")
     bil.set_defaults(func=cmd_bil, b=None)
 
     grr = subs.add_parser("grr", help="greedy with a per-node removal bound")
     _add_problem_flags(grr)
     grr.add_argument("-k", type=int, required=True)
     grr.add_argument("-b", type=int, required=True)
-    grr.add_argument("--out")
     grr.set_defaults(func=cmd_bil)
 
     ilm = subs.add_parser("ilm", help="continuous greedy + rounding")
@@ -189,7 +144,6 @@ def build_parser():
                      help="trials of best-of-trials rounding; applies to --rounding "
                           "randomized only (swap rounding draws one set)")
     ilm.add_argument("--verbose", action="store_true")
-    ilm.add_argument("--out")
     ilm.set_defaults(func=cmd_ilm)
 
     base = subs.add_parser("baseline", help="high-degree or random baseline")
@@ -197,7 +151,6 @@ def build_parser():
     base.add_argument("--method", choices=["high-degree", "random"], required=True)
     base.add_argument("-k", type=int, required=True)
     base.add_argument("--seed", type=int, default=0)
-    base.add_argument("--out")
     base.set_defaults(func=cmd_baseline)
 
     for name, verify, text in (("report", False, "run a config-driven experiment grid"),

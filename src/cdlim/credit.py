@@ -6,22 +6,17 @@ action: SC, the credit of the target set at each node (a forward pass), and
 R, the action-normalized credit a node passes on along target-free paths,
 its own share included (a backward pass). Removing edge (u, v) lowers the
 influence in action a by SC[u] * gamma * R[v]; the kernel sums these terms
-on demand. It keeps each map only from the action's first target member on,
-since no earlier node carries set credit. Each stored action also keeps its
-own effective credits ``g``: ``dag.gamma`` restricted to the edges whose
-tail comes at or after that first target member, the only ones a pass or a
-marginal reads. The kernel's passes read only ``g``, and
-:meth:`CreditKernel.scale` is the one call that changes it: a removal sets
-``g[e] = 0.0``, exact continuous greedy sets ``g[e] = gamma * (1 - y_e)``,
-and a sample of the sampled path sets its edges to 0.0 and, once its
-marginals are read, back to gamma. None of these changes repairs anything
-at once: each marks the maps of the actions holding the edge stale, SC from
-v on and R from u back, and a marginal repairs only the part of a map it
-reads. An action with no target member has SC empty, so it adds no
-influence and no term: the kernel, :func:`sigma_cd_scratch` and
-:func:`delta_set` skip it, and their sums are unchanged to the bit. The
-whole-DAG pass :func:`_sc_map` serves the from-scratch evaluation; no
-solver calls it.
+on demand, changes credits only through :meth:`CreditKernel.scale`, and
+repairs only the map values a marginal reads (see the class). An action
+with no target member has SC empty, so it adds no influence and no term:
+the kernel, :func:`sigma_cd_scratch` and :func:`delta_set` skip it, and
+their sums are unchanged to the bit. The whole-DAG pass :func:`_sc_map`
+serves the from-scratch evaluation; no solver calls it.
+
+Credit is normalized by ``counts``, |A_u| per user. An
+:class:`ActionDags` carries its log's counts, which every call here reads
+when it is passed no ``counts`` (:func:`counts_from_dags`); only a plain
+list of DAGs falls back to counting the DAGs each user is a node of.
 
 Everything kept per target set is one :class:`_TargetSet`, from
 :func:`_target_set`: ``held``, the DAGs in which a target member takes
@@ -30,32 +25,18 @@ shared kernel. An :class:`ActionDags` keeps the state of the last target
 set asked about in its ``target`` slot, and a new target set replaces all
 three at once; any other iterable of DAGs gets a new state on each call.
 Every solver borrows the shared kernel in one ``with`` block, whose exit
-scales each credit off gamma back by 1.0 (gamma * 1.0 is gamma exactly),
-so the shared kernel holds gamma between solver runs and its repaired maps
-equal a new kernel's bit for bit; :func:`_shared_kernel` replaces a kernel
-left off gamma or kept for other ``counts``. Its marginals at gamma then
-depend only on the DAGs, the target set and ``counts``: the kernel sums
-them once, while it builds its maps, and keeps greedy's start heap over
-them, so each greedy run on it starts from a copy
-(:meth:`CreditKernel.start_heap`). Solvers on one
+puts every credit back to gamma, so between solver runs its marginals
+equal a new kernel's bit for bit; it sums them at gamma once, while it
+builds its maps, and keeps greedy's start heap over them
+(:meth:`CreditKernel.start_heap`). :func:`_shared_kernel` replaces a
+kernel left off gamma or kept for other ``counts``. Solvers on one
 :class:`ActionDags` must run one at a time, since they scale one kernel.
-The from-scratch evaluation (:func:`sigma_cd_scratch`, :func:`delta_set`)
-computes its sums on every call, over the maps it keeps and in the same
-order, so each value equals a memo-free computation to the bit; the
-kernel never reads them.
+The from-scratch evaluation computes its sums on every call, over the
+maps it keeps, so each value equals a memo-free computation to the bit.
 
-Every pass walks the DAG's ``in_edges`` and ``out_edges`` lists. Their
-tuples are the keys of ``dag.gamma``, so a pass reads an edge's credit
-(and, in the from-scratch passes, tests it against the removed set) with
-the DAG's own edge object and builds no tuple.
-
-:func:`compute_credit_store` builds the reference store the kernel is
-checked against: per action, EP (direct credit of each surviving DAG
-edge), UC rows (total credit of a source node for influencing every
-reachable node, including the self entry of value 1), UCX rows (the same
-along target-free paths) and SC. Its operations live here too:
-:func:`compute_mc`, the closed-form marginal, and :func:`remove_edge`, the
-update by subtraction.
+:func:`compute_credit_store` builds the reference :class:`CreditStore`
+the kernel is checked against, with its closed-form marginal
+:func:`compute_mc` and its update by subtraction :func:`remove_edge`.
 """
 
 from __future__ import annotations
@@ -81,6 +62,11 @@ class CreditStore:
 
 
 def counts_from_dags(dags) -> dict[int, int]:
+    """|A_u| per user when no ``counts`` is passed: an :class:`ActionDags`'s
+    own, the log's; for any other iterable, the number of DAGs each user is
+    a node of, which is the log's count only if the DAGs cover the log."""
+    if isinstance(dags, ActionDags) and dags.counts is not None:
+        return dags.counts
     counts: dict[int, int] = {}
     for dag in dags:
         for u in dag.nodes:
@@ -139,9 +125,7 @@ def _sc_map(dag: ActionDag, X, removed) -> dict[int, float]:
 
 class CreditKernel:
     """SC and R maps per target-holding action, for the marginals of greedy
-    and continuous greedy. :meth:`scale` is the one way to change credits:
-    greedy removes each pick by scaling it to 0.0, and continuous greedy
-    scales per step on the exact path and per sample on the sampled one.
+    and continuous greedy. :meth:`scale` is the one way to change credits.
     The kernel keeps no removed set: a removed edge is one whose credit is
     0.0 in ``g``. It keeps a copy of ``counts``, which :func:`_shared_kernel`
     compares with the caller's; ``off``, the edges whose credit is not
@@ -338,7 +322,8 @@ class CreditKernel:
 
 def _shared_kernel(dags, X, counts=None) -> CreditKernel:
     """The :class:`CreditKernel` of ``dags`` for target set ``X`` and
-    ``counts`` (by default :func:`counts_from_dags`), at gamma: the
+    ``counts`` (by default :func:`counts_from_dags`: on an
+    :class:`ActionDags`, the log's counts it carries), at gamma: the
     ``kernel`` of :func:`_target_set`'s state when its copy of ``counts``
     equals ``counts`` and no credit is off gamma; otherwise a new one, which
     the state keeps. Callers borrow it in a ``with`` block, whose exit puts

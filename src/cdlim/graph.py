@@ -341,20 +341,24 @@ class ActionDags(tuple):
     """The credit-assigned DAGs of a log, in action order, as an immutable
     tuple.
 
-    ``target`` is the slot where :mod:`cdlim.credit` keeps what it computes
-    for the last target set asked about, so the solvers and the
+    ``counts`` is the log's ``counts`` (user -> |A_u|), which
+    :func:`build_all_dags` sets and :mod:`cdlim.credit` normalizes credit
+    by. ``target`` is the slot where :mod:`cdlim.credit` keeps what it
+    computes for the last target set asked about, so the solvers and the
     from-scratch evaluation on one set share it (see
     :func:`cdlim.credit._target_set`). Solvers on one :class:`ActionDags`
     share that state, so they must run one at a time.
     """
 
+    counts = None
     target = None
 
 
 def build_all_dags(graph: SocialGraph, actionlog: ActionLog, scheme: str = "uniform",
                    table=None) -> ActionDags:
     """Build and credit-assign the DAG of every action in the log; returns
-    them as an immutable :class:`ActionDags`, in action order.
+    them as an immutable :class:`ActionDags`, in action order, carrying the
+    log's ``counts``.
 
     An edge (u, v) is in an action's DAG iff it is a social edge, both
     endpoints performed the action, and u performed it strictly before v.
@@ -385,7 +389,9 @@ def build_all_dags(graph: SocialGraph, actionlog: ActionLog, scheme: str = "unif
     for dag in dags:
         tab = table if per_action is None else per_action.get(dag.action, {})
         _fill_credits(dag, scheme, tab, actionlog, prop_counts)
-    return ActionDags(dags)
+    dags = ActionDags(dags)
+    dags.counts = actionlog.counts
+    return dags
 
 
 def default_candidates(dags) -> set:

@@ -5,14 +5,15 @@ from __future__ import annotations
 
 import csv
 import logging
+import os
 import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .credit import delta_set, sigma_cd_scratch
-from .graph import (SocialGraph, _int_token, _records, build_all_dags,
-                    default_candidates, load_action_log, load_graph)
+from .graph import (ActionDags, SocialGraph, _int_token, _records, build_all_dags,
+                    default_candidates, load_action_log, load_gamma_table, load_graph)
 from .greedy import greedy_bil
 
 log = logging.getLogger(__name__)
@@ -33,12 +34,71 @@ def di_metric(sigma_before: float, sigma_after: float) -> float:
     return (sigma_before - sigma_after) / sigma_before * 100.0
 
 
-def sigma_before(dags, X, counts) -> float:
+def sigma_before(dags, X) -> float:
     """Influence of the targets before any removal: the DI denominator."""
-    before = sigma_cd_scratch(dags, X, counts)
+    before = sigma_cd_scratch(dags, X)
     if before <= 0.0:
         raise ValueError("no target user performs any action: nothing to limit")
     return before
+
+
+@dataclass
+class Problem:
+    """One instance from :func:`load_problem`: the graph, its DAGs (which
+    carry the log's counts), the target ids ``X``, the sorted candidates
+    ``C`` and ``before``, the targets' influence with nothing removed."""
+
+    graph: SocialGraph
+    dags: ActionDags
+    X: set
+    C: list
+    before: float
+
+
+def parse_targets(raw, graph) -> set:
+    """The ids of the labels in ``raw``: a file of labels if it exists,
+    else comma-separated labels. Errors name the file or ``--targets``."""
+    if os.path.exists(raw):
+        where, tokens = raw, [tok for _, _, fields in _records(raw) for tok in fields]
+        if not tokens:
+            raise ValueError(f"--targets: {raw} holds no target ids")
+    else:
+        where, tokens = "--targets", raw.split(",")
+    try:
+        return {graph.id_of(_int_token(tok)) for tok in tokens}
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _parse_candidates(path, graph) -> set:
+    """The edges of a file of 'u v' label pairs, each a graph edge."""
+    edges = set()
+    for lineno, line, parts in _records(path):
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'u v', got {line!r}")
+        try:
+            u, v = (_int_token(tok) for tok in parts)
+            e = (graph.id_of(u), graph.id_of(v))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if not graph.has_edge(*e):
+            raise ValueError(f"{path}:{lineno}: edge {u}->{v} is not in the graph")
+        edges.add(e)
+    return edges
+
+
+def load_problem(graph_path, actions_path, targets, scheme="uniform", gamma_table=None,
+                 candidates=None) -> Problem:
+    """Read the graph, the log and any gamma table, then take the target ids
+    from ``targets(graph, actionlog)`` before any DAG is built. ``C`` is the
+    ``candidates`` file's edges if one is named, else every DAG edge."""
+    graph = load_graph(graph_path)
+    actionlog = load_action_log(actions_path, graph)
+    table = load_gamma_table(gamma_table, graph) if gamma_table else None
+    X = targets(graph, actionlog)
+    dags = build_all_dags(graph, actionlog, scheme, table=table)
+    C = _parse_candidates(candidates, graph) if candidates else default_candidates(dags)
+    return Problem(graph, dags, X, sorted(C), sigma_before(dags, X))
 
 
 def check_k(k: int) -> None:
@@ -87,10 +147,7 @@ def concentration_report(B) -> float:
     B = list(B)
     if not B:
         raise ValueError("empty solution set")
-    per_head: dict[int, int] = {}
-    for (_, v) in B:
-        per_head[v] = per_head.get(v, 0) + 1
-    top3 = sum(sorted(per_head.values(), reverse=True)[:3])
+    top3 = sum(sorted(Counter(v for _, v in B).values(), reverse=True)[:3])
     return 100.0 * top3 / len(B)
 
 
@@ -126,13 +183,16 @@ def write_reports_csv(reports, path) -> None:
 
 
 def parse_config(path) -> dict:
-    """Flat key=value config; comma-separated values become lists."""
+    """Flat key=value config, one key per line; a key set twice is an error."""
     cfg = {}
     for lineno, line, _ in _records(path):
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        cfg[key.strip()] = value.strip()
+        key = key.strip()
+        if key in cfg:
+            raise ValueError(f"{path}: key {key!r}: set again on line {lineno}")
+        cfg[key] = value.strip()
     return cfg
 
 
@@ -159,38 +219,33 @@ def _check_method(method: str, b) -> None:
         raise ValueError("method 'grr' needs a per-node bound b")
 
 
-def run_method(method: str, graph, dags, counts, X, C, k: int, b, seed,
-               before: float) -> ExperimentReport:
-    """Run one (method, parameter) cell and measure it against the
-    from-scratch influence.
+def run_method(method: str, problem: Problem, k: int, b, seed) -> ExperimentReport:
+    """Run one (method, parameter) cell on ``problem`` and score it by the
+    from-scratch influence after its removals against ``problem.before``.
 
-    ``before`` is the targets' influence with nothing removed, from
-    :func:`sigma_before`, computed once for every cell of an experiment.
-    ``wall_ms`` times the method call; ``eval_ms`` times the from-scratch
-    influence after its removals. The greedy and grr cells of one target
-    set run on one shared credit kernel, so only the first of them times
-    its build, the start marginals it sums while building and the start
-    heap over ``C``; the later cells on that ``C`` copy the kept heap.
+    ``wall_ms`` times the method call and ``eval_ms`` the scoring. The
+    greedy and grr cells of one problem share one credit kernel, so only
+    the first of them times its build and start heap.
     """
     _check_method(method, b)
+    dags, X, C = problem.dags, problem.X, problem.C
     start = time.perf_counter()
     rng = random.Random(seed)
     claim = None
     if method in ("greedy", "grr"):
-        sol = greedy_bil(dags, X, k, C, counts=counts,
-                         per_node_bound=b if method == "grr" else None)
+        sol = greedy_bil(dags, X, k, C, per_node_bound=b if method == "grr" else None)
         B, claim = sol.edges, sol.total_delta
     elif method == "high-degree":
-        B = baseline_high_degree(graph, X, k)
+        B = baseline_high_degree(problem.graph, X, k)
     else:
         B = baseline_random(C, k, rng)
     wall_ms = (time.perf_counter() - start) * 1000.0
     start = time.perf_counter()
-    after = sigma_cd_scratch(dags, X, counts, removed=frozenset(B))
+    after = sigma_cd_scratch(dags, X, removed=frozenset(B))
     eval_ms = (time.perf_counter() - start) * 1000.0
     return ExperimentReport(method=method, k=k, b=b if method == "grr" else None,
-                            seed=seed, delta=before - after,
-                            di_percent=di_metric(before, after),
+                            seed=seed, delta=problem.before - after,
+                            di_percent=di_metric(problem.before, after),
                             top3_share=concentration_report(B) if B else 0.0,
                             wall_ms=wall_ms, eval_ms=eval_ms, edges=list(B), claim=claim)
 
@@ -216,19 +271,18 @@ def run_experiment(config_path, out_path=None, verify=False):
     """Run every (method, k) cell in the config and emit one CSV row each.
 
     The whole config is checked before any input is read: every key is one
-    of ``CONFIG_KEYS``, every method is known, ``grr`` has its bound ``b``,
-    ``k``, and ``targets`` when given, list at least one value, every value
-    of ``k``, ``b``, ``target_size`` and ``target_pool`` is at least 1,
-    ``scheme`` is uniform or learned, and ``target_sampler`` is
-    top-actions or uniform.
-    Once the candidate set C is built, and before any cell runs, every
-    ``k`` is checked against |C| for the methods that need it: ``greedy``
-    takes k < |C| and ``random`` k <= |C|; ``grr`` and ``high-degree`` may
-    return fewer edges. With ``verify`` set, each cell's reported delta and
-    the method's own claim are checked against :func:`delta_set` on a
-    plain list of the DAGs, which keeps no maps between calls and so
-    recomputes every SC map it reads; a difference above ``VERIFY_TOL``
-    raises.
+    of ``CONFIG_KEYS`` and set once, every method is known, ``grr`` has its
+    bound ``b``, ``k``, and ``targets`` when given, list at least one value,
+    every value of ``k``, ``b``, ``target_size`` and ``target_pool`` is at
+    least 1, ``scheme`` is uniform or learned, and ``target_sampler`` is
+    top-actions or uniform. Once :func:`load_problem` has read the inputs,
+    and before any cell runs, every ``k`` is checked against |C| for the
+    methods that need it: ``greedy`` takes k < |C| and ``random`` k <= |C|;
+    ``grr`` and ``high-degree`` may return fewer edges. With ``verify``
+    set, each cell's reported delta and the method's own claim are checked
+    against :func:`delta_set` on a plain list of the DAGs, which keeps no
+    maps between calls and so recomputes every SC map it reads; a
+    difference above ``VERIFY_TOL`` raises.
     """
     cfg = parse_config(config_path)
     for key in cfg:
@@ -270,19 +324,18 @@ def run_experiment(config_path, out_path=None, verify=False):
     if sampler not in ("top-actions", "uniform"):
         raise ValueError(f"{config_path}: key 'target_sampler': unknown target sampler "
                          f"{sampler!r}")
-    graph = load_graph(cfg["graph"])
-    actionlog = load_action_log(cfg["actions"], graph)
-    dags = build_all_dags(graph, actionlog, scheme)
-    counts = actionlog.counts
-    rng = random.Random(seed)
-    if labels is not None:
+
+    def targets(graph, actionlog):
+        if labels is None:
+            return pick_targets(actionlog.counts, target_size, random.Random(seed),
+                                pool_size=target_pool, sampler=sampler)
         try:
-            X = {graph.id_of(t) for t in labels}
+            return {graph.id_of(t) for t in labels}
         except ValueError as exc:
             raise ValueError(f"{config_path}: key 'targets': {exc}") from None
-    else:
-        X = pick_targets(counts, target_size, rng, pool_size=target_pool, sampler=sampler)
-    C = sorted(default_candidates(dags))
+
+    problem = load_problem(cfg["graph"], cfg["actions"], targets, scheme)
+    C = problem.C
     k = max(ks)
     if "greedy" in methods and k >= len(C):
         raise ValueError(f"{config_path}: key 'k': value {k} must be smaller than "
@@ -290,13 +343,13 @@ def run_experiment(config_path, out_path=None, verify=False):
     if "random" in methods and k > len(C):
         raise ValueError(f"{config_path}: key 'k': value {k} exceeds |C|={len(C)} "
                          f"for method 'random'")
-    before = sigma_before(dags, X, counts)
     reports = []
     for method in methods:
         for k in ks:
-            rep = run_method(method, graph, dags, counts, X, C, k, b, seed, before)
+            rep = run_method(method, problem, k, b, seed)
             if verify:
-                check = delta_set(list(dags), X, rep.edges, counts=counts)
+                check = delta_set(list(problem.dags), problem.X, rep.edges,
+                                  counts=problem.dags.counts)
                 for value in (rep.delta, rep.claim):
                     if value is not None and abs(check - value) > VERIFY_TOL:
                         raise ValueError(f"verification mismatch for {method} k={k}: "

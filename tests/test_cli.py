@@ -2,6 +2,7 @@
 
 import csv
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -15,6 +16,7 @@ import cdlim
 from cdlim import harness
 from cdlim.cli import build_parser, main
 from cdlim.credit import CreditKernel
+from cdlim.graph import SocialGraph, generate_ic_actions, write_action_log
 from cdlim.harness import CSV_SCHEMA
 
 
@@ -473,12 +475,12 @@ class TestReport:
         # only verify's own recomputation can show it.
         sigma_before = harness.sigma_before
 
-        def overwrite_kept_maps(dags, X, counts):
-            sigma_before(dags, X, counts)
+        def overwrite_kept_maps(dags, X):
+            sigma_before(dags, X)
             for sc in dags.target.base:
                 for u in sc:
                     sc[u] *= 2.0
-            return sigma_before(dags, X, counts)
+            return sigma_before(dags, X)
 
         monkeypatch.setattr(harness, "sigma_before", overwrite_kept_maps)
         rc, err = self._run_verify(f1_files, "high-degree", capsys)
@@ -505,6 +507,41 @@ class TestReport:
                        encoding="utf-8")
         assert main(["report", "--config", str(cfg)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_commands_and_report_solve_one_problem(self, tmp_path, capsys):
+        # A small chokepoint: targets 0-2 feed relays 3 and 4, which fan
+        # out over a random background. bil, grr and the high-degree
+        # baseline print the delta and DI of report's rows for the same
+        # k, b and targets, since both front ends load one problem.
+        rng = random.Random(5)
+        n = 40
+        edges = {(x, r) for x in range(3) for r in (3, 4)}
+        edges |= {(r, v) for r in (3, 4) for v in rng.sample(range(5, n), 8)}
+        while len(edges) < 160:
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                edges.add((u, v))
+        graph = SocialGraph(n, sorted(edges))
+        (tmp_path / "graph.txt").write_text("".join(f"{u} {v}\n" for u, v in sorted(edges)),
+                                            encoding="utf-8")
+        write_action_log(generate_ic_actions(graph, 80, 1, 0.3, seed=5),
+                         tmp_path / "actions.txt")
+        problem = ["--graph", str(tmp_path / "graph.txt"), "--actions",
+                   str(tmp_path / "actions.txt"), "--targets", "0,1,2"]
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"graph={tmp_path / 'graph.txt'}\nactions={tmp_path / 'actions.txt'}\n"
+                       "methods=greedy,grr,high-degree\nk=1,3,6\nb=2\ntargets=0,1,2\n",
+                       encoding="utf-8")
+        reports = harness.run_experiment(str(cfg))
+        assert len(reports) == 9
+        commands = {"greedy": ["bil"], "grr": ["grr", "-b", "2"],
+                    "high-degree": ["baseline", "--method", "high-degree"]}
+        for rep in reports:
+            assert main([commands[rep.method][0], *problem, *commands[rep.method][1:],
+                         "-k", str(rep.k)]) == 0
+            prefix = "high-degree: " if rep.method == "high-degree" else ""
+            assert capsys.readouterr().out == (
+                f"{prefix}delta={rep.delta:.9g} di={rep.di_percent:.4f}%\n"), rep
 
 
 @pytest.mark.parametrize("argv, message", [

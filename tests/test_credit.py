@@ -7,9 +7,11 @@ import random
 
 import pytest
 
+from cdlim.contgreedy import CGConfig, continuous_greedy
 from cdlim.credit import (CreditKernel, _sc_map, _target_set, compute_credit_store,
                           compute_mc, counts_from_dags, delta_set, sigma_cd_scratch)
-from cdlim.graph import ActionDags, ActionLog, SocialGraph, build_all_dags
+from cdlim.graph import (ActionDags, ActionLog, SocialGraph, build_all_dags, default_candidates,
+                         generate_ic_actions)
 from cdlim.greedy import greedy_bil
 from conftest import make_branch7, make_f1, random_instance
 from reference import kappa, oracle_set_credit, oracle_total_credit, sigma_cd, with_gamma
@@ -321,6 +323,45 @@ class TestActionDagsHolding:
             dags.append(dags[0])
         with pytest.raises(TypeError):
             dags[0] = dags[0]
+
+    def test_solvers_and_references_read_the_logs_counts(self):
+        # Every other action's DAG is dropped, so each user who performed a
+        # dropped action is a node of fewer DAGs than the log's count. Given
+        # no counts, an ActionDags must normalize by the log's counts it
+        # carries, as a plain list passed them does.
+        rng = random.Random(7)
+        n = 40
+        edges = sorted({(rng.randrange(n), rng.randrange(n)) for _ in range(4 * n)}
+                       - {(u, u) for u in range(n)})
+        graph = SocialGraph(n, edges)
+        log = generate_ic_actions(graph, 60, 2, 0.4, seed=7)
+        full = build_all_dags(graph, log)
+        assert full.counts is log.counts
+        assert counts_from_dags(full) is log.counts
+        sub = ActionDags(full[::2])
+        sub.counts = full.counts
+        plain = list(sub)
+        assert counts_from_dags(plain) != sub.counts
+        active = sorted({u for dag in sub for u in dag.nodes}, key=lambda u: (-log.counts[u], u))
+        X = set(active[:3])
+        C = sorted(default_candidates(sub))
+        assert sigma_cd_scratch(plain, X) != sigma_cd_scratch(plain, X, sub.counts)
+
+        def hexes(values):
+            return [float.hex(v) for v in values]
+
+        got = greedy_bil(sub, X, 6, C)
+        want = greedy_bil(plain, X, 6, C, counts=sub.counts)
+        assert got.edges == want.edges
+        assert hexes(got.gain_per_step) == hexes(want.gain_per_step)
+        assert (float.hex(sigma_cd_scratch(sub, X))
+                == float.hex(sigma_cd_scratch(plain, X, sub.counts)))
+        for B in (got.edges, got.edges[:2], C[::3]):
+            assert (float.hex(delta_set(sub, X, B))
+                    == float.hex(delta_set(plain, X, B, counts=sub.counts)))
+        y = continuous_greedy(sub, X, C, 1, CGConfig(tau=5)).y
+        y_want = continuous_greedy(plain, X, C, 1, CGConfig(tau=5), counts=sub.counts).y
+        assert hexes(y[e] for e in C) == hexes(y_want[e] for e in C)
 
 
 class TestScratchMemo:

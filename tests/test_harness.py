@@ -11,7 +11,7 @@ from cdlim import harness
 from cdlim.cli import main
 from cdlim.graph import (ActionLog, SocialGraph, build_all_dags,
                          generate_ic_actions, write_action_log)
-from cdlim.harness import (CSV_COLUMNS, CSV_SCHEMA, baseline_high_degree,
+from cdlim.harness import (CSV_COLUMNS, CSV_SCHEMA, Problem, baseline_high_degree,
                            baseline_random, concentration_report,
                            default_candidates, di_metric, parse_config,
                            pick_targets, run_experiment, run_method,
@@ -199,9 +199,8 @@ class TestRunExperiment:
 
     def test_di_matches_scratch_recompute(self, f1):
         from cdlim.credit import sigma_cd_scratch
-        counts = {0: 1, 1: 1, 2: 1}
-        rep = run_method("greedy", f1.graph, f1.dags, counts,
-                         f1.X, f1.C, 2, None, 0, sigma_before(f1.dags, f1.X, counts))
+        problem = Problem(f1.graph, f1.dags, f1.X, f1.C, sigma_before(f1.dags, f1.X))
+        rep = run_method("greedy", problem, 2, None, 0)
         before = sigma_cd_scratch(f1.dags, f1.X)
         after = sigma_cd_scratch(f1.dags, f1.X, removed=frozenset(rep.edges))
         assert abs(rep.di_percent - di_metric(before, after)) < 1e-6
@@ -209,13 +208,11 @@ class TestRunExperiment:
 
     def test_unknown_method(self, f1):
         with pytest.raises(ValueError, match="unknown method"):
-            run_method("bogus", f1.graph, f1.dags, {0: 1, 1: 1, 2: 1},
-                       f1.X, f1.C, 1, None, 0, 1.0)
+            run_method("bogus", Problem(f1.graph, f1.dags, f1.X, f1.C, 1.0), 1, None, 0)
 
     def test_grr_needs_bound(self, f1, tmp_path, capsys):
         with pytest.raises(ValueError, match="per-node bound b"):
-            run_method("grr", f1.graph, f1.dags, {0: 1, 1: 1, 2: 1},
-                       f1.X, f1.C, 1, None, 0, 1.0)
+            run_method("grr", Problem(f1.graph, f1.dags, f1.X, f1.C, 1.0), 1, None, 0)
         gpath, apath, _, _ = _bench_files(tmp_path)
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(f"graph={gpath}\nactions={apath}\nmethods=grr\nk=2\n",
@@ -243,13 +240,14 @@ class TestRunExperiment:
          "key 'target_sampler': unknown target sampler 'bogus'"),
         ("methods=greedy\ntarget_size=0\n", "key 'target_size': value 0 is below 1"),
         ("methods=greedy\ntarget_pool=-3\n", "key 'target_pool': value -3 is below 1"),
+        # The last value of a repeated key would otherwise win silently.
+        ("methods=greedy\ntargets=0\ntargets=5\n", "key 'targets': set again on line 5"),
     ])
     def test_config_is_checked_before_any_cell(self, tmp_path, capsys, monkeypatch, lines,
                                                message):
         gpath, apath, _, _ = _bench_files(tmp_path)
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text(f"graph={gpath}\nactions={apath}\ntarget_size=3\n{lines}",
-                       encoding="utf-8")
+        cfg.write_text(f"graph={gpath}\nactions={apath}\n{lines}", encoding="utf-8")
         cells = []
         monkeypatch.setattr(harness, "load_graph", _must_not_call)
         monkeypatch.setattr(harness, "run_method", lambda *args: cells.append(args[0]))
@@ -349,8 +347,8 @@ class TestRunExperiment:
         from cdlim.harness import default_candidates as dc
         C = sorted(dc(dags))
         X = {C[0][0]}
-        rep = run_method("grr", graph, dags, log.counts,
-                         X, C, min(6, len(C) - 1), 1, 0, sigma_before(dags, X, log.counts))
+        rep = run_method("grr", Problem(graph, dags, X, C, sigma_before(dags, X)),
+                         min(6, len(C) - 1), 1, 0)
         heads = [v for (_, v) in rep.edges]
         assert len(heads) == len(set(heads))
 

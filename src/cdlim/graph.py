@@ -4,8 +4,10 @@ The action log is streamed from its file into per-action groups.
 :func:`build_all_dags` is the one DAG builder: it builds each action's DAG
 in one pass and writes its credits into it once. The edge lists are tuples
 of ``(u, v)`` edge objects that every DAG of the call shares, one per
-social edge, and the learned scheme counts each edge's propagations from
-the DAGs that hold it.
+social edge. The learned scheme counts each edge's propagations from the
+DAGs that hold it and computes its raw frequency once per edge; it
+normalizes once per distinct in-edge list, which overlapping cascades
+repeat from action to action.
 """
 
 from __future__ import annotations
@@ -51,7 +53,9 @@ class SocialGraph:
                 out_nbrs[u].append(v)
         for u, nbrs in enumerate(out_nbrs):
             if len(nbrs) > 1:
-                out_nbrs[u] = sorted(set(nbrs))
+                nbrs.sort()
+                if len(set(nbrs)) < len(nbrs):
+                    out_nbrs[u] = sorted(set(nbrs))
         self.m = sum(map(len, out_nbrs))
         self.out_nbrs = out_nbrs
         self.labels = list(labels) if labels is not None else list(range(n))
@@ -202,11 +206,13 @@ class ActionLog:
         for u, a, t in tuples:
             if t < 0:
                 raise ValueError(f"negative time {t} for user {u}, action {a}")
-            times = by_action.setdefault(a, {})
-            if u not in times or t < times[u]:
+            times = by_action.get(a)
+            if times is None:
+                by_action[a] = {u: t}
+            elif u not in times or t < times[u]:
                 times[u] = t
         self.by_action = by_action
-        self.counts = dict(Counter(u for a in sorted(by_action) for u in by_action[a]))
+        self.counts = dict(Counter(chain.from_iterable(map(by_action.__getitem__, sorted(by_action)))))
 
     @property
     def tuples(self):
@@ -276,7 +282,8 @@ def _bare_dag(graph: SocialGraph, times: dict[int, int], action: int, shared: di
         # its seed, which is common.
         nodes = list(times)
         return ActionDag(action, nodes, times, {nodes[0]: ()}, {nodes[0]: ()})
-    nodes = sorted(times, key=lambda u: (times[u], u))
+    # Sorted by id, then stably by time: ties stay in id order.
+    nodes = sorted(sorted(times), key=times.__getitem__)
     in_lists: dict[int, list[tuple[int, int]]] = {}
     out_edges = {}
     for u in nodes:
@@ -302,30 +309,27 @@ def _edges_in_order(dag: ActionDag):
     return chain.from_iterable(dag.out_edges.values())
 
 
-def _fill_credits(dag: ActionDag, scheme: str, table, actionlog, prop_counts):
+def _fill_credits(dag: ActionDag, scheme: str, table, memo):
     """Write the direct credits of ``dag``'s edges into ``dag.gamma``, in
     the order of :func:`_edges_in_order` (the learned scheme takes them head
-    by head in ``nodes`` order). :func:`build_all_dags` documents the
-    schemes."""
+    by head in ``nodes`` order). ``table`` is the explicit scheme's gamma
+    table, or the learned scheme's raw frequency per edge; ``memo`` maps
+    each in-edge tuple the learned scheme has normalized to its credits.
+    :func:`build_all_dags` documents the schemes and checks ``scheme``."""
     gamma = dag.gamma
     in_edges = dag.in_edges
     if scheme == "uniform":
         for e in _edges_in_order(dag):
             gamma[e] = 1.0 / len(in_edges[e[1]])
     elif scheme == "learned":
-        user_counts = actionlog.counts
         for u in dag.nodes:
             incoming = in_edges[u]
-            raw = [prop_counts.get(e, 0) / user_counts[e[0]] for e in incoming]
-            total = 0.0
-            for r in raw:  # left to right: the builtin sum compensates on 3.12+
-                total += r
-            scale = 1.0 / total if total > 1.0 else 1.0
-            for e, r in zip(incoming, raw):
-                gamma[e] = r * scale
-    elif scheme == "explicit":
-        if table is None:
-            raise ValueError("explicit scheme needs a gamma table")
+            if incoming:
+                credits = memo.get(incoming)
+                if credits is None:
+                    credits = memo[incoming] = _normalized(incoming, table)
+                gamma.update(credits)
+    else:
         for e in _edges_in_order(dag):
             if e not in table:
                 raise ValueError(f"gamma table missing edge {e} for action {dag.action}")
@@ -333,8 +337,16 @@ def _fill_credits(dag: ActionDag, scheme: str, table, actionlog, prop_counts):
             if not 0.0 <= g <= 1.0:
                 raise ValueError(f"gamma {g} outside [0, 1] for edge {e}")
             gamma[e] = g
-    else:
-        raise ValueError(f"unknown credit scheme {scheme!r}")
+
+
+def _normalized(incoming, raw) -> dict:
+    """The learned credits of one head's in-edges ``incoming``: their raw
+    frequencies, scaled down together when they sum to more than 1."""
+    total = 0.0
+    for e in incoming:  # left to right: the builtin sum compensates on 3.12+
+        total += raw[e]
+    scale = 1.0 / total if total > 1.0 else 1.0
+    return {e: raw[e] * scale for e in incoming}
 
 
 class ActionDags(tuple):
@@ -362,33 +374,43 @@ def build_all_dags(graph: SocialGraph, actionlog: ActionLog, scheme: str = "unif
 
     An edge (u, v) is in an action's DAG iff it is a social edge, both
     endpoints performed the action, and u performed it strictly before v.
-    Each DAG is built once and its credits are written into it. The DAGs
-    share one tuple object per edge.
+    Each DAG is built once and its credits are written into it; a DAG
+    without edges gets none. The DAGs share one tuple object per edge.
 
     Schemes:
       - ``uniform``: gamma_(v,u) = 1 / d_in(u), the number of u's DAG
         in-edges.
       - ``learned``: raw frequency |actions propagated v->u| / |A_v| over the
         whole log, normalized per head node so incoming credit sums to <= 1.
-        The propagations of an edge are counted from the DAGs that hold it.
+        The propagations of an edge are counted from the DAGs that hold it,
+        and its raw frequency is computed once per edge. The normalized
+        credits are computed once per distinct in-edge list (the tuple
+        ``in_edges[u]``, in order) and copied into every DAG that holds it.
       - ``explicit``: values copied from ``table``, which must cover every
         DAG edge with values in [0, 1]: either ``{(u, v): gamma}``, shared
         by every action, or ``{(u, v, action): gamma}``.
     """
+    if scheme not in ("uniform", "learned", "explicit"):
+        raise ValueError(f"unknown credit scheme {scheme!r}")
+    if scheme == "explicit" and table is None:
+        raise ValueError("explicit scheme needs a gamma table")
     shared: dict[tuple[int, int], tuple[int, int]] = {}
     by_action = actionlog.by_action
     dags = [_bare_dag(graph, by_action[a], a, shared) for a in actionlog.actions()]
-    prop_counts = None
     if scheme == "learned":
+        user_counts = actionlog.counts
         prop_counts = Counter(chain.from_iterable(map(_edges_in_order, dags)))
+        table = {e: c / user_counts[e[0]] for e, c in prop_counts.items()}
     per_action = None
     if scheme == "explicit" and _is_per_action(table):
         per_action = {}
         for (u, v, a), g in table.items():
             per_action.setdefault(a, {})[(u, v)] = g
+    memo = {}
     for dag in dags:
-        tab = table if per_action is None else per_action.get(dag.action, {})
-        _fill_credits(dag, scheme, tab, actionlog, prop_counts)
+        if any(dag.out_edges.values()):
+            tab = table if per_action is None else per_action.get(dag.action, {})
+            _fill_credits(dag, scheme, tab, memo)
     dags = ActionDags(dags)
     dags.counts = actionlog.counts
     return dags

@@ -406,12 +406,48 @@ def _assert_same_dag(dag, ref):
             == [(e, g.hex()) for e, g in ref.gamma.items()])
 
 
+def _window_case(rng):
+    """Overlapping windows on the chain u -> u+1..3, as in criterion 13, so
+    most heads keep the same in-edges across many actions. In some actions
+    performers act in tied pairs, which drops the edges within a pair and
+    gives a head a second in-edge list."""
+    n = rng.randint(20, 60)
+    window, stride = rng.randint(4, 15), rng.randint(1, 4)
+    g = SocialGraph(n, [(u, u + d) for u in range(n) for d in (1, 2, 3) if u + d < n])
+    tuples = []
+    for a in range((n - window) // stride + 1):
+        step = rng.choice((1, 1, 2))
+        tuples += [(a * stride + i, a, i // step) for i in range(window)]
+    return g, ActionLog(tuples), None
+
+
+def _two_tail_orders():
+    """Head 3 receives from 0, 1 and 2 in two actions, with the tails in
+    opposite orders; user 2 also acts alone in four more actions. The raw
+    credits are 1, 1 and 1/3, and their two left-to-right sums differ in
+    the last bit, so credits kept per unordered in-edge set would differ
+    from the reference in key order and in value."""
+    g = SocialGraph(4, [(0, 3), (1, 3), (2, 3)])
+    tuples = [(0, 0, 0), (1, 0, 1), (2, 0, 2), (3, 0, 3),
+              (2, 1, 0), (1, 1, 1), (0, 1, 2), (3, 1, 3)]
+    return g, ActionLog(tuples + [(2, a, 0) for a in range(2, 6)]), None
+
+
+def _credit_cases(scheme):
+    """Forty random cases per scheme; the learned scheme, whose credits are
+    kept per in-edge list, also gets window logs and :func:`_two_tail_orders`."""
+    for seed in range(40):
+        yield _random_credit_case(random.Random(seed), scheme)
+    if scheme == "learned":
+        for seed in range(10):
+            yield _window_case(random.Random(seed))
+        yield _two_tail_orders()
+
+
 @pytest.mark.parametrize("scheme", ["uniform", "learned", "explicit", "explicit-per-action"])
 def test_build_all_dags_equals_the_two_step_reference(scheme):
     lib_scheme = scheme.split("-")[0]
-    for seed in range(40):
-        rng = random.Random(seed)
-        g, log, table = _random_credit_case(rng, scheme)
+    for case, (g, log, table) in enumerate(_credit_cases(scheme)):
         dags = build_all_dags(g, log, lib_scheme, table=table)
         ref = _reference_build(g, log, lib_scheme, table)
         assert len(dags) == len(ref)
@@ -420,7 +456,23 @@ def test_build_all_dags_equals_the_two_step_reference(scheme):
             _assert_same_dag(dag, want)
             for edges in (*dag.in_edges.values(), *dag.out_edges.values(), dag.gamma):
                 for e in edges:
-                    assert one.setdefault(e, e) is e, (seed, e)
+                    assert one.setdefault(e, e) is e, (case, e)
+
+
+@pytest.mark.parametrize("scheme, table, message", [
+    ("bogus", None, "unknown credit scheme 'bogus'"),
+    ("explicit", None, "explicit scheme needs a gamma table"),
+])
+def test_scheme_checks_fire_when_no_dag_has_an_edge(scheme, table, message):
+    # Actions 0 and 1 have one performer each; in action 2 both act at
+    # once. No DAG has an edge, so no DAG is credited.
+    g = SocialGraph(2, [(0, 1)])
+    log = ActionLog([(0, 0, 1), (1, 1, 2), (0, 2, 5), (1, 2, 5)])
+    with pytest.raises(ValueError) as exc:
+        build_all_dags(g, log, scheme, table=table)
+    assert str(exc.value) == message
+    for valid, tab in (("uniform", None), ("learned", None), ("explicit", {})):
+        assert [dag.gamma for dag in build_all_dags(g, log, valid, table=tab)] == [{}] * 3
 
 
 def test_dags_share_the_log_times():
@@ -568,15 +620,46 @@ def test_directly_built_graph_resolves_labels(tmp_path):
     assert [loaded.id_of(lab) for lab in (10, 20, 30)] == [0, 1, 2]
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 2), st.integers(0, 5)),
-                min_size=1, max_size=30))
-def test_action_log_invariants(tuples):
-    log = ActionLog(tuples)
-    seen = set()
-    for u, a, t in log.tuples:
-        assert (u, a) not in seen
-        seen.add((u, a))
-    for u, cnt in log.counts.items():
-        assert cnt >= 1
-        assert cnt == sum(u in times for times in log.by_action.values())
+def _reference_log(tuples):
+    """``by_action`` and ``counts`` of a log from a plain loop."""
+    by_action = {}
+    for u, a, t in tuples:
+        if t < 0:
+            raise ValueError(f"negative time {t} for user {u}, action {a}")
+        times = by_action.setdefault(a, {})
+        if u not in times or t < times[u]:
+            times[u] = t
+    counts = {}
+    for a in sorted(by_action):
+        for u in by_action[a]:
+            counts[u] = counts.get(u, 0) + 1
+    return by_action, counts
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 4), st.integers(0, 5)), max_size=40),
+       st.none() | st.tuples(st.integers(0, 40), st.integers(-3, -1)))
+def test_action_log_invariants(tuples, negative):
+    # ActionLog against the plain loop of _reference_log, on streams that
+    # may hold one tuple with a negative time.
+    if negative is not None:
+        at, t = negative
+        tuples.insert(at, (at % 7, at % 5, t))
+    try:
+        by_action, counts = _reference_log(tuples)
+    except ValueError as want:
+        with pytest.raises(ValueError) as got:
+            ActionLog(iter(tuples))
+        assert str(got.value) == str(want)
+        return
+    log = ActionLog(iter(tuples))
+    # Equal in content and in key order, at both levels.
+    assert list(log.by_action) == list(by_action)
+    for a, times in log.by_action.items():
+        assert list(times.items()) == list(by_action[a].items())
+        # A repeated (user, action) pair keeps its earliest time.
+        for u, t in times.items():
+            assert t == min(s for v, b, s in tuples if (v, b) == (u, a))
+    assert type(log.counts) is dict
+    assert list(log.counts.items()) == list(counts.items())
+    assert len({(u, a) for u, a, _ in log.tuples}) == len(log.tuples) == len(log)

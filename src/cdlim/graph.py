@@ -5,9 +5,8 @@ The action log is streamed from its file into per-action groups.
 in one pass and writes its credits into it once. The edge lists are tuples
 of ``(u, v)`` edge objects that every DAG of the call shares, one per
 social edge. The learned scheme counts each edge's propagations from the
-DAGs that hold it and computes its raw frequency once per edge; it
-normalizes once per distinct in-edge list, which overlapping cascades
-repeat from action to action.
+DAGs that hold it and computes its raw frequency once per edge; the
+normalization is per head, over that head's in-edge list.
 """
 
 from __future__ import annotations
@@ -309,12 +308,11 @@ def _edges_in_order(dag: ActionDag):
     return chain.from_iterable(dag.out_edges.values())
 
 
-def _fill_credits(dag: ActionDag, scheme: str, table, memo):
+def _fill_credits(dag: ActionDag, scheme: str, table):
     """Write the direct credits of ``dag``'s edges into ``dag.gamma``, in
     the order of :func:`_edges_in_order` (the learned scheme takes them head
     by head in ``nodes`` order). ``table`` is the explicit scheme's gamma
-    table, or the learned scheme's raw frequency per edge; ``memo`` maps
-    each in-edge tuple the learned scheme has normalized to its credits.
+    table, or the learned scheme's raw frequency per edge.
     :func:`build_all_dags` documents the schemes and checks ``scheme``."""
     gamma = dag.gamma
     in_edges = dag.in_edges
@@ -324,11 +322,12 @@ def _fill_credits(dag: ActionDag, scheme: str, table, memo):
     elif scheme == "learned":
         for u in dag.nodes:
             incoming = in_edges[u]
-            if incoming:
-                credits = memo.get(incoming)
-                if credits is None:
-                    credits = memo[incoming] = _normalized(incoming, table)
-                gamma.update(credits)
+            total = 0.0
+            for e in incoming:  # left to right: the builtin sum compensates on 3.12+
+                total += table[e]
+            scale = 1.0 / total if total > 1.0 else 1.0
+            for e in incoming:
+                gamma[e] = table[e] * scale
     else:
         for e in _edges_in_order(dag):
             if e not in table:
@@ -337,16 +336,6 @@ def _fill_credits(dag: ActionDag, scheme: str, table, memo):
             if not 0.0 <= g <= 1.0:
                 raise ValueError(f"gamma {g} outside [0, 1] for edge {e}")
             gamma[e] = g
-
-
-def _normalized(incoming, raw) -> dict:
-    """The learned credits of one head's in-edges ``incoming``: their raw
-    frequencies, scaled down together when they sum to more than 1."""
-    total = 0.0
-    for e in incoming:  # left to right: the builtin sum compensates on 3.12+
-        total += raw[e]
-    scale = 1.0 / total if total > 1.0 else 1.0
-    return {e: raw[e] * scale for e in incoming}
 
 
 class ActionDags(tuple):
@@ -374,8 +363,8 @@ def build_all_dags(graph: SocialGraph, actionlog: ActionLog, scheme: str = "unif
 
     An edge (u, v) is in an action's DAG iff it is a social edge, both
     endpoints performed the action, and u performed it strictly before v.
-    Each DAG is built once and its credits are written into it; a DAG
-    without edges gets none. The DAGs share one tuple object per edge.
+    Each DAG is built once and its credits are written into it. The DAGs
+    share one tuple object per edge.
 
     Schemes:
       - ``uniform``: gamma_(v,u) = 1 / d_in(u), the number of u's DAG
@@ -383,9 +372,8 @@ def build_all_dags(graph: SocialGraph, actionlog: ActionLog, scheme: str = "unif
       - ``learned``: raw frequency |actions propagated v->u| / |A_v| over the
         whole log, normalized per head node so incoming credit sums to <= 1.
         The propagations of an edge are counted from the DAGs that hold it,
-        and its raw frequency is computed once per edge. The normalized
-        credits are computed once per distinct in-edge list (the tuple
-        ``in_edges[u]``, in order) and copied into every DAG that holds it.
+        and its raw frequency is computed once per edge; each head's
+        in-edge list ``in_edges[u]`` is then normalized, summed in order.
       - ``explicit``: values copied from ``table``, which must cover every
         DAG edge with values in [0, 1]: either ``{(u, v): gamma}``, shared
         by every action, or ``{(u, v, action): gamma}``.
@@ -406,11 +394,9 @@ def build_all_dags(graph: SocialGraph, actionlog: ActionLog, scheme: str = "unif
         per_action = {}
         for (u, v, a), g in table.items():
             per_action.setdefault(a, {})[(u, v)] = g
-    memo = {}
     for dag in dags:
-        if any(dag.out_edges.values()):
-            tab = table if per_action is None else per_action.get(dag.action, {})
-            _fill_credits(dag, scheme, tab, memo)
+        tab = table if per_action is None else per_action.get(dag.action, {})
+        _fill_credits(dag, scheme, tab)
     dags = ActionDags(dags)
     dags.counts = actionlog.counts
     return dags

@@ -434,8 +434,9 @@ def _two_tail_orders():
 
 
 def _credit_cases(scheme):
-    """Forty random cases per scheme; the learned scheme, whose credits are
-    kept per in-edge list, also gets window logs and :func:`_two_tail_orders`."""
+    """Forty random cases per scheme; the learned scheme, which normalizes
+    each head's in-edge list in order, also gets window logs and
+    :func:`_two_tail_orders`."""
     for seed in range(40):
         yield _random_credit_case(random.Random(seed), scheme)
     if scheme == "learned":
@@ -465,7 +466,7 @@ def test_build_all_dags_equals_the_two_step_reference(scheme):
 ])
 def test_scheme_checks_fire_when_no_dag_has_an_edge(scheme, table, message):
     # Actions 0 and 1 have one performer each; in action 2 both act at
-    # once. No DAG has an edge, so no DAG is credited.
+    # once. No DAG has an edge, so no credit is written.
     g = SocialGraph(2, [(0, 1)])
     log = ActionLog([(0, 0, 1), (1, 1, 2), (0, 2, 5), (1, 2, 5)])
     with pytest.raises(ValueError) as exc:

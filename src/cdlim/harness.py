@@ -10,6 +10,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .credit import delta_set, sigma_cd_scratch
 from .graph import (ActionDags, SocialGraph, _int_token, _records, build_all_dags,
@@ -110,24 +111,23 @@ def check_k(k: int) -> None:
 def baseline_high_degree(graph: SocialGraph, X, k: int) -> list:
     """Edges from the target set to the highest-degree non-target nodes.
 
-    Scans nodes by total (in+out) degree, ties by id, collecting existing
-    (x, v) edges until k are found; may return fewer, with a warning. The
-    graph keeps no in-adjacency, so the in-degrees are counted here.
+    Reads only the targets' out-edges and one in-degree count over the
+    graph. The heads of those edges outside ``X`` are ranked by total
+    (in+out) degree, ties by id, and each head's edges follow in target id
+    order, cut at k; may return fewer, with a warning.
     """
     check_k(k)
     X = set(X)
     out_nbrs = graph.out_nbrs
-    in_degree = Counter(v for nbrs in out_nbrs for v in nbrs)
-    ranked = sorted((v for v in range(graph.n) if v not in X),
-                    key=lambda v: (-(len(out_nbrs[v]) + in_degree[v]), v))
-    targets = sorted(X)
-    edges = []
-    for v in ranked:
-        for x in targets:
-            if graph.has_edge(x, v):
-                edges.append((x, v))
-                if len(edges) == k:
-                    return edges
+    tails = {}
+    for x in sorted(X):
+        if 0 <= x < graph.n:
+            for v in out_nbrs[x]:
+                if v not in X:
+                    tails.setdefault(v, []).append(x)
+    in_degree = Counter(chain.from_iterable(out_nbrs))
+    ranked = sorted(tails, key=lambda v: (-(len(out_nbrs[v]) + in_degree[v]), v))
+    edges = [(x, v) for v in ranked for x in tails[v]][:k]
     if len(edges) < k:
         log.warning("high-degree baseline found only %d of %d edges", len(edges), k)
     return edges

@@ -95,12 +95,14 @@ class TestBaselines:
 @given(st.integers(2, 9).flatmap(lambda n: st.tuples(
     st.just(n),
     st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40),
-    st.sets(st.integers(0, n - 1), min_size=1, max_size=n),
+    st.builds(set.union, st.sets(st.integers(0, n - 1), min_size=1, max_size=n),
+              st.sets(st.integers(-n, -1) | st.integers(n, 2 * n), max_size=2)),
     st.integers(1, 2 * n))))
 def test_high_degree_matches_edge_list_reference(case):
     # Non-targets ranked by in-degree plus out-degree, both counted on the
     # loop-free, duplicate-free edge list, ties by id; the edges from the
-    # targets into them, in that order, cut at k.
+    # targets into them, in that order, cut at k. A target id outside
+    # 0..n-1, negative ones included, has no edge.
     n, pairs, X, k = case
     edges = {(u, v) for u, v in pairs if u != v}
     out_degree = {v: sum(u == v for u, _ in edges) for v in range(n)}

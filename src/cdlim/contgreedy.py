@@ -13,7 +13,9 @@ path, which estimates each weight as a mean over s shared draws of R; it
 stays only because the benchmark's ilm-matroid workload and its probe
 call it. It scores each draw on the same kernel through the same two
 calls: ``scale`` sets the credits of R to 0.0, ``marginal`` reads the
-weights, and ``scale`` sets them back to gamma.
+weights, and ``scale`` sets them back to gamma. A sample scales only the
+edges it does not share with the previous one: those of the previous
+sample alone back to gamma, and its own new ones to 0.0.
 Both paths, and :func:`cg_weights`, borrow the kernel of
 :func:`~cdlim.credit._shared_kernel` in a ``with`` block, so on one target
 set they share greedy's, and the block's exit puts its credits back to gamma.
@@ -88,23 +90,31 @@ def cg_weights(dags, X, C, y, s, rng, counts=None) -> dict:
 
 def _cg_weights(kernel, C, held, y, s, rng) -> dict:
     """:func:`cg_weights` on sorted ``C`` and a kernel shared across calls;
-    ``held`` is the part of ``C`` some stored action holds. Per sample B,
-    :meth:`CreditKernel.scale` sets the edges of B to credit 0.0 (removes
-    them), and back to gamma (exactly, by a factor of 1.0) once the held
-    candidates outside B are scored; after an exception the caller's
-    ``with`` block puts them back. So the kernel must hold gamma on every
-    candidate, as a shared kernel does between solver runs and the sampled
-    path of :func:`continuous_greedy` keeps it: nothing else scales them
-    while this runs. Any other candidate's marginal is exactly 0.0, so
-    skipping it leaves ``acc`` bit-identical."""
+    ``held`` is the part of ``C`` some stored action holds. Each sample B
+    is scored with the edges of B at credit 0.0 (removed) and the other
+    candidates at gamma: :meth:`CreditKernel.scale` sets the edges only the
+    previous sample holds back to gamma (exactly, by a factor of 1.0) and
+    those only B holds to 0.0. The shared ones (every edge at y = 1.0, and
+    often half a sample) stay at 0.0 and mark nothing, and a marginal, which
+    reads only the credits, has the same bits as with each sample scaled in
+    and out in full. The last sample goes back to gamma after the loop;
+    after an exception the caller's ``with`` block puts it back. So the
+    kernel must hold gamma on every candidate, as a shared kernel does
+    between solver runs and the sampled path of :func:`continuous_greedy`
+    keeps it: nothing else scales them while this runs. Any other
+    candidate's marginal is exactly 0.0, so skipping it leaves ``acc``
+    bit-identical."""
     acc = dict.fromkeys(C, 0.0)
+    prev = frozenset()
     for _ in range(s):
         B = sample_set(C, y, rng)
-        kernel.scale(dict.fromkeys(B, 0.0))
+        kernel.scale(dict.fromkeys(prev - B, 1.0))
+        kernel.scale(dict.fromkeys(B - prev, 0.0))
         for e in held:
             if e not in B:
                 acc[e] += kernel.marginal(e)
-        kernel.scale(dict.fromkeys(B, 1.0))
+        prev = B
+    kernel.scale(dict.fromkeys(prev, 1.0))
     return {e: max(acc[e] / s, 0.0) for e in C}
 
 
@@ -119,8 +129,10 @@ def continuous_greedy(dags, X, C, b, config: CGConfig, counts=None) -> Fractiona
     y moved, and each weight is the kernel's marginal. Only the candidates
     some stored action holds are scored: every other weight is exactly 0.0,
     which ``max_weight_independent`` skips. The sampled path keeps the
-    kernel at gamma between samples, and scores each sample on the same
-    kernel with the sample's credits set to 0.0 (see :func:`_cg_weights`).
+    kernel at gamma between steps, and scores each sample on the same
+    kernel with the sample's credits set to 0.0, scaling each sample's
+    edges back to gamma only when a later sample lacks them or the step
+    ends (see :func:`_cg_weights`).
     An edge at y = 1.0 has weight exactly 0.0, so it never moves again:
     each term c * 0.0 * r of its exact marginal is +0.0, and
     ``random() < 1.0`` puts it in every sample, so no sample scores it."""

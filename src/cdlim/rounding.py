@@ -3,18 +3,18 @@ its bound check, feasibility test and max-weight independent set, the
 decomposition of y into independent sets, and randomized and swap rounding.
 
 Repeated swap rounding of one fractional solution decomposes it once: the
-last decomposition is kept, keyed by the bound and the above-threshold
-entries of ``y`` that :func:`decompose` reads. The cache holds the first
-set and, for each later set, its coefficient and its edges grouped by head
-node, so a fold groups only the running set. A call's draws follow the
-folds, then the heads in the order the running set iterates them, then
-ascending edges inside a head."""
+last decomposition is kept with the bound, the candidate list and ``y``
+over it, and a call that brings the same three (compared by equality, not
+hashed) reuses it. The kept entry holds the first set and, for each later
+set, its coefficient and its edges grouped by head node, so a fold groups
+only the running set. A call's draws follow the folds, then the heads in
+the order the running set iterates them, then ascending edges inside a
+head."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import zip_longest
 
 DECOMP_EPS = 1e-9
@@ -147,16 +147,14 @@ def decompose(y, C, b):
     return parts
 
 
-@lru_cache(maxsize=1)
-def _decomposition(b, entries):
-    """:func:`decompose` of the ``(edge, y)`` pairs in ``entries``, as its
-    first set and, per later set, its edges grouped by head node (head ->
-    frozenset) with its coefficient.
+def _decomposition(y, C, b):
+    """:func:`decompose` of y over C, as its first set and, per later set,
+    its edges grouped by head node (head -> frozenset) with its coefficient.
 
     Equal groups of different sets are one object, so the groups take about
     the space the sets did.
     """
-    parts = decompose(dict(entries), [e for e, _ in entries], b)
+    parts = decompose(y, C, b)
     shared: dict[frozenset, frozenset] = {}
     folds = []
     for nxt, lam in parts[1:]:
@@ -172,7 +170,8 @@ def _decomposition(b, entries):
 
 def _merge(I, lam_i, J, lam_j, rng):
     """Probabilistically merge the independent set ``I`` with the one whose
-    head groups are ``J``, head by head, in the order ``I`` iterates them.
+    head groups are ``J``, head by head, in the order ``I`` iterates them,
+    and return the merged set.
 
     Inside a head, the k-th smallest edge only ``I`` holds is paired with
     the k-th smallest only ``J`` holds (either may be missing), and each
@@ -181,6 +180,12 @@ def _merge(I, lam_i, J, lam_j, rng):
     that ``I`` lacks: every head of a later set of the decomposition is a
     head of the first (each set takes every head with residual left, and
     residuals only fall), and a head both sets hold keeps an edge.
+
+    The merged set is one ``set().union`` of the head sets in head order.
+    CPython's ``set.union`` copies the empty set and then updates the copy
+    with each argument in turn, so this makes the same merges into the same
+    table as one ``update`` per head, and the merged set iterates in the
+    same order; only the per-head method calls are gone.
     """
     # The next fold meets heads in the order the merged set iterates, which
     # follows the exact adds and discards on each head's set and the order
@@ -193,8 +198,6 @@ def _merge(I, lam_i, J, lam_j, rng):
             groups[e[1]] = {e}
         else:
             g.add(e)
-    merged = set()
-    update = merged.update
     p_keep_i = lam_i / (lam_i + lam_j)
     draw = rng.random
     get_j = J.get
@@ -220,8 +223,13 @@ def _merge(I, lam_i, J, lam_j, rng):
                             a.add(j)
                         if i is not None:
                             a.discard(i)
-        update(a)
-    return merged
+    return set().union(*groups.values())
+
+
+# The last (key, decomposition) pair swap_round made. A call reads the pair
+# once, so another thread replacing it cannot pair one key with another
+# call's decomposition.
+_kept: tuple = (None, None)
 
 
 def swap_round(y, C, b, rng) -> frozenset:
@@ -233,11 +241,22 @@ def swap_round(y, C, b, rng) -> frozenset:
     output is always feasible.
 
     The decomposition, with each later set's edges grouped by head, is
-    reused while ``b`` and the entries of ``y`` above ``DECOMP_EPS`` stay
-    the same. The draws follow the folds, then the heads in the order the
-    running set iterates them, then ascending edges inside a head.
+    reused while ``b``, ``C`` and ``y`` over ``C`` equal those of the call
+    that made it. The check copies ``C`` and its ``y`` values into lists
+    and compares them with the kept ones, so a change made in place to
+    ``C`` or ``y`` is seen. Nothing is hashed, and when a caller passes the
+    same ``C`` and ``y`` again the lists hold the same objects, so the
+    comparison is mostly identity tests. The draws follow the folds, then
+    the heads in the order the running set iterates them, then ascending
+    edges inside a head.
     """
-    (cur, lam), folds = _decomposition(b, tuple([(e, y[e]) for e in C if y[e] > DECOMP_EPS]))
+    global _kept
+    C = list(C)
+    key = (b, C, list(map(y.__getitem__, C)))
+    kept = _kept
+    if key != kept[0]:
+        kept = _kept = key, _decomposition(y, C, b)
+    (cur, lam), folds = kept[1]
     cur = set(cur)
     for nxt, lam_n in folds:
         cur = _merge(cur, lam, nxt, lam_n, rng)

@@ -6,7 +6,8 @@ eager scan on the kernel and against the lazy loop on the delta-dict
 kernel, the sampled continuous greedy's per-sample marginals (one
 ``_cg_weights`` sample: ``CreditKernel.scale`` to 0.0 on the sample, the
 marginals, and ``scale`` back to 1.0) against a from-scratch sum and the
-kernel's state after each sample, its pinned ``y`` on the criterion-12
+kernel's state after each sample, several samples that share edges
+against from-scratch marginals, its pinned ``y`` on the criterion-12
 instance, the exact continuous greedy (the kernel at credits
 gamma * (1 - y), updated by ``CreditKernel.scale``) against whole-DAG
 passes and against enumeration of the multilinear extension, every
@@ -628,6 +629,28 @@ def test_weight_at_y_one_is_zero(inst, data):
     assert [weights[e] for e in full] == [0.0] * len(full)
 
 
+@settings(max_examples=100, deadline=None)
+@given(dense_instances(), st.integers(2, 5), st.data())
+def test_sampled_weights_over_shared_samples_equal_scratch(inst, s, data):
+    # Every edge at y = 1.0 is in every sample, so consecutive samples share
+    # edges, which stay at 0.0 from one sample to the next. The weights
+    # equal from-scratch marginals summed per sample under the same draws,
+    # and afterwards every credit and map is back at gamma.
+    dags, X, C = inst
+    probs = st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1.0)
+    y = {e: data.draw(probs) for e in C}
+    full = data.draw(st.lists(st.sampled_from(C), unique=True, min_size=1))
+    y.update(dict.fromkeys(full, 1.0))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    counts = counts_from_dags(dags)
+    kernel = CreditKernel(dags, X, counts)
+    held = [e for e in C if e in kernel.edge_actions]
+    got = _cg_weights(kernel, C, held, y, s, random.Random(seed))
+    assert got == reference_cg_weights(dags, X, C, y, s, random.Random(seed), counts)
+    assert kernel.off == set()
+    _assert_state_matches_scratch(kernel, dags, X, set())
+
+
 def test_continuous_greedy_matches_reference_when_y_reaches_one():
     # At tau=2 and tau=4 the steps sum to exactly 1.0, so edges reach
     # y = 1.0 and are then kept out of every step by their zero weight.
@@ -1243,6 +1266,18 @@ def test_sample_marginals_equal_scratch_and_restore_kernel_target_free(inst, dat
     _assert_sample_marginals_match_scratch(inst, data)
 
 
+def reference_cg_weights(dags, X, C, y, s, rng, counts):
+    """The sampled weights with each sample's marginals from scratch."""
+    acc = dict.fromkeys(C, 0.0)
+    for _ in range(s):
+        B = sample_set(C, y, rng)
+        marg = reference_marginals(dags, X, C, counts, B)
+        for e in C:
+            if e not in B:
+                acc[e] += marg[e]
+    return {e: max(acc[e] / s, 0.0) for e in C}
+
+
 def reference_continuous_greedy(dags, X, C, b, config, counts):
     """Continuous greedy with every weight from scratch: on the exact path,
     the marginals on the DAGs with credits gamma * (1 - y); on the sampled
@@ -1257,14 +1292,7 @@ def reference_continuous_greedy(dags, X, C, b, config, counts):
                                    for e, c in d.gamma.items()}) for d in dags]
             weights = reference_marginals(kept, X, C, counts, frozenset())
         else:
-            acc = dict.fromkeys(C, 0.0)
-            for _ in range(config.s):
-                B = sample_set(C, y, rng)
-                marg = reference_marginals(dags, X, C, counts, B)
-                for e in C:
-                    if e not in B:
-                        acc[e] += marg[e]
-            weights = {e: max(acc[e] / config.s, 0.0) for e in C}
+            weights = reference_cg_weights(dags, X, C, y, config.s, rng, counts)
         for e in max_weight_independent(weights, b):
             y[e] = min(y[e] + step, 1.0)
     return y

@@ -413,6 +413,31 @@ class TestSwapRoundReuse:
         y = {(0, 2): 1.0, (1, 3): 1.0}
         assert swap_round(y, [(0, 2), (1, 3)], 1, random.Random(0)) == frozenset(y)
         assert swap_round(y, [(0, 2)], 1, random.Random(0)) == frozenset({(0, 2)})
+        # The same list object, changed in place between two calls.
+        C = [(0, 2), (1, 3)]
+        assert swap_round(y, C, 1, random.Random(0)) == frozenset(y)
+        C.pop()
+        assert swap_round(y, C, 1, random.Random(0)) == frozenset({(0, 2)})
+
+    def test_matches_frozen_merge_at_realistic_size(self):
+        # 300 heads with one to three candidates each at b = 2, and y in
+        # steps of 1/20, as continuous greedy at tau = 20 leaves it: the
+        # running set starts above 200 edges, so building it crosses several
+        # set table resizes, and 50 consecutive calls and the RNG state after
+        # them equal those of the merge that updates the set head by head.
+        rng = random.Random(34)
+        y = {}
+        for v in range(1000, 1300):
+            for u in rng.sample(range(1000), rng.randint(1, 3)):
+                y[(u, v)] = rng.randint(1, 20) / 20
+        y = _within_bound(y, 2)
+        edges = sorted(y)
+        assert len(decompose(y, edges, 2)[0][0]) > 200
+        got_rng, want_rng = random.Random(7), random.Random(7)
+        got = [list(swap_round(y, edges, 2, got_rng)) for _ in range(50)]
+        want = [list(reference_swap_round(y, edges, 2, want_rng)) for _ in range(50)]
+        assert got == want
+        assert got_rng.getstate() == want_rng.getstate()
 
 
 class TestChernoffEpsilon:

@@ -2,20 +2,19 @@
 its bound check, feasibility test and max-weight independent set, the
 decomposition of y into independent sets, and randomized and swap rounding.
 
-Repeated swap rounding of one fractional solution decomposes it once: the
-last decomposition is kept with the bound, the candidate list and ``y``
-over it, and a call that brings the same three (compared by equality, not
-hashed) reuses it. The kept entry holds the first set and, for each later
-set, its coefficient and its edges grouped by head node, so a fold groups
-only the running set. A call's draws follow the folds, then the heads in
-the order the running set iterates them, then ascending edges inside a
-head."""
+The matroid is a direct sum of uniform matroids, one per head node, so
+swap rounding rounds each head on its own by dependent rounding (Gandhi,
+Khuller, Parthasarathy & Srinivasan, JACM 2006). That keeps every marginal
+and gives negatively correlated outputs, and as a randomized pipage
+rounding it keeps E[f] >= F(y) (Chekuri, Vondrak & Zenklusen, FOCS 2010),
+the guarantee of the paper's swap rounding, without decomposing y. Nothing
+is kept between calls. :func:`decompose` writes y as a convex combination
+of independent sets; only the benchmark's probe calls it."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import zip_longest
 
 DECOMP_EPS = 1e-9
 # Residuals left over when the coefficients run out; up to this size they
@@ -50,8 +49,7 @@ def max_weight_independent(weights, b) -> frozenset:
 
     Keeps, per head node, the b largest positive weights (ties by smallest
     edge), so a weight of 0.0, which continuous greedy gives every edge at
-    y_e = 1, is never chosen. A copy of the set could iterate in another
-    order, which swap rounding's draws follow, so :func:`decompose` keeps it.
+    y_e = 1, is never chosen.
     """
     groups: dict[int, list] = {}
     for e, w in weights.items():
@@ -147,119 +145,62 @@ def decompose(y, C, b):
     return parts
 
 
-def _decomposition(y, C, b):
-    """:func:`decompose` of y over C, as its first set and, per later set,
-    its edges grouped by head node (head -> frozenset) with its coefficient.
-
-    Equal groups of different sets are one object, so the groups take about
-    the space the sets did.
-    """
-    parts = decompose(y, C, b)
-    shared: dict[frozenset, frozenset] = {}
-    folds = []
-    for nxt, lam in parts[1:]:
-        groups = {}
-        for e in nxt:
-            groups.setdefault(e[1], []).append(e)
-        for v, edges in groups.items():
-            g = frozenset(edges)
-            groups[v] = shared.setdefault(g, g)
-        folds.append((groups, lam))
-    return parts[0], tuple(folds)
-
-
-def _merge(I, lam_i, J, lam_j, rng):
-    """Probabilistically merge the independent set ``I`` with the one whose
-    head groups are ``J``, head by head, in the order ``I`` iterates them,
-    and return the merged set.
-
-    Inside a head, the k-th smallest edge only ``I`` holds is paired with
-    the k-th smallest only ``J`` holds (either may be missing), and each
-    pair draws once: below ``lam_i / (lam_i + lam_j)`` ``I``'s choice
-    stands, otherwise ``J``'s edge replaces ``I``'s. ``J`` holds no head
-    that ``I`` lacks: every head of a later set of the decomposition is a
-    head of the first (each set takes every head with residual left, and
-    residuals only fall), and a head both sets hold keeps an edge.
-
-    The merged set is one ``set().union`` of the head sets in head order.
-    CPython's ``set.union`` copies the empty set and then updates the copy
-    with each argument in turn, so this makes the same merges into the same
-    table as one ``update`` per head, and the merged set iterates in the
-    same order; only the per-head method calls are gone.
-    """
-    # The next fold meets heads in the order the merged set iterates, which
-    # follows the exact adds and discards on each head's set and the order
-    # of the updates; the per-head shortcuts below keep all three.
-    groups: dict[int, set] = {}
-    get = groups.get
-    for e in I:
-        g = get(e[1])
-        if g is None:
-            groups[e[1]] = {e}
-        else:
-            g.add(e)
-    p_keep_i = lam_i / (lam_i + lam_j)
-    draw = rng.random
-    get_j = J.get
-    for v, a in groups.items():
-        bset = get_j(v)
-        if bset is None:
-            for i in sorted(a):
-                if draw() >= p_keep_i:
-                    a.discard(i)
-        elif a != bset:
-            only_a = a - bset
-            only_b = bset - a
-            if len(only_a) < 2 and len(only_b) < 2:
-                if draw() >= p_keep_i:
-                    if only_b:
-                        a.add(*only_b)
-                    if only_a:
-                        a.discard(*only_a)
-            else:
-                for i, j in zip_longest(sorted(only_a), sorted(only_b)):
-                    if draw() >= p_keep_i:
-                        if j is not None:
-                            a.add(j)
-                        if i is not None:
-                            a.discard(i)
-    return set().union(*groups.values())
-
-
-# The last (key, decomposition) pair swap_round made. A call reads the pair
-# once, so another thread replacing it cannot pair one key with another
-# call's decomposition.
-_kept: tuple = (None, None)
-
-
 def swap_round(y, C, b, rng) -> frozenset:
-    """Round a feasible fractional solution to an independent set.
+    """Round a feasible fractional solution to an independent set by
+    dependent rounding inside each head node.
 
-    Decomposes y into a convex combination of independent sets, then folds
-    the sets pairwise with probabilistic element swaps per head-node
-    partition. Marginals are preserved: Pr[e in output] equals y[e]. The
-    output is always feasible.
+    Each distinct candidate with ``y[e] >= 1 - DECOMP_EPS`` is taken, and
+    one with ``y[e] <= DECOMP_EPS`` is not. A head's other edges are swept
+    in ascending order with one running fractional value ``a``. Each next
+    edge, of value ``c``, pairs with it, and the pair draws once and settles
+    one edge: with ``s = a + c``, one of the two goes to 0 if ``s <= 1``,
+    else one goes to 1, and the other carries the rest. The head's last
+    fractional edge is taken with its leftover value. So Pr[e in output] equals y[e], each head gets
+    the floor or the ceiling of its load, never more than ``b`` edges, and
+    the draws go head by head in ascending order, one per fractional edge.
 
-    The decomposition, with each later set's edges grouped by head, is
-    reused while ``b``, ``C`` and ``y`` over ``C`` equal those of the call
-    that made it. The check copies ``C`` and its ``y`` values into lists
-    and compares them with the kept ones, so a change made in place to
-    ``C`` or ``y`` is seen. Nothing is hashed, and when a caller passes the
-    same ``C`` and ``y`` again the lists hold the same objects, so the
-    comparison is mostly identity tests. The draws follow the folds, then
-    the heads in the order the running set iterates them, then ascending
-    edges inside a head.
+    Raises ValueError if a head's load exceeds ``b`` by more than 1e-9.
     """
-    global _kept
-    C = list(C)
-    key = (b, C, list(map(y.__getitem__, C)))
-    kept = _kept
-    if key != kept[0]:
-        kept = _kept = key, _decomposition(y, C, b)
-    (cur, lam), folds = kept[1]
-    cur = set(cur)
-    for nxt, lam_n in folds:
-        cur = _merge(cur, lam, nxt, lam_n, rng)
-        lam += lam_n
-    return frozenset(cur)
-
+    check_bound(b)
+    heads: dict[int, list] = {}
+    for e in set(C):
+        if y[e] > DECOMP_EPS:
+            heads.setdefault(e[1], []).append(e)
+    draw = rng.random
+    out = []
+    for v in sorted(heads):
+        edges = heads[v]
+        edges.sort()
+        load = 0.0
+        taken = 0
+        cur = None
+        for e in edges:
+            c = y[e]
+            load += c
+            if c >= 1.0 - DECOMP_EPS:
+                out.append(e)
+                taken += 1
+            elif cur is None:
+                cur, a = e, c
+            else:
+                s = a + c
+                if s <= 1.0:
+                    # One of the pair goes to 0, the other carries s.
+                    if draw() * s >= a:
+                        cur = e
+                    a = s
+                else:
+                    # One of the pair goes to 1, the other carries s - 1.
+                    if draw() * (2.0 - s) < 1.0 - c:
+                        out.append(cur)
+                        cur = e
+                    else:
+                        out.append(e)
+                    taken += 1
+                    a = s - 1.0
+        if load > b + 1e-9:
+            raise ValueError(f"node {v} load {load} exceeds bound {b}")
+        # A load within 1e-9 of b can leave a leftover the bound has no room for.
+        if cur is not None and draw() < a and taken < b:
+            out.append(cur)
+    return frozenset(out)
